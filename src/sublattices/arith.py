@@ -138,16 +138,6 @@ def sigma1(k: int) -> int:
     return out
 
 
-def radical(m: int) -> int:
-    """Product of the distinct primes dividing m; radical(1) is 1."""
-    if m < 1:
-        raise ValueError(f"need a positive integer, got {m}")
-    out = 1
-    for p, _ in factorize(m):
-        out *= p
-    return out
-
-
 def euler_phi_prime_power(p: int, s: int) -> int:
     """Euler phi of p**s for prime p and s >= 0; phi(1) is 1."""
     if not is_prime(p):

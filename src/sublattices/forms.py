@@ -178,26 +178,6 @@ def invariant_factors_via_minors(rows: Sequence[Sequence[int]]) -> tuple[int, ..
     return tuple(out)
 
 
-def stacked_minor_gcds(pivot: int, inner: Sequence[int], bordered: Sequence[int]) -> tuple[int, ...]:
-    """Minor gcds of a block matrix from the gcds of its pieces.
-
-    For H = [[pivot, top], [0, B]] with B square of order n-1, let inner hold
-    the minor gcds D_1..D_{n-1} of B and bordered those of the n x (n-1) matrix
-    [top; B].  The k-th minor gcd of H is gcd(pivot * D_{k-1}(B), D_k([top; B]))
-    with D_0(B) = 1 supplied implicitly.
-    """
-    if pivot < 1:
-        raise ValueError(f"pivot must be positive, got {pivot}")
-    if len(inner) != len(bordered):
-        raise ValueError("inner and bordered gcd sequences must have equal length")
-    out = []
-    prev = 1
-    for k, dk in enumerate(bordered):
-        out.append(gcd(pivot * prev, dk))
-        prev = inner[k]
-    return tuple(out)
-
-
 def _prime_power_diag(h: HnfMatrix) -> tuple[int | None, tuple[int, ...]]:
     """(p, exponents) for a diagonal of powers of one prime; p is None when all ones."""
     p = None

@@ -1,16 +1,19 @@
 """Exhaustive ground truth: classify every Hermite-form matrix and diff the formulas.
 
 The brute-force census enumerates all index-m Hermite forms and tallies them by
-invariant factor chain.  Per diagonal block it either scans matrices one by one
-(exact Python integers) or, for large blocks in dimension at most 4, evaluates
-all minors of the whole block at once on int64 arrays; precomputed bounds on
-every minor keep the vector path exact, and any block that cannot be bounded
-falls back to the scan.  Work is partitioned by diagonal, so tallies are
+invariant factor chain; the co-cyclic count tallies them by whether the minors
+of order n-1 have gcd 1.  Both share one per-block kernel.  Per diagonal block
+it either scans matrices one by one (exact Python integers) or, for large
+blocks, evaluates the needed minors of the whole block at once on int64
+arrays.  Precomputed bounds on every minor decide per block whether the vector
+path is exact; a block that cannot be bounded inside int64 falls back to the
+scan, in any dimension.  Work is partitioned by diagonal, so tallies are
 identical for any worker count.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -46,19 +49,6 @@ _POOL_MIN = 50_000  # below this predicted count, worker pools are not worth for
 _CHUNK = 1 << 20
 _INT64_SAFE = 1 << 62
 
-_PERM_SIGNS = {
-    1: (((0,), 1),),
-    2: (((0, 1), 1), ((1, 0), -1)),
-    3: (
-        ((0, 1, 2), 1),
-        ((1, 2, 0), 1),
-        ((2, 0, 1), 1),
-        ((0, 2, 1), -1),
-        ((2, 1, 0), -1),
-        ((1, 0, 2), -1),
-    ),
-}
-
 
 class BudgetExceededError(RuntimeError):
     """The predicted matrix count exceeds the budget; raised before any work starts."""
@@ -88,50 +78,51 @@ def _slots(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _composition_plans(n, diag):
+def _composition_plans(n, diag, orders):
     """Symbolic minor structure of one diagonal block.
 
-    Returns (sizes, per_k) where per_k[k-1] = (scalar_gcd, plans) covers the
-    k x k minors: scalar_gcd folds the minors free of varying entries, and each
-    plan lists (slot_tuple, coeff) monomials of one varying minor.  Principal
-    minors are constant, so scalar_gcd is always positive.  Returns None when a
-    minor cannot be bounded inside int64.
+    Returns (sizes, per_order) where per_order[i] = (scalar_gcd, plans) covers
+    the k x k minors for k = orders[i]: scalar_gcd folds the minors free of
+    varying entries, and each plan lists (slot_tuple, coeff) monomials of one
+    varying minor.  Principal minors are constant, so scalar_gcd is always
+    positive.  Returns None when a minor cannot be bounded inside int64.
     """
     slots = _slots(n)
     sizes = [diag[j] for _, j in slots]
     index = {pos: k for k, pos in enumerate(slots)}
 
     def entry(i, j):
+        """(constant factor, slot or None) of entry (i, j); a zero factor is a zero entry."""
         if i == j:
-            return ("const", diag[i])
-        if i > j:
-            return ("const", 0)
-        k = index[(i, j)]
-        return ("const", 0) if sizes[k] == 1 else ("slot", k)
+            return diag[i], None
+        if i > j or sizes[index[(i, j)]] == 1:
+            return 0, None
+        return 1, index[(i, j)]
 
-    per_k = []
-    for k in range(1, n):
+    def expand(rows, cols, coeff, used, monos):
+        # Laplace expansion along the first remaining row: taking the pos-th
+        # remaining column flips the sign when pos is odd, and a zero entry
+        # drops the whole branch, so only the nonzero terms are visited
+        if not rows:
+            key = tuple(sorted(used))
+            monos[key] = monos.get(key, 0) + coeff
+            return
+        for pos, c in enumerate(cols):
+            val, slot = entry(rows[0], c)
+            if val:
+                sign = -1 if pos % 2 else 1
+                rest = cols[:pos] + cols[pos + 1 :]
+                more = used if slot is None else used + (slot,)
+                expand(rows[1:], rest, sign * val * coeff, more, monos)
+
+    per_order = []
+    for k in orders:
         scalar = 0
         plans = []
         for rsel in combinations(range(n), k):
             for csel in combinations(range(n), k):
                 monos: dict[tuple[int, ...], int] = {}
-                for perm, sign in _PERM_SIGNS[k]:
-                    coeff = sign
-                    used = []
-                    dead = False
-                    for a in range(k):
-                        kind, val = entry(rsel[a], csel[perm[a]])
-                        if kind == "const":
-                            if val == 0:
-                                dead = True
-                                break
-                            coeff *= val
-                        else:
-                            used.append(val)
-                    if not dead:
-                        key = tuple(sorted(used))
-                        monos[key] = monos.get(key, 0) + coeff
+                expand(rsel, csel, 1, (), monos)
                 monos = {s: c for s, c in monos.items() if c}
                 if not monos:
                     continue
@@ -147,8 +138,8 @@ def _composition_plans(n, diag):
                 if bound >= _INT64_SAFE:
                     return None
                 plans.append(sorted(monos.items()))
-        per_k.append((scalar, plans))
-    return sizes, per_k
+        per_order.append((scalar, plans))
+    return sizes, per_order
 
 
 def _eval_plan(plan, coord):
@@ -184,38 +175,37 @@ def _chain_decode(key: int, base: int, n: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _vector_tally(n, m, diag, chunk):
-    """Tally one diagonal block on int64 arrays; None when bounds force a fallback."""
-    built = _composition_plans(n, diag)
+def _block_minor_gcds(n, diag, orders, chunk):
+    """Minor gcds of the given orders over one diagonal block, on int64 arrays.
+
+    Returns None when the int64 bound forces the scan.  Otherwise returns an
+    iterable of (weight, gvals), one per chunk: gvals[i] is the gcd of the
+    orders[i] x orders[i] minors, an int where it is constant over the block
+    and an int64 array over the chunk elsewhere, and each entry stands for
+    weight matrices.  A block whose requested orders are all constant comes
+    back as one pair of ints weighted by the block size.
+    """
+    built = _composition_plans(n, diag, orders)
     if built is None:
         return None
-    sizes, per_k = built
-    base = m + 1
-    if base**n >= _INT64_SAFE:
-        return None
+    sizes, per_order = built
     total = prod(sizes)
     consts: list[int | None] = []
-    for scalar, plans in per_k:
+    for scalar, plans in per_order:
         if scalar < 1:
             raise ArithmeticError(f"missing principal minor in block {diag}")
-        if not plans:
-            consts.append(scalar)
-        elif scalar == 1:
-            consts.append(1)
-        else:
-            consts.append(None)
-    if all(c is not None for c in consts):
-        ds = []
-        prev = 1
-        for g in consts:
-            ds.append(g // prev)
-            prev = g
-        ds.append(m // prev)
-        return {tuple(ds): total}
+        # the gcd is scalar when no minor varies or the constant ones have gcd 1
+        consts.append(scalar if scalar == 1 or not plans else None)
+    if None not in consts:
+        return [(total, consts)]
+    return _chunk_minor_gcds(sizes, per_order, consts, chunk)
+
+
+def _chunk_minor_gcds(sizes, per_order, consts, chunk):
+    total = prod(sizes)
     strides = [1] * len(sizes)
     for k in range(len(sizes) - 2, -1, -1):
         strides[k] = strides[k + 1] * sizes[k + 1]
-    counts: dict[tuple[int, ...], int] = {}
     for lo in range(0, total, chunk):
         idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
         coords: dict[int, np.ndarray] = {}
@@ -228,9 +218,9 @@ def _vector_tally(n, m, diag, chunk):
             return got
 
         gvals = []
-        for ki, (scalar, plans) in enumerate(per_k):
-            if consts[ki] is not None:
-                gvals.append(consts[ki])
+        for const, (scalar, plans) in zip(consts, per_order):
+            if const is not None:
+                gvals.append(const)
                 continue
             running = None
             for plan in plans:
@@ -241,55 +231,37 @@ def _vector_tally(n, m, diag, chunk):
                 if np.all(running == 1):
                     break
             gvals.append(np.gcd(running, scalar))
+        yield 1, gvals
+
+
+def _tally_chains(n, m, blocks):
+    """Tally invariant factor chains from the minor gcds of orders 1..n-1."""
+    base = m + 1
+    counts: dict[tuple[int, ...], int] = {}
+    for weight, gvals in blocks:
         ds = []
         prev = 1
         for g in gvals:
             ds.append(g // prev)
             prev = g
         ds.append(m // prev)
-        keys = np.asarray(_chain_encode(ds, base))
-        uniq, cnt = np.unique(keys, return_counts=True)
+        uniq, cnt = np.unique(np.asarray(_chain_encode(ds, base)), return_counts=True)
         for u, c in zip(uniq.tolist(), cnt.tolist()):
             chain = _chain_decode(int(u), base, n)
-            counts[chain] = counts.get(chain, 0) + int(c)
+            counts[chain] = counts.get(chain, 0) + c * weight
     return counts
 
 
-def _vector_cocyclic(n, m, diag, chunk):
-    """Count matrices in one block whose next-to-last minor gcd is 1; None on fallback."""
-    built = _composition_plans(n, diag)
-    if built is None:
-        return None
-    sizes, per_k = built
-    total = prod(sizes)
-    scalar, plans = per_k[-1]
-    if scalar == 1:
-        return total
-    if not plans:
-        return 0
-    strides = [1] * len(sizes)
-    for k in range(len(sizes) - 2, -1, -1):
-        strides[k] = strides[k + 1] * sizes[k + 1]
+def _tally_cocyclic(n, m, blocks):
+    """Count the matrices whose minors of order n-1 have gcd 1."""
     hits = 0
-    for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        coords: dict[int, np.ndarray] = {}
+    for weight, (g,) in blocks:
+        hits += int(np.count_nonzero(g == 1)) * weight
+    return {True: hits}
 
-        def coord(k):
-            got = coords.get(k)
-            if got is None:
-                got = (idx // strides[k]) % sizes[k]
-                coords[k] = got
-            return got
 
-        running = None
-        for plan in plans:
-            det = _eval_plan(plan, coord)
-            running = np.abs(det) if running is None else np.gcd(running, det)
-            if np.all(running == 1):
-                break
-        hits += int(np.count_nonzero(np.gcd(running, scalar) == 1))
-    return hits
+def _is_cocyclic(rows) -> bool:
+    return minor_gcd(rows, len(rows) - 1) == 1
 
 
 def _scan_tally(n, diag, classify):
@@ -297,7 +269,7 @@ def _scan_tally(n, diag, classify):
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = diag[i]
-    counts: dict[tuple[int, ...], int] = {}
+    counts: dict = {}
     for offs in iter_product(*(range(diag[j]) for _, j in slots)):
         for (i, j), v in zip(slots, offs):
             rows[i][j] = v
@@ -310,54 +282,47 @@ def _block_size(n, diag):
     return prod(diag[j] for _, j in _slots(n))
 
 
-def _census_worker(args):
-    n, m, comps, method, chunk = args
-    counts: dict[tuple[int, ...], int] = {}
+def _merge(counts, part):
+    for key, v in part.items():
+        counts[key] = counts.get(key, 0) + v
+
+
+def _worker(args):
+    """Tally the blocks of comps, each on the int64 kernel or by classify per matrix."""
+    n, m, comps, chunk, orders, tally, classify = args
+    counts: dict = {}
     for diag in comps:
-        if method == "auto" and n <= 4 and _block_size(n, diag) >= _VECTOR_MIN:
-            part = _vector_tally(n, m, diag, chunk)
-        else:
-            part = None
+        part = None
+        if orders and _block_size(n, diag) >= _VECTOR_MIN:
+            blocks = _block_minor_gcds(n, diag, orders, chunk)
+            if blocks is not None:
+                part = tally(n, m, blocks)
         if part is None:
-            classify = (
-                invariant_factors_via_minors if method == "minors" else invariant_factors
-            )
             part = _scan_tally(n, diag, classify)
-        for key, v in part.items():
-            counts[key] = counts.get(key, 0) + v
+        _merge(counts, part)
     return counts
 
 
-def _cocyclic_worker(args):
-    n, m, comps, method, chunk = args
-    hits = 0
-    for diag in comps:
-        got = None
-        if method == "auto" and 2 <= n <= 4 and _block_size(n, diag) >= _VECTOR_MIN:
-            got = _vector_cocyclic(n, m, diag, chunk)
-        if got is None:
-            got = 0
-            slots = _slots(n)
-            rows = [[0] * n for _ in range(n)]
-            for i in range(n):
-                rows[i][i] = diag[i]
-            for offs in iter_product(*(range(diag[j]) for _, j in slots)):
-                for (i, j), v in zip(slots, offs):
-                    rows[i][j] = v
-                if minor_gcd(rows, n - 1) == 1:
-                    got += 1
-        hits += got
-    return hits
-
-
-def _fan_out(n, m, comps, method, chunk, jobs, predicted, worker):
-    jobs = max(1, int(jobs))
-    if jobs == 1 or len(comps) == 1 or predicted < _POOL_MIN:
-        return [worker((n, m, comps, method, chunk))]
-    work = [(n, m, comps[w::jobs], method, chunk) for w in range(jobs)]
-    work = [w for w in work if w[2]]
-    with ProcessPoolExecutor(max_workers=len(work)) as ex:
-        return list(ex.map(worker, work))
+def _bruteforce(n, m, scope, jobs, budget, method, chunk, orders, tally, classify):
+    """Shared entry: validate, refuse over budget, split by diagonal and merge."""
+    _check_scope(n, m)
+    if method not in ("auto", "reduction", "minors"):
+        raise ValueError(f"unknown method {method!r}")
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got {jobs}")
+    predicted = _check_budget(n, m, budget, f"{scope} n={n} m={m}")
+    if method != "auto":
+        orders = ()
+    comps = list(divisor_compositions(m, n))
+    workers = min(int(jobs), os.cpu_count() or 1, len(comps))
+    if workers == 1 or predicted < _POOL_MIN:
+        return _worker((n, m, comps, chunk, orders, tally, classify))
+    work = [(n, m, comps[w::workers], chunk, orders, tally, classify) for w in range(workers)]
+    counts: dict = {}
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        for part in ex.map(_worker, work):
+            _merge(counts, part)
+    return counts
 
 
 def census_bruteforce(
@@ -376,16 +341,12 @@ def census_bruteforce(
     played against each other.  The per-diagonal split makes the result
     independent of jobs.
     """
-    _check_scope(n, m)
-    if method not in ("auto", "reduction", "minors"):
-        raise ValueError(f"unknown method {method!r}")
-    predicted = _check_budget(n, m, budget, f"census n={n} m={m}")
-    comps = list(divisor_compositions(m, n))
-    parts = _fan_out(n, m, comps, method, chunk, jobs, predicted, _census_worker)
-    counts: dict[tuple[int, ...], int] = {}
-    for part in parts:
-        for key, v in part.items():
-            counts[key] = counts.get(key, 0) + v
+    # chains are tallied as base-(m+1) int64 keys, so the encoding must fit too
+    orders = tuple(range(1, n)) if (m + 1) ** n < _INT64_SAFE else ()
+    classify = invariant_factors_via_minors if method == "minors" else invariant_factors
+    counts = _bruteforce(
+        n, m, "census", jobs, budget, method, chunk, orders, _tally_chains, classify
+    )
     return CensusTable(n, m, counts)
 
 
@@ -401,13 +362,13 @@ def cocyclic_bruteforce(
     """Count index-m Hermite forms whose minors of order n-1 have gcd 1.
 
     That gcd condition says the quotient group is cyclic, i.e. the invariant
-    factor chain is (1, ..., 1, m).
+    factor chain is (1, ..., 1, m).  Every method other than "auto" scans
+    matrix by matrix with minor_gcd, independently of the census classifiers.
     """
-    _check_scope(n, m)
-    predicted = _check_budget(n, m, budget, f"cocyclic n={n} m={m}")
-    comps = list(divisor_compositions(m, n))
-    parts = _fan_out(n, m, comps, method, chunk, jobs, predicted, _cocyclic_worker)
-    return sum(parts)
+    counts = _bruteforce(
+        n, m, "cocyclic", jobs, budget, method, chunk, (n - 1,), _tally_cocyclic, _is_cocyclic
+    )
+    return counts.get(True, 0)
 
 
 @dataclass

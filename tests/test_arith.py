@@ -13,7 +13,6 @@ from sublattices.arith import (
     ord_p,
     partition_count,
     partitions,
-    radical,
     sigma1,
 )
 
@@ -173,13 +172,6 @@ def test_sigma1_multiplicative():
         for b in range(a, 501):
             if gcd(a, b) == 1:
                 assert sigma1(a * b) == table[a] * table[b], (a, b)
-
-
-def test_radical():
-    assert radical(1) == 1
-    assert radical(12) == 6
-    assert radical(360) == 30
-    assert radical(49) == 7
 
 
 def test_euler_phi_prime_power():

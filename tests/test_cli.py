@@ -300,6 +300,9 @@ def test_verify_rejects_zero_index(capsys):
     code, _, err = run_cli(capsys, "verify", "--n", "2", "--m", "0")
     assert code == 2
     assert "error" in err
+    code, _, err = run_cli(capsys, "verify", "--n", "2", "--m", "6", "--jobs", "0")
+    assert code == 2
+    assert "jobs" in err
 
 
 def test_verify_prime_powers_cli(capsys):

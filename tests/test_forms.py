@@ -13,7 +13,6 @@ from sublattices.forms import (
     invariant_factors,
     invariant_factors_via_minors,
     minor_gcd,
-    stacked_minor_gcds,
     validate_hnf,
 )
 
@@ -156,43 +155,6 @@ def test_two_invariant_factor_routes_agree_on_random_triangular():
             for i in range(n)
         ]
         assert invariant_factors(a) == invariant_factors_via_minors(a), a
-
-
-def test_stacked_minor_gcds_matches_direct():
-    # H = [[pivot, top], [0, B]]: reassemble and compare against plain minor_gcd
-    rng = random.Random(90210)
-    for _ in range(200):
-        k = rng.randrange(1, 4)
-        pivot = rng.randrange(1, 7)
-        top = [rng.randrange(0, 7) for _ in range(k)]
-        b = [[rng.randrange(0, 7) for _ in range(k)] for _ in range(k)]
-        stacked = [top] + b
-        inner = [minor_gcd(b, j) for j in range(1, k + 1)]
-        bordered = [minor_gcd(stacked, j) for j in range(1, k + 1)]
-        full = [[pivot] + top] + [[0] + row for row in b]
-        want = tuple(minor_gcd(full, j) for j in range(1, k + 1))
-        assert stacked_minor_gcds(pivot, inner, bordered) == want
-
-
-def test_stacked_minor_gcds_exhaustive_prime_powers():
-    # peel the first row and column off every Hermite form of prime-power index
-    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
-        for n in (2, 3, 4):
-            for h in hnf_stream(n, q):
-                pivot = h.rows[0][0]
-                top = list(h.rows[0][1:])
-                b = [list(row[1:]) for row in h.rows[1:]]
-                inner = [minor_gcd(b, j) for j in range(1, n)]
-                bordered = [minor_gcd([top] + b, j) for j in range(1, n)]
-                want = tuple(minor_gcd(h.rows, j) for j in range(1, n))
-                assert stacked_minor_gcds(pivot, inner, bordered) == want, h.rows
-
-
-def test_stacked_minor_gcds_errors():
-    with pytest.raises(ValueError):
-        stacked_minor_gcds(0, [1], [1])
-    with pytest.raises(ValueError):
-        stacked_minor_gcds(2, [1], [1, 2])
 
 
 def test_hnf2_smith_exponent_known():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sublattices import oracle
 from sublattices.census import class_census, cocyclic_count, sublattice_count
 from sublattices.oracle import (
     DEFAULT_BUDGET,
@@ -29,15 +30,43 @@ def test_bruteforce_matches_formula():
             assert census_bruteforce(n, m).counts == class_census(n, m).counts, (n, m)
     for m in (2, 4, 8, 12, 16):
         assert census_bruteforce(4, m).counts == class_census(4, m).counts, m
+    # past the old n <= 4 cap: blocks of 256 and more run on the int64 kernel
+    for n, m in ((5, 6), (5, 8), (5, 9), (5, 12), (6, 4), (6, 8)):
+        assert census_bruteforce(n, m).counts == class_census(n, m).counts, (n, m)
 
 
 def test_bruteforce_methods_agree():
     # vector path, tiny chunks, and both per-matrix classifiers
-    for n, m in ((2, 36), (3, 16), (3, 24), (4, 16)):
+    for n, m in ((2, 36), (3, 16), (3, 24), (4, 16), (5, 4), (5, 8), (5, 9)):
         auto = census_bruteforce(n, m).counts
         assert auto == census_bruteforce(n, m, chunk=7).counts, (n, m)
         assert auto == census_bruteforce(n, m, method="reduction").counts, (n, m)
-        assert auto == census_bruteforce(n, m, method="minors").counts, (n, m)
+        # the minor-gcd classifier costs seconds per call at n = 5, m = 8
+        if n < 5 or m < 8:
+            assert auto == census_bruteforce(n, m, method="minors").counts, (n, m)
+
+
+def test_bruteforce_vectorizes_every_large_block_at_n5(monkeypatch):
+    # every block of at least _VECTOR_MIN matrices must go through the int64
+    # kernel in dimension 5, for the census and the co-cyclic count alike
+    scanned = []
+    vectorized = []
+    real_scan, real_kernel = oracle._scan_tally, oracle._block_minor_gcds
+
+    def scan(n, diag, classify):
+        scanned.append(oracle._block_size(n, diag))
+        return real_scan(n, diag, classify)
+
+    def kernel(n, diag, orders, chunk):
+        vectorized.append(oracle._block_size(n, diag))
+        return real_kernel(n, diag, orders, chunk)
+
+    monkeypatch.setattr(oracle, "_scan_tally", scan)
+    monkeypatch.setattr(oracle, "_block_minor_gcds", kernel)
+    for m in (8, 9):
+        assert census_bruteforce(5, m).counts == class_census(5, m).counts, m
+        assert cocyclic_bruteforce(5, m) == cocyclic_count(5, m), m
+    assert vectorized and max(scanned) < oracle._VECTOR_MIN
 
 
 def test_bruteforce_jobs_deterministic():
@@ -61,16 +90,56 @@ def test_bruteforce_errors():
         census_bruteforce(0, 4)
     with pytest.raises(ValueError):
         census_bruteforce(2, 4, method="magic")
+    with pytest.raises(ValueError):
+        cocyclic_bruteforce(2, 4, method="magic")
+    with pytest.raises(ValueError):
+        cocyclic_bruteforce(0, 4)
+    # refused before the single-process path, not clamped to one worker
+    for brute in (census_bruteforce, cocyclic_bruteforce):
+        for jobs in (0, -3):
+            with pytest.raises(ValueError, match="jobs"):
+                brute(2, 4, jobs=jobs)
+
+
+def test_bruteforce_pool_capped_at_cpu_count(monkeypatch):
+    # an in-process stand-in for the pool records the worker count it is given
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return map(fn, work)
+
+    base = census_bruteforce(3, 30).counts
+    base_cocyclic = cocyclic_bruteforce(3, 30)
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(oracle, "_POOL_MIN", 0)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
+    assert census_bruteforce(3, 30, jobs=64).counts == base
+    assert cocyclic_bruteforce(3, 30, jobs=64) == base_cocyclic
+    assert census_bruteforce(3, 30, jobs=2).counts == base
+    # 30 = 2 * 3 * 5 has 27 diagonals, so only the CPU count or jobs bind
+    assert sizes == [3, 3, 2]
 
 
 def test_cocyclic_bruteforce():
     for n in (1, 2, 3, 4):
         for m in range(1, 33):
             assert cocyclic_bruteforce(n, m) == cocyclic_count(n, m), (n, m)
+    for n, m in ((5, 6), (5, 8), (5, 9), (5, 12), (6, 4), (6, 8)):
+        assert cocyclic_bruteforce(n, m) == cocyclic_count(n, m), (n, m)
 
 
 def test_cocyclic_bruteforce_methods():
-    for n, m in ((3, 16), (4, 16), (2, 36)):
+    for n, m in ((3, 16), (4, 16), (2, 36), (5, 8)):
         assert cocyclic_bruteforce(n, m) == cocyclic_bruteforce(n, m, method="reduction")
     with pytest.raises(BudgetExceededError):
         cocyclic_bruteforce(4, 32, budget=10)
