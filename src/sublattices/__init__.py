@@ -2,8 +2,9 @@
 
 Sublattices of index m correspond to Hermite-form matrices with determinant m,
 and unimodular equivalence classes correspond to invariant factor chains.  The
-package provides closed-form counts, per-class sizes (numeric and polynomial
-in the prime), streaming enumeration, and a brute-force oracle for diffing.
+package provides closed-form counts, per-class sizes (polynomials in the
+prime from one glue recursion, and their values at a given prime), streaming
+enumeration, and a brute-force oracle for diffing.
 """
 
 from .arith import (

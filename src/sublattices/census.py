@@ -2,19 +2,19 @@
 
 Two sublattices of Z^n count as equivalent when a unimodular change of basis maps
 one onto the other, which happens exactly when they share the same invariant
-factor chain d1 | d2 | ... | dn.  Everything here is exact integer arithmetic.
+factor chain d1 | d2 | ... | dn.  Class sizes at a prime power come from the
+glue recursion in polyalg, evaluated at the prime.  Everything here is exact
+integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product as iter_product
 from math import prod
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .arith import (
-    INFINITY,
     divisor_compositions,
     euler_phi_prime_power,
     factorize,
@@ -23,6 +23,7 @@ from .arith import (
     partition_count,
     partitions,
 )
+from .polyalg import class_size_poly, poly_eval
 
 
 def _check_nm(n: int, m: int) -> None:
@@ -94,143 +95,15 @@ def validate_chain(divisors: Iterable[int]) -> tuple[int, ...]:
     return chain
 
 
-class ValuationProfile(NamedTuple):
-    """Valuation levels of an inner class extended by one glue vector.
-
-    levels has one entry per dimension of the merged lattice; the entries are
-    nondecreasing and the last one is INFINITY so that a cutoff always exists.
-    cutoff is the first 1-based index whose level strictly exceeds the pivot
-    exponent.
-    """
-
-    levels: tuple
-    cutoff: int
-
-
-def valuation_profile(pivot: int, inner: Sequence[int], glue: Sequence[int]) -> ValuationProfile:
-    """Profile of the class obtained by gluing a pivot vector onto an inner class.
-
-    inner is the nondecreasing exponent tuple of the inner class and glue the
-    componentwise valuations of the glue vector, with 0 <= glue[i] <= inner[i].
-    Level k (1-based, below the sentinel) is
-        min(inner[k-1] - inner[i] + glue[i] for i < k-1,  glue[j] for j >= k-1)
-    over 0-based positions of the inner tuple.
-    """
-    inner = tuple(int(b) for b in inner)
-    glue = tuple(int(d) for d in glue)
-    if pivot < 0:
-        raise ValueError(f"pivot exponent must be nonnegative, got {pivot}")
-    if len(glue) != len(inner):
-        raise ValueError("glue vector and inner class must have equal length")
-    if any(b < 0 for b in inner) or any(inner[i] > inner[i + 1] for i in range(len(inner) - 1)):
-        raise ValueError(f"inner class must be nondecreasing and nonnegative, got {inner}")
-    for b, d in zip(inner, glue):
-        if not 0 <= d <= b:
-            raise ValueError(f"glue valuation {d} outside [0, {b}]")
-    levels: list = []
-    for k in range(1, len(inner) + 1):
-        candidates = [inner[k - 1] - inner[i] + glue[i] for i in range(k - 1)]
-        candidates += [glue[j] for j in range(k - 1, len(inner))]
-        levels.append(min(candidates))
-    levels.append(INFINITY)
-    for a, b in zip(levels, levels[1:]):
-        if a > b:
-            raise ArithmeticError(f"valuation levels must be nondecreasing, got {levels}")
-    cutoff = next(k for k, lv in enumerate(levels, start=1) if pivot < lv)
-    return ValuationProfile(tuple(levels), cutoff)
-
-
-def _merged_exponents(pivot: int, inner: tuple[int, ...], prof: ValuationProfile) -> tuple[int, ...]:
-    """Exponent tuple of the class glued from (pivot, inner) with the given profile."""
-    n = len(inner) + 1
-    lv = (0,) + prof.levels  # 1-based access with level_0 = 0
-    b = (0,) + inner  # 1-based access with inner_0 = 0
-    k0 = prof.cutoff
-    out = []
-    for k in range(1, n + 1):
-        if k < k0:
-            out.append(lv[k] if k == 1 else b[k - 1] + lv[k] - lv[k - 1])
-        elif k == k0:
-            out.append(b[k - 1] + pivot - lv[k - 1])
-        else:
-            out.append(b[k - 1])
-    return tuple(out)
-
-
-def admissible_glue(pivot: int, target: Sequence[int], inner: Sequence[int]) -> list[tuple[int, ...]]:
-    """Glue valuation tuples through which (pivot, inner) merges into target.
-
-    Scans the box prod [0, inner[i]] and keeps the glue vectors whose merged
-    exponent tuple equals target.  Empty when the exponent budget
-    sum(target) = pivot + sum(inner) fails.  The result does not depend on any
-    prime, which is what makes the class sizes polynomial in the prime.
-    """
-    target = tuple(int(a) for a in target)
-    inner = tuple(int(b) for b in inner)
-    if pivot < 0:
-        raise ValueError(f"pivot exponent must be nonnegative, got {pivot}")
-    if len(target) != len(inner) + 1:
-        raise ValueError("target must have one more part than the inner class")
-    if sum(target) != pivot + sum(inner):
-        return []
-    out = []
-    for glue in iter_product(*(range(b + 1) for b in inner)):
-        prof = valuation_profile(pivot, inner, glue)
-        if _merged_exponents(pivot, inner, prof) == target:
-            out.append(glue)
-    return out
-
-
-def glue_vector_count(inner: Sequence[int], glue: Sequence[int], p: int) -> int:
-    """Number of glue vectors with the given componentwise valuations.
-
-    Components at valuation glue[i] < inner[i] can be any unit multiple of
-    p**glue[i] modulo p**inner[i]; components at the top valuation are pinned.
-    """
-    inner = tuple(int(b) for b in inner)
-    glue = tuple(int(d) for d in glue)
-    out = 1
-    for b, d in zip(inner, glue):
-        if not 0 <= d <= b:
-            raise ValueError(f"glue valuation {d} outside [0, {b}]")
-        if d < b:
-            out *= p ** (b - d) - p ** (b - d - 1)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _class_size_prime(exponents: tuple[int, ...], p: int) -> int:
-    n = len(exponents)
-    if n == 1:
-        return 1
-    k = sum(exponents)
-    total = 0
-    for pivot in range(k + 1):
-        for inner in partitions(n - 1, k - pivot):
-            hits = admissible_glue(pivot, exponents, inner)
-            if not hits:
-                continue
-            weight = sum(glue_vector_count(inner, g, p) for g in hits)
-            total += _class_size_prime(inner, p) * weight
-    return total
-
-
 def class_size_prime(exponents: Sequence[int], p: int) -> int:
     """Number of sublattices whose invariant factors are p**e along the exponent tuple.
 
-    Recursion on dimension: split off the first basis direction (the pivot),
-    classify the remaining directions as an inner class one dimension down, and
-    weight each inner class by the glue vectors through which the two merge into
-    the requested class.  Memoized per (exponents, p).
+    The class-size polynomial of class_size_poly evaluated at p, so every prime
+    shares one memoized recursion per exponent tuple.
     """
-    exps = tuple(int(e) for e in exponents)
-    if not exps:
-        raise ValueError("exponent tuple must be nonempty")
-    if any(e < 0 for e in exps) or any(exps[i] > exps[i + 1] for i in range(len(exps) - 1)):
-        raise ValueError(f"exponents must be nondecreasing and nonnegative, got {exps}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _class_size_prime(exps, p)
+    return poly_eval(class_size_poly(exponents), p)
 
 
 def class_size_2x2(t: int, r: int, p: int) -> int:

@@ -20,11 +20,9 @@ import sys
 import tempfile
 import time
 
-from .arith import is_prime
+from .arith import factorize, is_prime, ord_p
 from .census import (
     class_count,
-    class_size,
-    class_size_prime,
     cocyclic_count,
     cocyclic_count_upto,
     sublattice_count,
@@ -181,16 +179,10 @@ def _cmd_count_class(args) -> int:
     memo = _load_memo(path)
     if by_chain:
         chain = validate_chain(_parse_int_list(args.divisors, "--divisors"))
-        if path:
-            # derive the count from cached polynomials so hits skip the recursion
-            from .arith import factorize, ord_p
-
-            value = 1
-            for p, _ in factorize(chain[-1]):
-                exps = tuple(int(ord_p(p, d)) for d in chain)
-                value *= poly_eval(class_size_poly(exps, memo), p)
-        else:
-            value = class_size(chain)
+        value = 1
+        for p, _ in factorize(chain[-1]):
+            exps = tuple(ord_p(p, d) for d in chain)
+            value *= poly_eval(class_size_poly(exps, memo), p)
         params = {"divisors": ",".join(map(str, chain))}
     else:
         if args.n is None or args.prime is None or args.partition is None:
@@ -200,10 +192,7 @@ def _cmd_count_class(args) -> int:
             raise ValueError(f"--partition must have exactly n={args.n} parts, got {len(exps)}")
         if not is_prime(args.prime):
             raise ValueError(f"{args.prime} is not prime")
-        if path:
-            value = poly_eval(class_size_poly(exps, memo), args.prime)
-        else:
-            value = class_size_prime(exps, args.prime)
+        value = poly_eval(class_size_poly(exps, memo), args.prime)
         params = {
             "n": args.n,
             "prime": args.prime,
@@ -228,6 +217,8 @@ def _cmd_count_cumulative(args) -> int:
 # ---------------------------------------------------------------- enumerate
 
 def _cmd_enumerate(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be nonnegative, got {args.limit}")
     total = sublattice_count(args.n, args.m)
     effective = total if args.limit is None else min(total, args.limit)
     if effective > args.budget:
@@ -357,11 +348,13 @@ def _verify_csv(report: VerifyReport) -> tuple[list[str], list[list[str]]]:
 
 def _cmd_verify(args) -> int:
     if args.mode == "suite":
-        if args.n is not None or args.m is not None or args.prime is not None:
+        if any(flag is not None for flag in (args.n, args.m, args.prime, args.max_r)):
             raise ValueError("'verify suite' takes no scope flags")
         command, params = "verify suite", {}
         report = verify_suite(jobs=args.jobs, budget=args.budget)
-    elif args.n is not None and args.m is not None and args.prime is None:
+    elif args.m is not None and (args.prime is not None or args.max_r is not None):
+        raise ValueError("give either --m or --prime/--max-r, not both")
+    elif args.n is not None and args.m is not None:
         command, params = "verify index", {"n": args.n, "m": args.m}
         t0 = time.perf_counter()
         section = verify_index(args.n, args.m, jobs=args.jobs, budget=args.budget)
@@ -369,8 +362,6 @@ def _cmd_verify(args) -> int:
             f"n={args.n} m={args.m}", [section], elapsed=time.perf_counter() - t0
         )
     elif args.n is not None and args.prime is not None and args.max_r is not None:
-        if args.m is not None:
-            raise ValueError("give either --m or --prime/--max-r, not both")
         command = "verify prime-powers"
         params = {"n": args.n, "prime": args.prime, "max_r": args.max_r}
         t0 = time.perf_counter()

@@ -146,6 +146,9 @@ def test_enumerate_limit_and_budget(capsys):
     )
     assert code == 0
     assert len(out.strip().splitlines()) == 10
+    code, out, err = run_cli(capsys, "enumerate", "--n", "2", "--m", "4", "--limit", "-1")
+    assert code == 2
+    assert out == "" and "--limit" in err
 
 
 def test_poly_class(capsys):
@@ -239,6 +242,23 @@ def test_count_class_uses_cache(tmp_path, capsys):
     assert code == 0 and out.strip() == "12"
 
 
+def test_count_class_output_independent_of_cache(tmp_path, capsys):
+    forms = [
+        ("--divisors", "2,4,8"),
+        ("--divisors", "1,6,12"),
+        ("--n", "3", "--prime", "5", "--partition", "0,1,2"),
+    ]
+    for i, form in enumerate(forms):
+        argv = ("count", "class") + form
+        code, bare, _ = run_cli(capsys, *argv)
+        assert code == 0 and bare
+        cache = str(tmp_path / f"coeffs{i}.json")
+        for state in ("cold", "warm"):
+            code, out, _ = run_cli(capsys, *argv, "--cache", cache)
+            assert code == 0 and out == bare, (form, state)
+        assert os.path.exists(cache)
+
+
 def test_poly_cache_corrupted_recovers(tmp_path, capsys):
     cache = tmp_path / "coeffs.json"
     cache.write_text("{not json")
@@ -322,6 +342,11 @@ def test_verify_argument_validation(capsys):
         capsys, "verify", "--n", "2", "--m", "4", "--prime", "3", "--max-r", "2"
     )
     assert code == 2
+    # --max-r only belongs to the prime-power ladder
+    code, out, err = run_cli(capsys, "verify", "--n", "2", "--m", "4", "--max-r", "3")
+    assert code == 2 and out == "" and "--max-r" in err
+    code, out, err = run_cli(capsys, "verify", "suite", "--max-r", "3")
+    assert code == 2 and out == "" and "scope" in err
 
 
 def test_verify_csv(capsys):

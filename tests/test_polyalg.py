@@ -2,11 +2,12 @@ import pytest
 
 from sublattices.arith import partitions
 from sublattices.census import (
+    class_size_2x2,
     class_size_prime,
     cocyclic_count_prime_power,
-    glue_vector_count,
     sublattice_count,
 )
+from sublattices.oracle import census_bruteforce
 from sublattices.polyalg import (
     class_size_poly,
     cocyclic_count_poly,
@@ -74,11 +75,26 @@ def test_poly_render():
 
 
 def test_glue_vector_poly_matches_count():
+    # count by enumeration the vectors of Z/p^inner[0] x ... whose i-th entry has
+    # p-adic valuation exactly glue[i] (zero mod p^b counts as valuation b)
+    def valuation(x, b, p):
+        v = 0
+        while v < b and x % p == 0:
+            x //= p
+            v += 1
+        return v
+
+    def enumerated(inner, glue, p):
+        out = 1
+        for b, d in zip(inner, glue):
+            out *= sum(1 for x in range(p**b) if valuation(x, b, p) == d)
+        return out
+
     cases = [((3,), (1,)), ((3,), (3,)), ((2, 2), (0, 1)), ((), ()), ((1, 2, 2), (0, 0, 2))]
     for inner, glue in cases:
         poly = glue_vector_poly(inner, glue)
         for p in (2, 3, 5, 7):
-            assert poly_eval(poly, p) == glue_vector_count(inner, glue, p), (inner, glue, p)
+            assert poly_eval(poly, p) == enumerated(inner, glue, p), (inner, glue, p)
     with pytest.raises(ValueError):
         glue_vector_poly((1,), (2,))
 
@@ -91,14 +107,17 @@ def test_class_size_poly_known():
     assert class_size_poly((5,)) == [1]
 
 
-def test_class_size_poly_evaluates_to_numeric():
-    # full acceptance grid is in the acceptance module; spot the shape here
-    for n in (1, 2, 3, 4):
-        for k in range(0, 6):
-            for alpha in partitions(n, k):
-                poly = class_size_poly(alpha)
-                for p in (2, 3, 5, 7, 11):
-                    assert poly_eval(poly, p) == class_size_prime(alpha, p), (alpha, p)
+def test_class_size_prime_matches_independent_routes():
+    # primes outside the acceptance oracle scope, checked class by class
+    for n, p, r in [(2, 7, r) for r in range(1, 5)] + [(3, 7, 2)]:
+        oracle = census_bruteforce(n, p**r).counts
+        for alpha in partitions(n, r):
+            chain = tuple(p**a for a in alpha)
+            assert class_size_prime(alpha, p) == oracle[chain], (alpha, p)
+    for p in (7, 11):
+        for r in range(0, 7):
+            for t in range(0, r // 2 + 1):
+                assert class_size_prime((t, r - t), p) == class_size_2x2(t, r, p), (t, r, p)
 
 
 def test_class_size_poly_errors():
