@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 from functools import lru_cache
 from typing import Iterator
 
@@ -54,6 +55,23 @@ def factorize(m: int) -> list[tuple[int, int]]:
     if m > 1:
         pairs.append((m, 1))
     return pairs
+
+
+def smallest_prime_factors(limit: int) -> array:
+    """Table whose entry m is the smallest prime factor of m, for 2 <= m <= limit.
+
+    Sieve of Eratosthenes; entries 0 and 1 are 0 and 1.  Reading the table
+    down from m factors every m <= limit without trial division.
+    """
+    if limit < 1:
+        raise ValueError(f"need limit >= 1, got {limit}")
+    spf = array("I", range(limit + 1))  # 4 bytes per index
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == p:
+            for q in range(p * p, limit + 1, p):
+                if spf[q] == q:
+                    spf[q] = p
+    return spf
 
 
 @lru_cache(maxsize=None)

@@ -22,6 +22,7 @@ from .arith import (
     ord_p,
     partition_count,
     partitions,
+    smallest_prime_factors,
 )
 from .polyalg import class_size_poly, poly_eval
 
@@ -140,19 +141,41 @@ def cocyclic_count_prime_power(n: int, p: int, r: int) -> int:
     return p ** ((n - 1) * (r - 1)) * ((p**n - 1) // (p - 1))
 
 
-def cocyclic_count(n: int, m: int) -> int:
-    """Number of co-cyclic sublattices of index m: (m/rad m)^(n-1) * sigma1((rad m)^(n-1))."""
-    _check_nm(n, m)
-    fac = factorize(m)
-    rad = prod(p for p, _ in fac)
-    sigma = prod((p**n - 1) // (p - 1) for p, _ in fac)
+def _cocyclic_from_primes(n: int, m: int, primes: Iterable[int]) -> int:
+    """cocyclic_count(n, m) given the distinct primes of m."""
+    rad = 1
+    sigma = 1
+    for p in primes:
+        rad *= p
+        sigma *= (p**n - 1) // (p - 1)
     return (m // rad) ** (n - 1) * sigma
 
 
+def cocyclic_count(n: int, m: int) -> int:
+    """Number of co-cyclic sublattices of index m: (m/rad m)^(n-1) * sigma1((rad m)^(n-1))."""
+    _check_nm(n, m)
+    return _cocyclic_from_primes(n, m, (p for p, _ in factorize(m)))
+
+
 def cocyclic_count_upto(n: int, limit: int) -> int:
-    """Total number of co-cyclic sublattices of Z^n over all indices 1..limit."""
+    """Total number of co-cyclic sublattices of Z^n over all indices 1..limit.
+
+    The distinct primes of each index are read off a smallest-prime-factor
+    sieve instead of factorizing every index.
+    """
     _check_nm(n, limit)
-    return sum(cocyclic_count(n, m) for m in range(1, limit + 1))
+    spf = smallest_prime_factors(limit)
+    total = 0
+    for m in range(1, limit + 1):
+        primes = []
+        q = m
+        while q > 1:
+            p = spf[q]
+            primes.append(p)
+            while q % p == 0:
+                q //= p
+        total += _cocyclic_from_primes(n, m, primes)
+    return total
 
 
 @dataclass

@@ -7,11 +7,19 @@ here, once: the admissible-glue scan does not depend on the prime, and the
 recursion builds the class sizes with no division anywhere, so integrality
 holds by construction.  Numeric class sizes are these polynomials evaluated at
 the prime.
-"""
+
+The recursion runs push-style, one level (dimension n, exponent sum k) at a
+time.  Each (pivot, inner) glue box of the level is scanned once, its cells are
+bucketed by merged exponent tuple, and every bucket's glue weight times the
+inner class polynomial goes to its target, so one pass builds every class of
+the level.  Glue weights are tallied as integer counts per (c, s), standing
+for T^s (T - 1)^c, with no polynomial arithmetic per cell."""
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product as iter_product
+from math import comb
 from typing import MutableMapping, NamedTuple, Sequence
 
 from .arith import INFINITY, partitions
@@ -90,6 +98,12 @@ class ValuationProfile(NamedTuple):
     cutoff: int
 
 
+def _check_inner(inner: tuple[int, ...]) -> None:
+    """The inner class of a glue box must be nondecreasing and nonnegative."""
+    if any(b < 0 for b in inner) or any(inner[i] > inner[i + 1] for i in range(len(inner) - 1)):
+        raise ValueError(f"inner class must be nondecreasing and nonnegative, got {inner}")
+
+
 def valuation_profile(pivot: int, inner: Sequence[int], glue: Sequence[int]) -> ValuationProfile:
     """Profile of the class obtained by gluing a pivot vector onto an inner class.
 
@@ -105,16 +119,28 @@ def valuation_profile(pivot: int, inner: Sequence[int], glue: Sequence[int]) -> 
         raise ValueError(f"pivot exponent must be nonnegative, got {pivot}")
     if len(glue) != len(inner):
         raise ValueError("glue vector and inner class must have equal length")
-    if any(b < 0 for b in inner) or any(inner[i] > inner[i + 1] for i in range(len(inner) - 1)):
-        raise ValueError(f"inner class must be nondecreasing and nonnegative, got {inner}")
+    _check_inner(inner)
     for b, d in zip(inner, glue):
         if not 0 <= d <= b:
             raise ValueError(f"glue valuation {d} outside [0, {b}]")
+    return _profile(pivot, inner, glue)
+
+
+def _profile(pivot: int, inner: tuple[int, ...], glue: tuple[int, ...]) -> ValuationProfile:
+    """valuation_profile on trusted arguments, one pass with running minima.
+
+    head is min(glue[i] - inner[i]) over the positions before q and tail[q] is
+    min(glue[q:]), so position q gets level min(inner[q] + head, tail[q]).
+    """
+    tail = list(glue)
+    for q in range(len(tail) - 2, -1, -1):
+        if tail[q + 1] < tail[q]:
+            tail[q] = tail[q + 1]
     levels: list = []
-    for k in range(1, len(inner) + 1):
-        candidates = [inner[k - 1] - inner[i] + glue[i] for i in range(k - 1)]
-        candidates += [glue[j] for j in range(k - 1, len(inner))]
-        levels.append(min(candidates))
+    head = INFINITY
+    for q, b in enumerate(inner):
+        levels.append(min(b + head, tail[q]))
+        head = min(head, glue[q] - b)
     levels.append(INFINITY)
     for a, b in zip(levels, levels[1:]):
         if a > b:
@@ -140,13 +166,26 @@ def _merged_exponents(pivot: int, inner: tuple[int, ...], prof: ValuationProfile
     return tuple(out)
 
 
+def _glue_buckets(pivot: int, inner: tuple[int, ...]) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """Every cell of the glue box prod [0, inner[i]], grouped by merged exponent tuple.
+
+    The one scan of a (pivot, inner) box; arguments are trusted, since callers
+    check them once per box.  Each bucket keeps its glue tuples in scan order.
+    """
+    buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for glue in iter_product(*(range(b + 1) for b in inner)):
+        target = _merged_exponents(pivot, inner, _profile(pivot, inner, glue))
+        buckets.setdefault(target, []).append(glue)
+    return buckets
+
+
 def admissible_glue(pivot: int, target: Sequence[int], inner: Sequence[int]) -> list[tuple[int, ...]]:
     """Glue valuation tuples through which (pivot, inner) merges into target.
 
-    Scans the box prod [0, inner[i]] and keeps the glue vectors whose merged
-    exponent tuple equals target.  Empty when the exponent budget
-    sum(target) = pivot + sum(inner) fails.  The result does not depend on any
-    prime, which is what makes the class sizes polynomial in the prime.
+    The bucket of target in the scan of the box prod [0, inner[i]], in scan
+    order.  Empty when the exponent budget sum(target) = pivot + sum(inner)
+    fails.  The result does not depend on any prime, which is what makes the
+    class sizes polynomial in the prime.
     """
     target = tuple(int(a) for a in target)
     inner = tuple(int(b) for b in inner)
@@ -156,25 +195,38 @@ def admissible_glue(pivot: int, target: Sequence[int], inner: Sequence[int]) -> 
         raise ValueError("target must have one more part than the inner class")
     if sum(target) != pivot + sum(inner):
         return []
-    out = []
-    for glue in iter_product(*(range(b + 1) for b in inner)):
-        prof = valuation_profile(pivot, inner, glue)
-        if _merged_exponents(pivot, inner, prof) == target:
-            out.append(glue)
-    return out
+    _check_inner(inner)
+    return _glue_buckets(pivot, inner).get(target, [])
+
+
+def _glue_weight(inner: Sequence[int], glues: Sequence[Sequence[int]]) -> list[int]:
+    """Sum over the glue tuples of the glue vector count, as a polynomial in the prime.
+
+    A glue tuple counts prod (T^e - T^(e-1)) vectors over the coordinates with
+    e = inner[i] - glue[i] > 0, which is T^s (T - 1)^c for c such coordinates
+    and s the sum of e - 1 over them.  The tuples are tallied by (c, s) and
+    each tally is expanded once.
+    """
+    depth = sum(inner)
+    tally: Counter[tuple[int, int]] = Counter()
+    for glue in glues:
+        c = sum(b > d for b, d in zip(inner, glue))
+        tally[c, depth - sum(glue) - c] += 1
+    out = [0] * (depth + 1)  # degree s + c = depth - sum(glue)
+    for (c, s), count in tally.items():
+        for j in range(c + 1):
+            out[s + j] += (-1) ** (c - j) * comb(c, j) * count
+    return poly_normalize(out)
 
 
 def glue_vector_poly(inner: Sequence[int], glue: Sequence[int]) -> list[int]:
     """Glue vector count as a polynomial in the prime: product of (T^e - T^(e-1))."""
-    out = [1]
+    if len(glue) != len(inner):
+        raise ValueError("glue vector and inner class must have equal length")
     for b, d in zip(inner, glue):
         if not 0 <= d <= b:
             raise ValueError(f"glue valuation {d} outside [0, {b}]")
-        if d < b:
-            e = b - d
-            factor = [0] * (e - 1) + [-1, 1]
-            out = poly_mul(out, factor)
-    return out
+    return _glue_weight(inner, [glue])
 
 
 _DEFAULT_MEMO: dict[tuple[int, ...], list[int]] = {}
@@ -182,25 +234,35 @@ _DEFAULT_MEMO: dict[tuple[int, ...], list[int]] = {}
 
 def _class_size_poly(exponents: tuple[int, ...], memo: MutableMapping) -> list[int]:
     got = memo.get(exponents)
-    if got is not None:
-        return got
-    n = len(exponents)
+    if got is None:
+        _fill_level(len(exponents), sum(exponents), memo)
+        got = memo[exponents]
+    return got
+
+
+def _fill_level(n: int, k: int, memo: MutableMapping) -> None:
+    """Add to memo every class of dimension n and exponent sum k that it lacks.
+
+    One pass over the level's glue boxes: each (pivot, inner) box with inner in
+    partitions(n-1, k-pivot) is scanned once, and each bucket's glue weight
+    times the inner class polynomial is added to its target.  Entries already
+    in memo are left as they are.
+    """
+    todo: dict[tuple[int, ...], list[int]] = {t: [] for t in partitions(n, k) if t not in memo}
     if n == 1:
-        out = [1]
+        todo = {t: [1] for t in todo}
     else:
-        k = sum(exponents)
-        out = []
         for pivot in range(k + 1):
             for inner in partitions(n - 1, k - pivot):
-                hits = admissible_glue(pivot, exponents, inner)
-                if not hits:
-                    continue
-                weight: list[int] = []
-                for g in hits:
-                    weight = poly_add(weight, glue_vector_poly(inner, g))
-                out = poly_add(out, poly_mul(_class_size_poly(inner, memo), weight))
-    memo[exponents] = out
-    return out
+                inner_poly = None
+                for target, glues in _glue_buckets(pivot, inner).items():
+                    if target not in todo:
+                        continue
+                    if inner_poly is None:
+                        inner_poly = _class_size_poly(inner, memo)
+                    term = poly_mul(inner_poly, _glue_weight(inner, glues))
+                    todo[target] = poly_add(todo[target], term)
+    memo.update(todo)
 
 
 def class_size_poly(exponents: Sequence[int], memo: MutableMapping | None = None) -> list[int]:

@@ -14,6 +14,7 @@ from sublattices.arith import (
     partition_count,
     partitions,
     sigma1,
+    smallest_prime_factors,
 )
 
 SMALL_PRIMES = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
@@ -50,6 +51,15 @@ def test_factorize_round_trip_sampled():
         m = rng.randrange(100_000, 1_000_001)
         assert math.prod(p**e for p, e in factorize(m)) == m
         assert all(is_prime(p) for p, _ in factorize(m))
+
+
+def test_smallest_prime_factors_matches_factorize():
+    for limit in (1, 2, 3, 4, 97, 2000):
+        spf = smallest_prime_factors(limit)
+        assert len(spf) == limit + 1 and spf[1] == 1
+        assert [spf[m] for m in range(2, limit + 1)] == [factorize(m)[0][0] for m in range(2, limit + 1)]
+    with pytest.raises(ValueError):
+        smallest_prime_factors(0)
 
 
 def test_factorize_edges():

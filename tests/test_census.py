@@ -317,6 +317,13 @@ def test_cocyclic_count_upto():
     assert cocyclic_count_upto(1, 10) == 10
 
 
+def test_cocyclic_count_upto_matches_termwise_sum():
+    for n in (2, 3, 4):
+        for limit in (1, 2, 12, 97, 360, 1001, 2000):
+            expected = sum(cocyclic_count(n, m) for m in range(1, limit + 1))
+            assert cocyclic_count_upto(n, limit) == expected, (n, limit)
+
+
 def test_euler_phi_recurrence():
     for p in (2, 3, 5):
         for n in (2, 3, 4):

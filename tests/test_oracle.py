@@ -3,7 +3,7 @@ import json
 import pytest
 
 from sublattices import oracle
-from sublattices.census import class_census, cocyclic_count, sublattice_count
+from sublattices.census import class_census, cocyclic_count
 from sublattices.oracle import (
     DEFAULT_BUDGET,
     BudgetExceededError,

@@ -1,6 +1,10 @@
+from itertools import product
+from math import prod
+
 import pytest
 
-from sublattices.arith import partitions
+from sublattices import polyalg
+from sublattices.arith import INFINITY, partitions
 from sublattices.census import (
     class_size_2x2,
     class_size_prime,
@@ -9,6 +13,8 @@ from sublattices.census import (
 )
 from sublattices.oracle import census_bruteforce
 from sublattices.polyalg import (
+    _merged_exponents,
+    admissible_glue,
     class_size_poly,
     cocyclic_count_poly,
     glue_vector_poly,
@@ -20,6 +26,7 @@ from sublattices.polyalg import (
     poly_render,
     poly_sub,
     sublattice_count_poly,
+    valuation_profile,
 )
 
 
@@ -143,6 +150,74 @@ def test_class_size_poly_memo_reuse():
     assert memo[(0, 1, 2)] == first
 
 
+def test_cold_count_scans_each_glue_box_once(monkeypatch):
+    real = polyalg._glue_buckets
+    seen = []
+
+    def spy(pivot, inner):
+        seen.append((len(inner) + 1, pivot, inner))
+        return real(pivot, inner)
+
+    monkeypatch.setattr(polyalg, "_glue_buckets", spy)
+    sublattice_count_poly(5, 6, memo={})
+    assert len(seen) == len(set(seen))
+    # the boxes of level (5, 6) and of every level (n, k) below it with k <= 6
+    levels = [(5, 6)] + [(n, k) for n in (2, 3, 4) for k in range(7)]
+    expected = {
+        (n, pivot, inner)
+        for n, k in levels
+        for pivot in range(k + 1)
+        for inner in partitions(n - 1, k - pivot)
+    }
+    assert set(seen) == expected
+    assert sum(prod(b + 1 for b in inner) for _, _, inner in seen) == 1176
+
+
+def test_valuation_profile_matches_definition():
+    # levels straight from the docstring's formula, over every cell of small boxes
+    for k in range(7):
+        for inner in [t for n in (1, 2, 3, 4) for t in partitions(n, k)]:
+            for glue in product(*(range(b + 1) for b in inner)):
+                levels = [
+                    min([inner[q] - inner[i] + glue[i] for i in range(q)] + list(glue[q:]))
+                    for q in range(len(inner))
+                ] + [INFINITY]
+                for pivot in range(k + 2):
+                    cutoff = next(j for j, lv in enumerate(levels, start=1) if pivot < lv)
+                    assert valuation_profile(pivot, inner, glue) == (tuple(levels), cutoff)
+
+
+def test_admissible_glue_matches_per_target_scan():
+    # the bucket view against a per-target filter of the whole box
+    for pivot, inner in [(0, (1, 2)), (2, (1, 3)), (1, (0, 2, 2)), (3, (1, 1, 2)), (2, (0, 1, 1, 2))]:
+        box = list(product(*(range(b + 1) for b in inner)))
+        total = 0
+        for target in partitions(len(inner) + 1, pivot + sum(inner)):
+            direct = [
+                g for g in box
+                if _merged_exponents(pivot, inner, valuation_profile(pivot, inner, g)) == target
+            ]
+            assert admissible_glue(pivot, target, inner) == direct, (pivot, inner, target)
+            total += len(direct)
+        assert total == len(box)
+
+
+def test_partial_memo_fills_level_without_overwriting():
+    cold = {}
+    want = class_size_poly((0, 3, 3), cold)
+    # a memo written by an earlier run that reached only some classes of level
+    # (3, 6) and of the levels below; one entry carries a marker value
+    marker = [7]
+    seeded = {key: list(cold[key]) for key in [(0, 0, 6), (1, 1), (0, 4), (2, 2), (1,)]}
+    seeded[(1, 2, 3)] = marker
+    before = {key: list(val) for key, val in seeded.items()}
+    assert class_size_poly((0, 3, 3), seeded) == want
+    assert {key: seeded[key] for key in before} == before
+    assert seeded[(1, 2, 3)] is marker
+    assert all(seeded[key] == cold[key] for key in seeded if key not in before)
+    assert set(partitions(3, 6)) <= set(seeded)
+
+
 def test_sublattice_count_poly():
     for n in (1, 2, 3, 4):
         for r in range(0, 5):
@@ -154,6 +229,12 @@ def test_sublattice_count_poly():
         sublattice_count_poly(0, 1)
     with pytest.raises(ValueError):
         sublattice_count_poly(2, -1)
+
+
+def test_sublattice_count_poly_n6_r12():
+    poly = sublattice_count_poly(6, 12, memo={})
+    for p in (2, 3, 5):
+        assert poly_eval(poly, p) == sublattice_count(6, p**12), p
 
 
 def test_cocyclic_count_poly():
