@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from array import array
 from functools import lru_cache
 from typing import Iterator
 
@@ -57,21 +56,44 @@ def factorize(m: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def smallest_prime_factors(limit: int) -> array:
-    """Table whose entry m is the smallest prime factor of m, for 2 <= m <= limit.
+_SEGMENT = 1 << 12  # indices factored per segment by distinct_prime_factors_upto
 
-    Sieve of Eratosthenes; entries 0 and 1 are 0 and 1.  Reading the table
-    down from m factors every m <= limit without trial division.
+
+def distinct_prime_factors_upto(limit: int) -> Iterator[list[int]]:
+    """The distinct primes of m, increasing, for m = 1, 2, ..., limit in turn.
+
+    A segmented sieve: the primes up to isqrt(limit) are found once, then the
+    indices are factored _SEGMENT at a time, so memory stays
+    O(sqrt(limit) + _SEGMENT) whatever the limit.
     """
     if limit < 1:
         raise ValueError(f"need limit >= 1, got {limit}")
-    spf = array("I", range(limit + 1))  # 4 bytes per index
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == p:
-            for q in range(p * p, limit + 1, p):
-                if spf[q] == q:
-                    spf[q] = p
-    return spf
+    root = math.isqrt(limit)
+    is_small_prime = bytearray([1]) * (root + 1)
+    small = []
+    for p in range(2, root + 1):
+        if is_small_prime[p]:
+            small.append(p)
+            is_small_prime[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
+    for lo in range(1, limit + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, limit + 1)
+        rest = list(range(lo, hi))
+        primes: list[list[int]] = [[] for _ in rest]
+        for p in small:
+            # what is left of an index below hi after its primes up to
+            # isqrt(hi - 1) are divided out is 1 or one larger prime
+            if p * p >= hi:
+                break
+            for k in range(-lo % p, hi - lo, p):
+                primes[k].append(p)
+                r = rest[k] // p
+                while r % p == 0:
+                    r //= p
+                rest[k] = r
+        for got, r in zip(primes, rest):
+            if r > 1:
+                got.append(r)
+            yield got
 
 
 @lru_cache(maxsize=None)

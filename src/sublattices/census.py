@@ -15,6 +15,7 @@ from math import prod
 from typing import Iterable, Sequence
 
 from .arith import (
+    distinct_prime_factors_upto,
     divisor_compositions,
     euler_phi_prime_power,
     factorize,
@@ -22,7 +23,6 @@ from .arith import (
     ord_p,
     partition_count,
     partitions,
-    smallest_prime_factors,
 )
 from .polyalg import class_size_poly, poly_eval
 
@@ -160,20 +160,13 @@ def cocyclic_count(n: int, m: int) -> int:
 def cocyclic_count_upto(n: int, limit: int) -> int:
     """Total number of co-cyclic sublattices of Z^n over all indices 1..limit.
 
-    The distinct primes of each index are read off a smallest-prime-factor
-    sieve instead of factorizing every index.
+    The distinct primes of each index come from a segmented sieve instead of
+    factorizing every index, in memory that does not grow with limit.
     """
-    _check_nm(n, limit)
-    spf = smallest_prime_factors(limit)
+    if n < 1 or limit < 1:
+        raise ValueError(f"need n >= 1 and limit >= 1, got n={n} limit={limit}")
     total = 0
-    for m in range(1, limit + 1):
-        primes = []
-        q = m
-        while q > 1:
-            p = spf[q]
-            primes.append(p)
-            while q % p == 0:
-                q //= p
+    for m, primes in enumerate(distinct_prime_factors_upto(limit), 1):
         total += _cocyclic_from_primes(n, m, primes)
     return total
 

@@ -2,27 +2,35 @@
 
 The brute-force census enumerates all index-m Hermite forms and tallies them by
 invariant factor chain; the co-cyclic count tallies them by whether the minors
-of order n-1 have gcd 1.  Both share one per-block kernel.  Per diagonal block
-it either scans matrices one by one (exact Python integers) or, for large
-blocks, evaluates the needed minors of the whole block at once on int64
-arrays.  Precomputed bounds on every minor decide per block whether the vector
-path is exact; a block that cannot be bounded inside int64 falls back to the
-scan, in any dimension.  Work is partitioned by diagonal, so tallies are
-identical for any worker count.
+of order n-1 have gcd 1.  Both share one batched int64 kernel.  Diagonals are
+grouped by unit pattern, the set of positions where they equal 1: a unit
+column holds nothing but its diagonal 1, so every diagonal of a pattern shares
+one symbolic plan of the needed minors, with the diagonal entries as
+variables.  The blocks of a pattern form one flat index space, cut into
+segments of at most chunk matrices; a segment may run across several small
+blocks, and every entry is decoded with its block's scalar strides.  Census
+chains are tallied by the index of each gcd among the divisors of m.  A bound
+on every minor, with entries bounded by m, decides per pattern whether int64
+is exact; a pattern that fails it is scanned matrix by matrix with exact
+Python integers, as is everything under the per-matrix methods.  Each worker
+takes an equal contiguous range of every pattern, and tallies are plain sums,
+so they are identical for any worker count.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations, product as iter_product
+from functools import lru_cache
+from itertools import accumulate, chain, islice, product as iter_product
 from math import gcd, prod
 
 import numpy as np
 
-from .arith import divisor_compositions, factorize, is_prime
+from .arith import divisor_compositions, divisors, factorize, is_prime
 from .census import (
     CensusTable,
     class_census,
@@ -44,9 +52,8 @@ from .forms import (
 from .polyalg import leading_terms_check
 
 DEFAULT_BUDGET = 10_000_000
-_VECTOR_MIN = 256  # blocks smaller than this are scanned matrix by matrix
 _POOL_MIN = 50_000  # below this predicted count, worker pools are not worth forking
-_CHUNK = 1 << 20
+_CHUNK = 1 << 16
 _INT64_SAFE = 1 << 62
 
 
@@ -78,185 +85,238 @@ def _slots(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _composition_plans(n, diag, orders):
-    """Symbolic minor structure of one diagonal block.
+@lru_cache(maxsize=None)
+def _pattern_plans(n, units, orders):
+    """Symbolic minors shared by every diagonal that equals 1 exactly where units is True.
 
-    Returns (sizes, per_order) where per_order[i] = (scalar_gcd, plans) covers
-    the k x k minors for k = orders[i]: scalar_gcd folds the minors free of
-    varying entries, and each plan lists (slot_tuple, coeff) monomials of one
-    varying minor.  Principal minors are constant, so scalar_gcd is always
-    positive.  Returns None when a minor cannot be bounded inside int64.
+    Variable v < n stands for the diagonal entry d_v and variable n + s for the
+    entry of slot s of _slots(n).  A unit column holds nothing but its diagonal
+    1, so its slots are zero and drop out of every minor.  Returns
+    (per_order, weight, degree): per_order[i] = (principal, varying) splits the
+    nonzero orders[i] x orders[i] minors into those free of slot entries and
+    the rest, each minor a plan of (variables, coeff) monomials; every plan has
+    at most weight in absolute coefficients and degree variables per monomial,
+    so entries bounded by m bound every minor by weight * m**degree.
     """
-    slots = _slots(n)
-    sizes = [diag[j] for _, j in slots]
-    index = {pos: k for k, pos in enumerate(slots)}
+    if not orders:
+        return (), 1, 0
+    slot_var = {pos: n + s for s, pos in enumerate(_slots(n))}
+    low, high = min(orders), max(orders)
+    minors: dict[tuple, dict] = {}
 
-    def entry(i, j):
-        """(constant factor, slot or None) of entry (i, j); a zero factor is a zero entry."""
-        if i == j:
-            return diag[i], None
-        if i > j or sizes[index[(i, j)]] == 1:
-            return 0, None
-        return 1, index[(i, j)]
-
-    def expand(rows, cols, coeff, used, monos):
-        # Laplace expansion along the first remaining row: taking the pos-th
-        # remaining column flips the sign when pos is odd, and a zero entry
-        # drops the whole branch, so only the nonzero terms are visited
-        if not rows:
-            key = tuple(sorted(used))
-            monos[key] = monos.get(key, 0) + coeff
+    def walk(i, rows, cols, used, odd):
+        # one nonzero term of one minor per leaf: rows join in increasing
+        # order, and a column placed left of columns already taken flips the
+        # sign once per such column
+        if len(rows) + n - i < low:
             return
-        for pos, c in enumerate(cols):
-            val, slot = entry(rows[0], c)
-            if val:
-                sign = -1 if pos % 2 else 1
-                rest = cols[:pos] + cols[pos + 1 :]
-                more = used if slot is None else used + (slot,)
-                expand(rows[1:], rest, sign * val * coeff, more, monos)
+        if i == n:
+            if len(rows) in orders:
+                monos = minors.setdefault((rows, tuple(sorted(cols))), {})
+                key = tuple(sorted(used))
+                monos[key] = monos.get(key, 0) + (-1 if odd else 1)
+            return
+        walk(i + 1, rows, cols, used, odd)
+        if len(rows) == high:
+            return
+        for c in range(i, n):
+            if c in cols or (c > i and units[c]):
+                continue
+            if c > i:
+                var = (slot_var[(i, c)],)
+            else:
+                var = () if units[i] else (i,)
+            flips = sum(1 for x in cols if x > c)
+            walk(i + 1, rows + (i,), cols + (c,), used + var, odd ^ (flips & 1))
 
+    walk(0, (), (), (), False)
+    weight = degree = 0
     per_order = []
     for k in orders:
-        scalar = 0
-        plans = []
-        for rsel in combinations(range(n), k):
-            for csel in combinations(range(n), k):
-                monos: dict[tuple[int, ...], int] = {}
-                expand(rsel, csel, 1, (), monos)
-                monos = {s: c for s, c in monos.items() if c}
-                if not monos:
-                    continue
-                if set(monos) == {()}:
-                    scalar = gcd(scalar, monos[()])
-                    continue
-                bound = 0
-                for s, c in monos.items():
-                    term = abs(c)
-                    for slot in s:
-                        term *= sizes[slot] - 1
-                    bound += term
-                if bound >= _INT64_SAFE:
-                    return None
-                plans.append(sorted(monos.items()))
-        per_order.append((scalar, plans))
-    return sizes, per_order
+        # a minor and its negative give the same gcd, so each plan is kept
+        # once, with a positive leading coefficient, in (rows, cols) order
+        plans: dict[tuple, None] = {}
+        for key in sorted(key for key in minors if len(key[0]) == k):
+            plan = tuple(sorted((s, c) for s, c in minors[key].items() if c))
+            if plan:
+                sign = 1 if plan[0][1] > 0 else -1
+                plans[tuple((s, sign * c) for s, c in plan)] = None
+        principal, varying = [], []
+        for plan in plans:
+            weight = max(weight, sum(abs(c) for _, c in plan))
+            degree = max(degree, max(len(s) for s, _ in plan))
+            free = all(v < n for s, _ in plan for v in s)
+            (principal if free else varying).append(plan)
+        per_order.append((tuple(principal), tuple(varying)))
+    return tuple(per_order), weight, degree
 
 
 def _eval_plan(plan, coord):
+    """One minor from its monomials; coord(v) is an int or an int64 array."""
     const = 0
     acc = None
     for s, c in plan:
-        if not s:
+        arr = None
+        for v in s:
+            x = coord(v)
+            if isinstance(x, int):
+                c *= x
+            else:
+                arr = x if arr is None else arr * x
+        if arr is None:
             const += c
             continue
-        t = coord(s[0])
-        for slot in s[1:]:
-            t = t * coord(slot)
-        if c != 1:
-            t = t * c
-        acc = t if acc is None else acc + t
-    if const:
-        acc = acc + const
-    return acc
+        term = arr if c == 1 else arr * c
+        acc = term if acc is None else acc + term
+    if acc is None:
+        return const
+    return acc + const if const else acc
 
 
-def _chain_encode(ds, base):
-    key = None
-    for d in ds:
-        key = d if key is None else key * base + d
-    return key
+def _fold(running, plans, coord):
+    # determinants can be negative or zero; np.gcd folds them through their
+    # absolute values, and the fold stops once every entry is exactly 1
+    for plan in plans:
+        running = np.gcd(running, _eval_plan(plan, coord))
+        if np.all(running == 1):
+            break
+    return running
 
 
-def _chain_decode(key: int, base: int, n: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(n):
-        out.append(key % base)
-        key //= base
-    return tuple(reversed(out))
+def _block_starts(diags):
+    """Offsets of each block in the flat index space of its pattern, then the total."""
+    starts = [0]
+    for diag in diags:
+        starts.append(starts[-1] + prod(d**j for j, d in enumerate(diag)))
+    return starts
 
 
-def _block_minor_gcds(n, diag, orders, chunk):
-    """Minor gcds of the given orders over one diagonal block, on int64 arrays.
-
-    Returns None when the int64 bound forces the scan.  Otherwise returns an
-    iterable of (weight, gvals), one per chunk: gvals[i] is the gcd of the
-    orders[i] x orders[i] minors, an int where it is constant over the block
-    and an int64 array over the chunk elsewhere, and each entry stands for
-    weight matrices.  A block whose requested orders are all constant comes
-    back as one pair of ints weighted by the block size.
-    """
-    built = _composition_plans(n, diag, orders)
-    if built is None:
-        return None
-    sizes, per_order = built
-    total = prod(sizes)
-    consts: list[int | None] = []
-    for scalar, plans in per_order:
-        if scalar < 1:
-            raise ArithmeticError(f"missing principal minor in block {diag}")
-        # the gcd is scalar when no minor varies or the constant ones have gcd 1
-        consts.append(scalar if scalar == 1 or not plans else None)
-    if None not in consts:
-        return [(total, consts)]
-    return _chunk_minor_gcds(sizes, per_order, consts, chunk)
-
-
-def _chunk_minor_gcds(sizes, per_order, consts, chunk):
-    total = prod(sizes)
+def _strides(n, diag):
+    # the last slot moves fastest, as in hnf_stream
+    sizes = [diag[j] for _, j in _slots(n)]
     strides = [1] * len(sizes)
-    for k in range(len(sizes) - 2, -1, -1):
-        strides[k] = strides[k + 1] * sizes[k + 1]
-    for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        coords: dict[int, np.ndarray] = {}
-
-        def coord(k):
-            got = coords.get(k)
-            if got is None:
-                got = (idx // strides[k]) % sizes[k]
-                coords[k] = got
-            return got
-
-        gvals = []
-        for const, (scalar, plans) in zip(consts, per_order):
-            if const is not None:
-                gvals.append(const)
-                continue
-            running = None
-            for plan in plans:
-                det = _eval_plan(plan, coord)
-                # raw determinants can be negative or zero, so fold through
-                # absolute values and stop only once every entry is exactly 1
-                running = np.abs(det) if running is None else np.gcd(running, det)
-                if np.all(running == 1):
-                    break
-            gvals.append(np.gcd(running, scalar))
-        yield 1, gvals
+    for s in range(len(sizes) - 2, -1, -1):
+        strides[s] = strides[s + 1] * sizes[s + 1]
+    return strides
 
 
-def _tally_chains(n, m, blocks):
-    """Tally invariant factor chains from the minor gcds of orders 1..n-1."""
-    base = m + 1
-    counts: dict[tuple[int, ...], int] = {}
-    for weight, gvals in blocks:
-        ds = []
-        prev = 1
+def _principal_gcds(per_order, diag):
+    """Per order, the gcd of the minors free of varying entries: ints fixed by the diagonal."""
+    return tuple(
+        gcd(*(_eval_plan(plan, diag.__getitem__) for plan in principal))
+        for principal, _ in per_order
+    )
+
+
+def _pattern_gcds(n, diags, per_order, lo, hi, chunk):
+    """Minor gcds over positions lo..hi-1 of one pattern's flat index space.
+
+    Yields (count, gvals) per segment of at most chunk positions: gvals[i] is
+    the gcd of the orders[i] x orders[i] minors, an int where it is constant
+    over the segment (each int then stands for all count matrices) and an
+    int64 array of length count elsewhere.  A segment never spans blocks with
+    different principal gcds, so those are Python ints in every segment.
+    """
+    slots = _slots(n)
+    starts = _block_starts(diags)
+    strides = [_strides(n, diag) for diag in diags]
+    scalars = [_principal_gcds(per_order, diag) for diag in diags]
+    runs = [starts[c] for c in range(1, len(diags)) if scalars[c] != scalars[c - 1]]
+    runs.append(starts[-1])
+    pos, b = lo, 0
+    while pos < hi:
+        end = min(pos + chunk, hi, runs[bisect_right(runs, pos)])
+        while starts[b + 1] <= pos:
+            b += 1
+        pieces = []
+        for c in range(b, bisect_left(starts, end)):
+            lo_c, hi_c = max(pos, starts[c]), min(end, starts[c + 1])
+            pieces.append((diags[c], strides[c], lo_c - starts[c], hi_c - starts[c]))
+        yield end - pos, _segment_gcds(n, slots, per_order, scalars[b], pieces)
+        pos = end
+
+
+def _segment_gcds(n, slots, per_order, scalars, pieces):
+    """gvals of one segment, made of pieces (diag, strides, lo, hi) of consecutive blocks.
+
+    An order whose principal gcd is 1, or whose minors are all principal,
+    costs nothing per matrix.  Entries are decoded piece by piece with scalar
+    strides; a diagonal entry is an int unless the pieces disagree on it, and
+    then each position gets its own block's value.
+    """
+    lens = [z - a for *_, a, z in pieces]
+    offs = list(accumulate(lens, initial=0))
+    coords: dict = {}
+
+    def spread(values):
+        # one value per piece, repeated over that piece's positions
+        if all(x == values[0] for x in values):
+            return values[0]
+        return np.repeat(np.array(values, dtype=np.int64), lens)
+
+    def coord(v):
+        got = coords.get(v)
+        if got is None:
+            if v < n:
+                got = spread([diag[v] for diag, *_ in pieces])
+            else:
+                s = v - n
+                got = np.empty(offs[-1], dtype=np.int64)
+                for (diag, strides, a, z), o in zip(pieces, offs):
+                    out = got[o : o + z - a]
+                    np.floor_divide(np.arange(a, z, dtype=np.int64), strides[s], out=out)
+                    np.remainder(out, diag[slots[s][1]], out=out)
+            coords[v] = got
+        return got
+
+    return [
+        _fold(scalar, varying, coord) if varying and scalar != 1 else scalar
+        for scalar, (_, varying) in zip(scalars, per_order)
+    ]
+
+
+def _tally_chains(n, m, parts):
+    """Tally invariant factor chains from the minor gcds of orders 1..n-1.
+
+    Every gcd g_k divides m, so a chain is keyed by the indices of g_1..g_{n-1}
+    among the divisors of m and counted with np.bincount.
+    """
+    divs = divisors(m)
+    where = {d: i for i, d in enumerate(divs)}
+    sorted_divs = np.array(divs, dtype=np.int64)
+    base = len(divs)
+    hist = np.zeros(base ** (n - 1), dtype=np.int64)
+    for count, gvals in parts:
+        key = 0
         for g in gvals:
-            ds.append(g // prev)
+            pos = np.searchsorted(sorted_divs, g) if isinstance(g, np.ndarray) else where[g]
+            key = key * base + pos
+        if isinstance(key, np.ndarray):
+            got = np.bincount(key)
+            hist[: len(got)] += got
+        else:
+            hist[key] += count
+    counts: dict[tuple[int, ...], int] = {}
+    for key in np.flatnonzero(hist).tolist():
+        factors = []
+        prev = 1
+        for k in range(n - 2, -1, -1):
+            g = divs[key // base**k % base]
+            factors.append(g // prev)
             prev = g
-        ds.append(m // prev)
-        uniq, cnt = np.unique(np.asarray(_chain_encode(ds, base)), return_counts=True)
-        for u, c in zip(uniq.tolist(), cnt.tolist()):
-            chain = _chain_decode(int(u), base, n)
-            counts[chain] = counts.get(chain, 0) + c * weight
+        factors.append(m // prev)
+        counts[tuple(factors)] = int(hist[key])
     return counts
 
 
-def _tally_cocyclic(n, m, blocks):
+def _tally_cocyclic(n, m, parts):
     """Count the matrices whose minors of order n-1 have gcd 1."""
     hits = 0
-    for weight, (g,) in blocks:
-        hits += int(np.count_nonzero(g == 1)) * weight
+    for count, (g,) in parts:
+        if isinstance(g, np.ndarray):
+            hits += int(np.count_nonzero(g == 1))
+        elif g == 1:
+            hits += count
     return {True: hits}
 
 
@@ -264,22 +324,19 @@ def _is_cocyclic(rows) -> bool:
     return minor_gcd(rows, len(rows) - 1) == 1
 
 
-def _scan_tally(n, diag, classify):
+def _scan_tally(n, diag, classify, lo, hi):
+    """Classify positions lo..hi-1 of one block matrix by matrix, in hnf_stream order."""
     slots = _slots(n)
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = diag[i]
     counts: dict = {}
-    for offs in iter_product(*(range(diag[j]) for _, j in slots)):
+    for offs in islice(iter_product(*(range(diag[j]) for _, j in slots)), lo, hi):
         for (i, j), v in zip(slots, offs):
             rows[i][j] = v
         key = classify(rows)
         counts[key] = counts.get(key, 0) + 1
     return counts
-
-
-def _block_size(n, diag):
-    return prod(diag[j] for _, j in _slots(n))
 
 
 def _merge(counts, part):
@@ -288,36 +345,60 @@ def _merge(counts, part):
 
 
 def _worker(args):
-    """Tally the blocks of comps, each on the int64 kernel or by classify per matrix."""
-    n, m, comps, chunk, orders, tally, classify = args
+    """Tally one share: a range of each pattern, on the int64 kernel or matrix by matrix."""
+    n, m, share, chunk, orders, tally, classify = args
     counts: dict = {}
-    for diag in comps:
-        part = None
-        if orders and _block_size(n, diag) >= _VECTOR_MIN:
-            blocks = _block_minor_gcds(n, diag, orders, chunk)
-            if blocks is not None:
-                part = tally(n, m, blocks)
-        if part is None:
-            part = _scan_tally(n, diag, classify)
-        _merge(counts, part)
+    parts = []
+    for units, diags, lo, hi, vector in share:
+        if vector:
+            per_order = _pattern_plans(n, units, orders)[0]
+            parts.append(_pattern_gcds(n, diags, per_order, lo, hi, chunk))
+            continue
+        starts = _block_starts(diags)
+        for b, diag in enumerate(diags):
+            a, z = max(lo, starts[b]), min(hi, starts[b + 1])
+            if a < z:
+                _merge(counts, _scan_tally(n, diag, classify, a - starts[b], z - starts[b]))
+    if parts:
+        _merge(counts, tally(n, m, chain.from_iterable(parts)))
     return counts
 
 
 def _bruteforce(n, m, scope, jobs, budget, method, chunk, orders, tally, classify):
-    """Shared entry: validate, refuse over budget, split by diagonal and merge."""
+    """Shared entry: validate, refuse over budget, split each pattern evenly and merge.
+
+    Diagonals are grouped by unit pattern, the positions where they equal 1.
+    A pattern runs on the int64 kernel when its minors are bounded inside
+    int64 with entries bounded by m, and is scanned otherwise; every other
+    method scans everything.  Each worker takes one contiguous, equal range
+    of every pattern's index space.
+    """
     _check_scope(n, m)
     if method not in ("auto", "reduction", "minors"):
         raise ValueError(f"unknown method {method!r}")
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
     predicted = _check_budget(n, m, budget, f"{scope} n={n} m={m}")
-    if method != "auto":
-        orders = ()
-    comps = list(divisor_compositions(m, n))
-    workers = min(int(jobs), os.cpu_count() or 1, len(comps))
-    if workers == 1 or predicted < _POOL_MIN:
-        return _worker((n, m, comps, chunk, orders, tally, classify))
-    work = [(n, m, comps[w::workers], chunk, orders, tally, classify) for w in range(workers)]
+    patterns: dict[tuple[bool, ...], list[tuple[int, ...]]] = {}
+    for diag in divisor_compositions(m, n):
+        patterns.setdefault(tuple(d == 1 for d in diag), []).append(diag)
+    workers = 1 if predicted < _POOL_MIN else min(int(jobs), os.cpu_count() or 1)
+    shares: list[list] = [[] for _ in range(workers)]
+    for units, diags in patterns.items():
+        vector = False
+        if method == "auto":
+            per_order, weight, degree = _pattern_plans(n, units, orders)
+            vector = weight * m**degree < _INT64_SAFE
+            # blocks with equal principal gcds become neighbours, so they share segments
+            diags.sort(key=lambda diag: _principal_gcds(per_order, diag))
+        total = _block_starts(diags)[-1]
+        cuts = [total * w // workers for w in range(workers + 1)]
+        for share, lo, hi in zip(shares, cuts, cuts[1:]):
+            if lo < hi:
+                share.append((units, diags, lo, hi, vector))
+    work = [(n, m, share, chunk, orders, tally, classify) for share in shares]
+    if workers == 1:
+        return _worker(work[0])
     counts: dict = {}
     with ProcessPoolExecutor(max_workers=workers) as ex:
         for part in ex.map(_worker, work):
@@ -341,8 +422,7 @@ def census_bruteforce(
     played against each other.  The per-diagonal split makes the result
     independent of jobs.
     """
-    # chains are tallied as base-(m+1) int64 keys, so the encoding must fit too
-    orders = tuple(range(1, n)) if (m + 1) ** n < _INT64_SAFE else ()
+    orders = tuple(range(1, n))
     classify = invariant_factors_via_minors if method == "minors" else invariant_factors
     counts = _bruteforce(
         n, m, "census", jobs, budget, method, chunk, orders, _tally_chains, classify

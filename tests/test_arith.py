@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from sublattices import arith
 from sublattices.arith import (
     INFINITY,
+    distinct_prime_factors_upto,
     divisor_compositions,
     divisors,
     euler_phi_prime_power,
@@ -14,7 +16,6 @@ from sublattices.arith import (
     partition_count,
     partitions,
     sigma1,
-    smallest_prime_factors,
 )
 
 SMALL_PRIMES = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
@@ -53,13 +54,16 @@ def test_factorize_round_trip_sampled():
         assert all(is_prime(p) for p, _ in factorize(m))
 
 
-def test_smallest_prime_factors_matches_factorize():
-    for limit in (1, 2, 3, 4, 97, 2000):
-        spf = smallest_prime_factors(limit)
-        assert len(spf) == limit + 1 and spf[1] == 1
-        assert [spf[m] for m in range(2, limit + 1)] == [factorize(m)[0][0] for m in range(2, limit + 1)]
+def test_distinct_prime_factors_upto_matches_factorize(monkeypatch):
+    # the default segment, then segments short enough that indices, primes
+    # and their squares all cross segment boundaries
+    for segment in (arith._SEGMENT, 1, 2, 7, 64):
+        monkeypatch.setattr(arith, "_SEGMENT", segment)
+        for limit in (1, 2, 3, 4, 97, 2000):
+            want = [[p for p, _ in factorize(m)] for m in range(1, limit + 1)]
+            assert list(distinct_prime_factors_upto(limit)) == want, (segment, limit)
     with pytest.raises(ValueError):
-        smallest_prime_factors(0)
+        next(distinct_prime_factors_upto(0))
 
 
 def test_factorize_edges():

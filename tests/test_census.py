@@ -2,6 +2,7 @@ from math import gcd, prod
 
 import pytest
 
+from sublattices import arith
 from sublattices.arith import INFINITY, factorize, partitions
 from sublattices.census import (
     CensusTable,
@@ -322,6 +323,19 @@ def test_cocyclic_count_upto_matches_termwise_sum():
         for limit in (1, 2, 12, 97, 360, 1001, 2000):
             expected = sum(cocyclic_count(n, m) for m in range(1, limit + 1))
             assert cocyclic_count_upto(n, limit) == expected, (n, limit)
+
+
+def test_cocyclic_count_upto_independent_of_segment_length(monkeypatch):
+    # the sieve factors a fixed number of indices at a time; tiny segments
+    # must give the termwise sum too
+    for segment in (1, 3, 10):
+        monkeypatch.setattr(arith, "_SEGMENT", segment)
+        for n in (2, 3):
+            for limit in (1, 12, 97, 360):
+                expected = sum(cocyclic_count(n, m) for m in range(1, limit + 1))
+                assert cocyclic_count_upto(n, limit) == expected, (segment, n, limit)
+    with pytest.raises(ValueError, match="limit"):
+        cocyclic_count_upto(3, 0)
 
 
 def test_euler_phi_recurrence():

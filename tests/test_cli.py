@@ -113,6 +113,13 @@ def test_count_validation_exit_code(capsys):
     assert "divide" in err
 
 
+def test_count_cumulative_names_its_bound(capsys):
+    # the command takes --max, not --m, and the refusal says which bound is wrong
+    code, out, err = run_cli(capsys, "count", "cocyclic-cumulative", "--n", "3", "--max", "0")
+    assert code == 2 and out == ""
+    assert err == "error: need n >= 1 and limit >= 1, got n=3 limit=0\n"
+
+
 def test_enumerate_lines(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "2", "--m", "2", "--with-snf")
     assert code == 0

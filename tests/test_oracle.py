@@ -1,9 +1,14 @@
 import json
+import random
+from itertools import combinations, product as iter_product
+from math import prod
 
 import pytest
 
 from sublattices import oracle
+from sublattices.arith import divisor_compositions
 from sublattices.census import class_census, cocyclic_count
+from sublattices.forms import integer_det
 from sublattices.oracle import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -35,7 +40,7 @@ def test_bruteforce_matches_formula():
         assert census_bruteforce(n, m).counts == class_census(n, m).counts, (n, m)
 
 
-def test_bruteforce_methods_agree():
+def test_bruteforce_methods_agree(monkeypatch):
     # vector path, tiny chunks, and both per-matrix classifiers
     for n, m in ((2, 36), (3, 16), (3, 24), (4, 16), (5, 4), (5, 8), (5, 9)):
         auto = census_bruteforce(n, m).counts
@@ -44,35 +49,59 @@ def test_bruteforce_methods_agree():
         # the minor-gcd classifier costs seconds per call at n = 5, m = 8
         if n < 5 or m < 8:
             assert auto == census_bruteforce(n, m, method="minors").counts, (n, m)
+    # segments of 7 and 1000 positions run across block boundaries at (3, 120);
+    # at (5, 9) each unit pattern holds one diagonal, so segments split blocks only
+    pieces = []
+    real_segment = oracle._segment_gcds
+
+    def segment(n, slots, per_order, scalars, parts):
+        pieces.append(len(parts))
+        return real_segment(n, slots, per_order, scalars, parts)
+
+    monkeypatch.setattr(oracle, "_segment_gcds", segment)
+    for n, m in ((3, 120), (5, 9)):
+        auto = class_census(n, m).counts
+        for chunk in (7, 1000):
+            pieces.clear()
+            assert census_bruteforce(n, m, chunk=chunk).counts == auto, (n, m, chunk)
+            assert cocyclic_bruteforce(n, m, chunk=chunk) == cocyclic_count(n, m), (n, m, chunk)
+            assert min(pieces) == 1 and (max(pieces) > 1) == (n == 3), (n, m, chunk)
 
 
-def test_bruteforce_vectorizes_every_large_block_at_n5(monkeypatch):
-    # every block of at least _VECTOR_MIN matrices must go through the int64
-    # kernel in dimension 5, for the census and the co-cyclic count alike
+def test_bruteforce_auto_scans_only_on_int64_fallback(monkeypatch):
+    # method "auto" classifies no matrix one by one while the int64 bound holds,
+    # for the census and the co-cyclic count alike
     scanned = []
-    vectorized = []
-    real_scan, real_kernel = oracle._scan_tally, oracle._block_minor_gcds
+    real_scan = oracle._scan_tally
 
-    def scan(n, diag, classify):
-        scanned.append(oracle._block_size(n, diag))
-        return real_scan(n, diag, classify)
-
-    def kernel(n, diag, orders, chunk):
-        vectorized.append(oracle._block_size(n, diag))
-        return real_kernel(n, diag, orders, chunk)
+    def scan(n, diag, classify, lo, hi):
+        scanned.append((n, diag, lo, hi))
+        return real_scan(n, diag, classify, lo, hi)
 
     monkeypatch.setattr(oracle, "_scan_tally", scan)
-    monkeypatch.setattr(oracle, "_block_minor_gcds", kernel)
-    for m in (8, 9):
-        assert census_bruteforce(5, m).counts == class_census(5, m).counts, m
-        assert cocyclic_bruteforce(5, m) == cocyclic_count(5, m), m
-    assert vectorized and max(scanned) < oracle._VECTOR_MIN
+    for n, m in ((2, 36), (3, 120), (4, 16), (5, 8), (5, 9), (6, 8), (8, 4)):
+        assert census_bruteforce(n, m).counts == class_census(n, m).counts, (n, m)
+        assert cocyclic_bruteforce(n, m) == cocyclic_count(n, m), (n, m)
+    assert scanned == []
+    # a tiny bound sends the patterns with a two-term minor of degree 2 or more
+    # to the scan and keeps the rest on the kernel; the answers must not move
+    monkeypatch.setattr(oracle, "_INT64_SAFE", 2 * 12**2)
+    for n, m in ((3, 12), (4, 8)):
+        assert census_bruteforce(n, m).counts == class_census(n, m).counts, (n, m)
+        assert cocyclic_bruteforce(n, m) == cocyclic_count(n, m), (n, m)
+    assert scanned
 
 
 def test_bruteforce_jobs_deterministic():
     base = census_bruteforce(3, 30)
     for jobs in (2, 3, 8):
         assert census_bruteforce(3, 30, jobs=jobs).counts == base.counts, jobs
+    # above the fork threshold: (3, 120) has 62465 forms and (4, 32) 97155
+    for n, m in ((3, 120), (4, 32)):
+        census = [census_bruteforce(n, m, jobs=jobs).counts for jobs in (1, 2, 3)]
+        cocyclic = [cocyclic_bruteforce(n, m, jobs=jobs) for jobs in (1, 2, 3)]
+        assert census == [class_census(n, m).counts] * 3, (n, m)
+        assert cocyclic == [cocyclic_count(n, m)] * 3, (n, m)
 
 
 def test_bruteforce_budget():
@@ -102,8 +131,9 @@ def test_bruteforce_errors():
 
 
 def test_bruteforce_pool_capped_at_cpu_count(monkeypatch):
-    # an in-process stand-in for the pool records the worker count it is given
+    # an in-process stand-in for the pool records the worker count and the work
     sizes = []
+    handed = []
 
     class FakePool:
         def __init__(self, max_workers):
@@ -116,6 +146,7 @@ def test_bruteforce_pool_capped_at_cpu_count(monkeypatch):
             return False
 
         def map(self, fn, work):
+            handed.append([args[2] for args in work])
             return map(fn, work)
 
     base = census_bruteforce(3, 30).counts
@@ -126,8 +157,56 @@ def test_bruteforce_pool_capped_at_cpu_count(monkeypatch):
     assert census_bruteforce(3, 30, jobs=64).counts == base
     assert cocyclic_bruteforce(3, 30, jobs=64) == base_cocyclic
     assert census_bruteforce(3, 30, jobs=2).counts == base
-    # 30 = 2 * 3 * 5 has 27 diagonals, so only the CPU count or jobs bind
     assert sizes == [3, 3, 2]
+    # every matrix is handed out exactly once, and the workers' shares of one
+    # pattern differ by at most one matrix
+    for shares, workers in zip(handed, sizes):
+        assert len(shares) == workers
+        ranges: dict = {}
+        for share in shares:
+            for units, diags, lo, hi, _ in share:
+                ranges.setdefault((units, tuple(diags)), []).append((lo, hi))
+        handed_diags = sorted(d for _, diags in ranges for d in diags)
+        assert handed_diags == sorted(divisor_compositions(30, 3))
+        for (_, diags), got in ranges.items():
+            total = sum(prod(d**j for j, d in enumerate(diag)) for diag in diags)
+            got.sort()
+            assert got[0][0] == 0 and got[-1][1] == total
+            assert all(a[1] == b[0] for a, b in zip(got, got[1:]))
+            lengths = [hi - lo for lo, hi in got] + [0] * (workers - len(got))
+            assert max(lengths) - min(lengths) <= 1, lengths
+    # equal shares cut blocks in the middle; the matrix-by-matrix scan must
+    # then classify exactly its part of each block
+    assert census_bruteforce(3, 30, jobs=3, method="reduction").counts == base
+    assert cocyclic_bruteforce(3, 30, jobs=3, method="reduction") == base_cocyclic
+
+
+def test_pattern_plans_are_the_minors_of_any_such_matrix():
+    # a plan holds for every upper-triangular matrix with its pattern's zeros,
+    # not only for Hermite forms, so random entries of both signs check every
+    # monomial and sign against direct determinants
+    rng = random.Random(7)
+    for n in range(1, 6):
+        orders = tuple(range(1, n + 1))
+        for units in iter_product((False, True), repeat=n):
+            per_order = oracle._pattern_plans(n, units, orders)[0]
+            diag = [1 if u else rng.choice((-7, -3, 2, 5, 9)) for u in units]
+            entries = [0 if units[j] else rng.randint(-9, 9) for _, j in oracle._slots(n)]
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = diag[i]
+            for (i, j), v in zip(oracle._slots(n), entries):
+                rows[i][j] = v
+            values = diag + entries
+            for k, (principal, varying) in zip(orders, per_order):
+                plans = principal + varying
+                got = {abs(oracle._eval_plan(plan, values.__getitem__)) for plan in plans}
+                want = {
+                    abs(integer_det([[rows[i][j] for j in cols] for i in picked]))
+                    for picked in combinations(range(n), k)
+                    for cols in combinations(range(n), k)
+                }
+                assert got - {0} == want - {0}, (n, units, k)
 
 
 def test_cocyclic_bruteforce():
