@@ -6,7 +6,8 @@ against the brute-force oracle).  Structured output goes to stdout; timing and
 warnings go to stderr so reports stay byte-stable across worker counts.
 
 Exit codes: 0 success, 1 verification mismatch or internal inconsistency,
-2 invalid input, 3 work would exceed the matrix budget.
+2 invalid input, 3 work would exceed the budget (matrices, or indices for
+count cocyclic-cumulative).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import os
 import sys
 import tempfile
 import time
+from typing import TYPE_CHECKING
 
 from .arith import factorize, is_prime, ord_p
 from .census import (
@@ -29,16 +31,8 @@ from .census import (
     sublattice_count_recursion,
     validate_chain,
 )
-from .enumeration import hnf_stream
+from .enumeration import DEFAULT_BUDGET, BudgetExceededError, hnf_stream
 from .forms import invariant_factors
-from .oracle import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    VerifyReport,
-    verify_index,
-    verify_prime_powers,
-    verify_suite,
-)
 from .polyalg import (
     class_size_poly,
     cocyclic_count_poly,
@@ -47,6 +41,9 @@ from .polyalg import (
     poly_render,
     sublattice_count_poly,
 )
+
+if TYPE_CHECKING:
+    from .oracle import VerifyReport
 
 SCHEMA_VERSION = "1"
 CACHE_ENV = "SUBLATTICE_CACHE"
@@ -208,6 +205,12 @@ def _cmd_count_cocyclic(args) -> int:
 
 
 def _cmd_count_cumulative(args) -> int:
+    # the sieve visits every index up to --max
+    if args.max > args.budget:
+        raise BudgetExceededError(
+            args.max, args.budget, f"count cocyclic-cumulative n={args.n} max={args.max}",
+            unit="indices",
+        )
     value = cocyclic_count_upto(args.n, args.max)
     return _emit_value(
         args, "count cocyclic-cumulative", {"n": args.n, "max": args.max}, value
@@ -347,6 +350,9 @@ def _verify_csv(report: VerifyReport) -> tuple[list[str], list[list[str]]]:
 
 
 def _cmd_verify(args) -> int:
+    # the oracle loads NumPy; no other command needs it
+    from .oracle import VerifyReport, verify_index, verify_prime_powers, verify_suite
+
     if args.mode == "suite":
         if any(flag is not None for flag in (args.n, args.m, args.prime, args.max_r)):
             raise ValueError("'verify suite' takes no scope flags")
@@ -450,6 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max", type=int, required=True)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="most indices to sieve")
     _add_format(p)
     p.set_defaults(func=_cmd_count_cumulative)
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import os
 import time
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, chain, islice, product as iter_product
@@ -40,7 +39,7 @@ from .census import (
     sublattice_count,
     sublattice_count_recursion,
 )
-from .enumeration import hnf_stream
+from .enumeration import DEFAULT_BUDGET, BudgetExceededError, block_rows, hnf_stream
 from .forms import (
     HnfMatrix,
     hnf2_smith_exponent,
@@ -51,22 +50,9 @@ from .forms import (
 )
 from .polyalg import leading_terms_check
 
-DEFAULT_BUDGET = 10_000_000
 _POOL_MIN = 50_000  # below this predicted count, worker pools are not worth forking
 _CHUNK = 1 << 16
 _INT64_SAFE = 1 << 62
-
-
-class BudgetExceededError(RuntimeError):
-    """The predicted matrix count exceeds the budget; raised before any work starts."""
-
-    def __init__(self, predicted: int, budget: int, scope: str):
-        super().__init__(
-            f"{scope}: predicted {predicted} matrices exceeds the budget of {budget}"
-        )
-        self.predicted = predicted
-        self.budget = budget
-        self.scope = scope
 
 
 def _check_scope(n: int, m: int) -> None:
@@ -326,14 +312,8 @@ def _is_cocyclic(rows) -> bool:
 
 def _scan_tally(n, diag, classify, lo, hi):
     """Classify positions lo..hi-1 of one block matrix by matrix, in hnf_stream order."""
-    slots = _slots(n)
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = diag[i]
     counts: dict = {}
-    for offs in islice(iter_product(*(range(diag[j]) for _, j in slots)), lo, hi):
-        for (i, j), v in zip(slots, offs):
-            rows[i][j] = v
+    for rows in islice(block_rows(diag), lo, hi):
         key = classify(rows)
         counts[key] = counts.get(key, 0) + 1
     return counts
@@ -399,6 +379,9 @@ def _bruteforce(n, m, scope, jobs, budget, method, chunk, orders, tally, classif
     work = [(n, m, share, chunk, orders, tally, classify) for share in shares]
     if workers == 1:
         return _worker(work[0])
+    # imported only here: one worker never needs the pool module
+    from concurrent.futures import ProcessPoolExecutor
+
     counts: dict = {}
     with ProcessPoolExecutor(max_workers=workers) as ex:
         for part in ex.map(_worker, work):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -381,3 +382,87 @@ def test_module_entry_point():
     )
     assert out.returncode == 0
     assert out.stdout.strip() == "15"
+
+
+def test_count_cumulative_refused_over_budget(capsys):
+    # --max is the predicted number of sieved indices, refused up front
+    code, out, err = run_cli(
+        capsys, "count", "cocyclic-cumulative", "--n", "3", "--max", "1000000000"
+    )
+    assert code == 3 and out == ""
+    assert err == (
+        "error: count cocyclic-cumulative n=3 max=1000000000: predicted 1000000000"
+        " indices exceeds the budget of 10000000\n"
+    )
+    code, out, err = run_cli(
+        capsys, "count", "cocyclic-cumulative", "--n", "2", "--max", "50", "--budget", "49"
+    )
+    assert code == 3 and out == "" and "predicted 50 indices" in err
+    # an explicit higher budget lets the same command run
+    code, out, _ = run_cli(
+        capsys, "count", "cocyclic-cumulative", "--n", "2", "--max", "4", "--budget", "4",
+        "--format", "plain",
+    )
+    assert code == 0 and out.strip() == "14"
+
+
+HEAVY_MODULES = ("numpy", "concurrent.futures", "sublattices.oracle")
+IMPORT_GUARD = """\
+import contextlib, io, json, sys
+import sublattices
+import sublattices.cli
+from sublattices.cli import main
+
+def loaded():
+    return [name for name in {heavy!r} if name in sys.modules]
+
+report = {{"import": loaded()}}
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["count", "fn", "--n", "3", "--m", "4"],
+                 ["poly", "fn", "--n", "4", "--r", "4"],
+                 ["enumerate", "--n", "3", "--m", "12", "--with-snf"]):
+        assert main(argv) == 0, argv
+report["commands"] = loaded()
+report["names"] = [name for name in sublattices.__all__ if name not in dir(sublattices)]
+report["budget"] = sublattices.BudgetExceededError.__module__
+report["after_budget"] = loaded()
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["verify", "--n", "2", "--m", "6"])
+report["verify"] = [code, out.getvalue(), loaded()]
+for name in sublattices.__all__:
+    getattr(sublattices, name)
+print(json.dumps(report))
+"""
+VERIFY_2_6 = (
+    '{"command":"verify index","params":{"m":6,"n":2},"payload":{"all_match":true,'
+    '"kind":"report","scope":"n=2 m=6","sections":[{"checks":[{"detail":"12 vs 12",'
+    '"name":"count_closed_vs_recursion","ok":true},{"detail":"12 vs 12",'
+    '"name":"count_vs_oracle_total","ok":true},{"detail":"expected 1, oracle 1, formula 1",'
+    '"name":"class_count_vs_distinct_keys","ok":true},'
+    '{"detail":"formula 12, bruteforce 12, census 12",'
+    '"name":"cocyclic_formula_vs_bruteforce","ok":true},'
+    '{"detail":"2 prime power factors","name":"multiplicative_split","ok":true}],'
+    '"ok":true,"rows":[{"class":"1,6","formula":"12","match":true,"oracle":"12"}],'
+    '"scope":"n=2 m=6"}]},"schema_version":"1"}\n'
+)
+
+
+def test_only_the_oracle_loads_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD.format(heavy=HEAVY_MODULES)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["import"] == report["commands"] == report["after_budget"] == []
+    assert report["names"] == []
+    assert report["budget"] == "sublattices.enumeration"
+    code, out, loaded = report["verify"]
+    assert code == 0 and out == VERIFY_2_6
+    # one worker never builds a process pool
+    assert loaded == ["numpy", "sublattices.oracle"]

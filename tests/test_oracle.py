@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import random
 from itertools import combinations, product as iter_product
@@ -151,7 +152,8 @@ def test_bruteforce_pool_capped_at_cpu_count(monkeypatch):
 
     base = census_bruteforce(3, 30).counts
     base_cocyclic = cocyclic_bruteforce(3, 30)
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", FakePool)
+    # the oracle imports the pool class where it makes the pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(oracle, "_POOL_MIN", 0)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
     assert census_bruteforce(3, 30, jobs=64).counts == base
