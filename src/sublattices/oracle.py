@@ -2,29 +2,29 @@
 
 The brute-force census enumerates all index-m Hermite forms and tallies them by
 invariant factor chain; the co-cyclic count tallies them by whether the minors
-of order n-1 have gcd 1.  Both share one batched int64 kernel.  Diagonals are
-grouped by unit pattern, the set of positions where they equal 1: a unit
-column holds nothing but its diagonal 1, so every diagonal of a pattern shares
-one symbolic plan of the needed minors, with the diagonal entries as
-variables.  The blocks of a pattern form one flat index space, cut into
-segments of at most chunk matrices; a segment may run across several small
-blocks, and every entry is decoded with its block's scalar strides.  Census
-chains are tallied by the index of each gcd among the divisors of m.  A bound
-on every minor, with entries bounded by m, decides per pattern whether int64
-is exact; a pattern that fails it is scanned matrix by matrix with exact
-Python integers, as is everything under the per-matrix methods.  Each worker
-takes an equal contiguous range of every pattern, and tallies are plain sums,
-so they are identical for any worker count.
+of order n-1 have gcd 1.  Both share one batched int64 kernel.  A diagonal's
+unit pattern, the set of positions where it equals 1, fixes one symbolic plan
+of the needed minors with the diagonal entries as variables: a unit column
+holds nothing but its diagonal 1.  The forms of one diagonal, a block, are cut
+into boxes of at most chunk matrices, contiguous in hnf_stream order: a box
+fixes the leading slots, ranges one slot and runs the trailing slots in full.
+Each slot that varies is an arange along its own axis, so every minor
+broadcasts over only the slots it reads.  Census chains are tallied by the
+index of each gcd among the divisors of m, on the un-broadcast gcd arrays.  A
+bound on every minor, with entries bounded by m, decides per pattern whether
+int64 is exact; a block whose pattern fails it is scanned matrix by matrix
+with exact Python integers, as is everything under the per-matrix methods.
+Each worker takes an equal contiguous part of all blocks in hnf_stream order,
+and tallies are plain sums, so they are identical for any worker count.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, chain, islice, product as iter_product
+from itertools import chain, islice, product as iter_product
 from math import gcd, prod
 
 import numpy as np
@@ -80,7 +80,8 @@ def _pattern_plans(n, units, orders):
     1, so its slots are zero and drop out of every minor.  Returns
     (per_order, weight, degree): per_order[i] = (principal, varying) splits the
     nonzero orders[i] x orders[i] minors into those free of slot entries and
-    the rest, each minor a plan of (variables, coeff) monomials; every plan has
+    the rest, fewest slots first, each minor a plan of (variables, coeff)
+    monomials; every plan has
     at most weight in absolute coefficients and degree variables per monomial,
     so entries bounded by m bound every minor by weight * m**degree.
     """
@@ -133,6 +134,8 @@ def _pattern_plans(n, units, orders):
             degree = max(degree, max(len(s) for s, _ in plan))
             free = all(v < n for s, _ in plan for v in s)
             (principal if free else varying).append(plan)
+        # minors that read fewer slots broadcast over smaller arrays: fold them first
+        varying.sort(key=lambda plan: len({v for s, _ in plan for v in s if v >= n}))
         per_order.append((tuple(principal), tuple(varying)))
     return tuple(per_order), weight, degree
 
@@ -161,29 +164,15 @@ def _eval_plan(plan, coord):
 
 def _fold(running, plans, coord):
     # determinants can be negative or zero; np.gcd folds them through their
-    # absolute values, and the fold stops once every entry is exactly 1
+    # absolute values, and the fold stops once every entry is exactly 1; a
+    # plan that reads only fixed slots is an int and folds with math.gcd
     for plan in plans:
-        running = np.gcd(running, _eval_plan(plan, coord))
-        if np.all(running == 1):
-            break
+        value = _eval_plan(plan, coord)
+        both = isinstance(running, int) and isinstance(value, int)
+        running = gcd(running, value) if both else np.gcd(running, value)
+        if (running == 1) if both else (running == 1).all():
+            return 1
     return running
-
-
-def _block_starts(diags):
-    """Offsets of each block in the flat index space of its pattern, then the total."""
-    starts = [0]
-    for diag in diags:
-        starts.append(starts[-1] + prod(d**j for j, d in enumerate(diag)))
-    return starts
-
-
-def _strides(n, diag):
-    # the last slot moves fastest, as in hnf_stream
-    sizes = [diag[j] for _, j in _slots(n)]
-    strides = [1] * len(sizes)
-    for s in range(len(sizes) - 2, -1, -1):
-        strides[s] = strides[s + 1] * sizes[s + 1]
-    return strides
 
 
 def _principal_gcds(per_order, diag):
@@ -194,78 +183,68 @@ def _principal_gcds(per_order, diag):
     )
 
 
-def _pattern_gcds(n, diags, per_order, lo, hi, chunk):
-    """Minor gcds over positions lo..hi-1 of one pattern's flat index space.
+def _boxes(sizes, lo, hi, chunk):
+    """Cut positions lo..hi-1 of a block into boxes of at most chunk matrices.
 
-    Yields (count, gvals) per segment of at most chunk positions: gvals[i] is
-    the gcd of the orders[i] x orders[i] minors, an int where it is constant
-    over the segment (each int then stands for all count matrices) and an
-    int64 array of length count elsewhere.  A segment never spans blocks with
-    different principal gcds, so those are Python ints in every segment.
+    sizes are the ranges of the block's slots, the last moving fastest as in
+    hnf_stream.  A box (fixed, start, shape) fixes the leading slots to the
+    digits in fixed, ranges the next slot over shape[0] values from start, and
+    runs every later slot in full; its matrices are contiguous in block order.
     """
-    slots = _slots(n)
-    starts = _block_starts(diags)
-    strides = [_strides(n, diag) for diag in diags]
-    scalars = [_principal_gcds(per_order, diag) for diag in diags]
-    runs = [starts[c] for c in range(1, len(diags)) if scalars[c] != scalars[c - 1]]
-    runs.append(starts[-1])
-    pos, b = lo, 0
+    spans = [prod(sizes[t + 1 :]) for t in range(len(sizes))]
+    pos = lo
     while pos < hi:
-        end = min(pos + chunk, hi, runs[bisect_right(runs, pos)])
-        while starts[b + 1] <= pos:
-            b += 1
-        pieces = []
-        for c in range(b, bisect_left(starts, end)):
-            lo_c, hi_c = max(pos, starts[c]), min(end, starts[c + 1])
-            pieces.append((diags[c], strides[c], lo_c - starts[c], hi_c - starts[c]))
-        yield end - pos, _segment_gcds(n, slots, per_order, scalars[b], pieces)
-        pos = end
+        # the shallowest slot whose steps stay aligned, in range and in chunk
+        room = min(chunk, hi - pos)
+        t = next(t for t, span in enumerate(spans) if pos % span == 0 and span <= room)
+        digits = [pos // spans[q] % sizes[q] for q in range(t + 1)]
+        k = min(sizes[t] - digits[t], (hi - pos) // spans[t], chunk // spans[t])
+        yield tuple(digits[:t]), digits[t], (k, *sizes[t + 1 :])
+        pos += k * spans[t]
 
 
-def _segment_gcds(n, slots, per_order, scalars, pieces):
-    """gvals of one segment, made of pieces (diag, strides, lo, hi) of consecutive blocks.
+def _box_gcds(diag, axes, per_order, scalars, box):
+    """gvals of one box: per order, the gcd of its minors, an int or an int64 array.
 
-    An order whose principal gcd is 1, or whose minors are all principal,
-    costs nothing per matrix.  Entries are decoded piece by piece with scalar
-    strides; a diagonal entry is an int unless the pieces disagree on it, and
-    then each position gets its own block's value.
+    axes lists the variables of the block's varying slots.  A fixed slot is
+    an int; a ranged or trailing slot is an arange along its own axis of the
+    box, so a minor broadcasts over only the slots it reads, and an array gval
+    has length 1 on every axis that none of its minors reads.  An order whose
+    principal gcd is 1, or whose minors are all principal, costs nothing.
     """
-    lens = [z - a for *_, a, z in pieces]
-    offs = list(accumulate(lens, initial=0))
-    coords: dict = {}
-
-    def spread(values):
-        # one value per piece, repeated over that piece's positions
-        if all(x == values[0] for x in values):
-            return values[0]
-        return np.repeat(np.array(values, dtype=np.int64), lens)
-
-    def coord(v):
-        got = coords.get(v)
-        if got is None:
-            if v < n:
-                got = spread([diag[v] for diag, *_ in pieces])
-            else:
-                s = v - n
-                got = np.empty(offs[-1], dtype=np.int64)
-                for (diag, strides, a, z), o in zip(pieces, offs):
-                    out = got[o : o + z - a]
-                    np.floor_divide(np.arange(a, z, dtype=np.int64), strides[s], out=out)
-                    np.remainder(out, diag[slots[s][1]], out=out)
-            coords[v] = got
-        return got
-
+    fixed, start, shape = box
+    values = dict(enumerate(diag))
+    for q, v in enumerate(axes):
+        axis = q - len(fixed)
+        if axis < 0:
+            values[v] = fixed[q]
+        else:
+            first = start if axis == 0 else 0
+            values[v] = np.arange(first, first + shape[axis], dtype=np.int64).reshape(
+                (-1,) + (1,) * (len(shape) - 1 - axis)
+            )
     return [
-        _fold(scalar, varying, coord) if varying and scalar != 1 else scalar
+        _fold(scalar, varying, values.__getitem__) if varying and scalar != 1 else scalar
         for scalar, (_, varying) in zip(scalars, per_order)
     ]
+
+
+def _block_gcds(n, diag, per_order, lo, hi, chunk):
+    """(count, gvals) per box of positions lo..hi-1 of one block."""
+    axes = [n + s for s, (_, j) in enumerate(_slots(n)) if diag[j] > 1]
+    # a block without varying slots holds one matrix: one box on a dummy slot
+    sizes = [diag[j] for _, j in _slots(n) if diag[j] > 1] or [1]
+    scalars = _principal_gcds(per_order, diag)
+    for box in _boxes(sizes, lo, hi, chunk):
+        yield prod(box[2]), _box_gcds(diag, axes, per_order, scalars, box)
 
 
 def _tally_chains(n, m, parts):
     """Tally invariant factor chains from the minor gcds of orders 1..n-1.
 
     Every gcd g_k divides m, so a chain is keyed by the indices of g_1..g_{n-1}
-    among the divisors of m and counted with np.bincount.
+    among the divisors of m and counted with np.bincount.  A key array stands
+    for count matrices through its broadcast, which repeats each entry equally.
     """
     divs = divisors(m)
     where = {d: i for i, d in enumerate(divs)}
@@ -278,7 +257,7 @@ def _tally_chains(n, m, parts):
             pos = np.searchsorted(sorted_divs, g) if isinstance(g, np.ndarray) else where[g]
             key = key * base + pos
         if isinstance(key, np.ndarray):
-            got = np.bincount(key)
+            got = np.bincount(key.ravel()) * (count // key.size)
             hist[: len(got)] += got
         else:
             hist[key] += count
@@ -300,7 +279,7 @@ def _tally_cocyclic(n, m, parts):
     hits = 0
     for count, (g,) in parts:
         if isinstance(g, np.ndarray):
-            hits += int(np.count_nonzero(g == 1))
+            hits += int(np.count_nonzero(g == 1)) * (count // g.size)
         elif g == 1:
             hits += count
     return {True: hits}
@@ -325,57 +304,59 @@ def _merge(counts, part):
 
 
 def _worker(args):
-    """Tally one share: a range of each pattern, on the int64 kernel or matrix by matrix."""
+    """Tally one share: ranges of blocks, on the int64 kernel or matrix by matrix."""
     n, m, share, chunk, orders, tally, classify = args
     counts: dict = {}
     parts = []
-    for units, diags, lo, hi, vector in share:
+    for diag, lo, hi, vector in share:
         if vector:
-            per_order = _pattern_plans(n, units, orders)[0]
-            parts.append(_pattern_gcds(n, diags, per_order, lo, hi, chunk))
-            continue
-        starts = _block_starts(diags)
-        for b, diag in enumerate(diags):
-            a, z = max(lo, starts[b]), min(hi, starts[b + 1])
-            if a < z:
-                _merge(counts, _scan_tally(n, diag, classify, a - starts[b], z - starts[b]))
+            per_order = _pattern_plans(n, tuple(d == 1 for d in diag), orders)[0]
+            parts.append(_block_gcds(n, diag, per_order, lo, hi, chunk))
+        else:
+            _merge(counts, _scan_tally(n, diag, classify, lo, hi))
     if parts:
         _merge(counts, tally(n, m, chain.from_iterable(parts)))
     return counts
 
 
-def _bruteforce(n, m, scope, jobs, budget, method, chunk, orders, tally, classify):
-    """Shared entry: validate, refuse over budget, split each pattern evenly and merge.
+def _check_count(name, value):
+    if not isinstance(value, int) or value < 1:
+        raise ValueError(f"need an integer {name} >= 1, got {value!r}")
 
-    Diagonals are grouped by unit pattern, the positions where they equal 1.
-    A pattern runs on the int64 kernel when its minors are bounded inside
-    int64 with entries bounded by m, and is scanned otherwise; every other
-    method scans everything.  Each worker takes one contiguous, equal range
-    of every pattern's index space.
+
+def _bruteforce(n, m, scope, jobs, budget, method, chunk, orders, tally, classify):
+    """Shared entry: validate, refuse over budget, split the blocks evenly and merge.
+
+    A block runs on the int64 kernel when the minors of its unit pattern, the
+    positions where its diagonal equals 1, are bounded inside int64 with
+    entries bounded by m, and is scanned otherwise; every other method scans
+    everything.  The blocks in hnf_stream order form one run of matrices, and
+    each worker takes one contiguous, equal part of it.
     """
     _check_scope(n, m)
     if method not in ("auto", "reduction", "minors"):
         raise ValueError(f"unknown method {method!r}")
-    if jobs < 1:
-        raise ValueError(f"need jobs >= 1, got {jobs}")
+    _check_count("jobs", jobs)
+    _check_count("chunk", chunk)
     predicted = _check_budget(n, m, budget, f"{scope} n={n} m={m}")
-    patterns: dict[tuple[bool, ...], list[tuple[int, ...]]] = {}
+    blocks = []
     for diag in divisor_compositions(m, n):
-        patterns.setdefault(tuple(d == 1 for d in diag), []).append(diag)
-    workers = 1 if predicted < _POOL_MIN else min(int(jobs), os.cpu_count() or 1)
-    shares: list[list] = [[] for _ in range(workers)]
-    for units, diags in patterns.items():
         vector = False
         if method == "auto":
-            per_order, weight, degree = _pattern_plans(n, units, orders)
+            _, weight, degree = _pattern_plans(n, tuple(d == 1 for d in diag), orders)
             vector = weight * m**degree < _INT64_SAFE
-            # blocks with equal principal gcds become neighbours, so they share segments
-            diags.sort(key=lambda diag: _principal_gcds(per_order, diag))
-        total = _block_starts(diags)[-1]
-        cuts = [total * w // workers for w in range(workers + 1)]
+        blocks.append((diag, prod(d**j for j, d in enumerate(diag)), vector))
+    workers = 1 if predicted < _POOL_MIN else min(jobs, os.cpu_count() or 1)
+    total = sum(size for _, size, _ in blocks)
+    cuts = [total * w // workers for w in range(workers + 1)]
+    shares: list[list] = [[] for _ in range(workers)]
+    start = 0
+    for diag, size, vector in blocks:
         for share, lo, hi in zip(shares, cuts, cuts[1:]):
-            if lo < hi:
-                share.append((units, diags, lo, hi, vector))
+            a, z = max(lo, start), min(hi, start + size)
+            if a < z:
+                share.append((diag, a - start, z - start, vector))
+        start += size
     work = [(n, m, share, chunk, orders, tally, classify) for share in shares]
     if workers == 1:
         return _worker(work[0])

@@ -8,7 +8,7 @@ import pytest
 
 from sublattices import oracle
 from sublattices.arith import divisor_compositions
-from sublattices.census import class_census, cocyclic_count
+from sublattices.census import class_census, cocyclic_count, sublattice_count
 from sublattices.forms import integer_det
 from sublattices.oracle import (
     DEFAULT_BUDGET,
@@ -50,23 +50,35 @@ def test_bruteforce_methods_agree(monkeypatch):
         # the minor-gcd classifier costs seconds per call at n = 5, m = 8
         if n < 5 or m < 8:
             assert auto == census_bruteforce(n, m, method="minors").counts, (n, m)
-    # segments of 7 and 1000 positions run across block boundaries at (3, 120);
-    # at (5, 9) each unit pattern holds one diagonal, so segments split blocks only
-    pieces = []
-    real_segment = oracle._segment_gcds
+    # every chunk covers each block exactly once with boxes; small chunks cut a
+    # block in the middle of an axis, with a fixed leading slot and a ranged
+    # slot before the trailing ones
+    boxes = []
+    real_box = oracle._box_gcds
 
-    def segment(n, slots, per_order, scalars, parts):
-        pieces.append(len(parts))
-        return real_segment(n, slots, per_order, scalars, parts)
+    def box_gcds(diag, axes, per_order, scalars, box):
+        boxes.append(box)
+        return real_box(diag, axes, per_order, scalars, box)
 
-    monkeypatch.setattr(oracle, "_segment_gcds", segment)
-    for n, m in ((3, 120), (5, 9)):
-        auto = class_census(n, m).counts
-        for chunk in (7, 1000):
-            pieces.clear()
-            assert census_bruteforce(n, m, chunk=chunk).counts == auto, (n, m, chunk)
-            assert cocyclic_bruteforce(n, m, chunk=chunk) == cocyclic_count(n, m), (n, m, chunk)
-            assert min(pieces) == 1 and (max(pieces) > 1) == (n == 3), (n, m, chunk)
+    monkeypatch.setattr(oracle, "_box_gcds", box_gcds)
+    for n, m in ((3, 49), (3, 120), (4, 32), (5, 9)):
+        want = class_census(n, m).counts
+        want_cocyclic = cocyclic_count(n, m)
+        # the per-matrix routes fan out above the pool threshold; the minor-gcd
+        # scan behind the per-matrix co-cyclic count costs seconds at (4, 32)
+        assert census_bruteforce(n, m, method="reduction", jobs=2).counts == want, (n, m)
+        if (n, m) != (4, 32):
+            assert cocyclic_bruteforce(n, m, method="reduction", jobs=2) == want_cocyclic
+        # one-matrix boxes cost seconds at (4, 32); (5, 9) takes chunk 1 higher up
+        for chunk in (7, 1000, oracle._CHUNK) if n == 4 else (1, 7, 1000, oracle._CHUNK):
+            for brute, expect in ((census_bruteforce, want), (cocyclic_bruteforce, want_cocyclic)):
+                boxes.clear()
+                got = brute(n, m, chunk=chunk)
+                assert getattr(got, "counts", got) == expect, (n, m, chunk)
+                assert sum(prod(shape) for *_, shape in boxes) == sublattice_count(n, m)
+                assert max(prod(shape) for *_, shape in boxes) <= chunk
+                if chunk == 7:
+                    assert any(fixed and len(shape) > 1 for fixed, _, shape in boxes), (n, m)
 
 
 def test_bruteforce_auto_scans_only_on_int64_fallback(monkeypatch):
@@ -124,11 +136,16 @@ def test_bruteforce_errors():
         cocyclic_bruteforce(2, 4, method="magic")
     with pytest.raises(ValueError):
         cocyclic_bruteforce(0, 4)
-    # refused before the single-process path, not clamped to one worker
+    # refused before the single-process path, not clamped to one worker or
+    # truncated; a chunk below 1 is refused for every method instead of hanging
     for brute in (census_bruteforce, cocyclic_bruteforce):
-        for jobs in (0, -3):
+        for jobs in (0, -3, 2.5):
             with pytest.raises(ValueError, match="jobs"):
                 brute(2, 4, jobs=jobs)
+        for method in ("auto", "reduction", "minors"):
+            for chunk in (0, -1, 2.5):
+                with pytest.raises(ValueError, match="chunk"):
+                    brute(3, 12, chunk=chunk, method=method)
 
 
 def test_bruteforce_pool_capped_at_cpu_count(monkeypatch):
@@ -160,27 +177,42 @@ def test_bruteforce_pool_capped_at_cpu_count(monkeypatch):
     assert cocyclic_bruteforce(3, 30, jobs=64) == base_cocyclic
     assert census_bruteforce(3, 30, jobs=2).counts == base
     assert sizes == [3, 3, 2]
-    # every matrix is handed out exactly once, and the workers' shares of one
-    # pattern differ by at most one matrix
+    # every matrix of every block is handed out exactly once, and the workers'
+    # shares are contiguous parts of hnf_stream order that differ by at most one
+    # matrix, far below a chunk
+    blocks = {diag: prod(d**j for j, d in enumerate(diag)) for diag in divisor_compositions(30, 3)}
     for shares, workers in zip(handed, sizes):
         assert len(shares) == workers
-        ranges: dict = {}
-        for share in shares:
-            for units, diags, lo, hi, _ in share:
-                ranges.setdefault((units, tuple(diags)), []).append((lo, hi))
-        handed_diags = sorted(d for _, diags in ranges for d in diags)
-        assert handed_diags == sorted(divisor_compositions(30, 3))
-        for (_, diags), got in ranges.items():
-            total = sum(prod(d**j for j, d in enumerate(diag)) for diag in diags)
-            got.sort()
-            assert got[0][0] == 0 and got[-1][1] == total
-            assert all(a[1] == b[0] for a, b in zip(got, got[1:]))
-            lengths = [hi - lo for lo, hi in got] + [0] * (workers - len(got))
-            assert max(lengths) - min(lengths) <= 1, lengths
+        merged: list = []
+        for diag, lo, hi, _ in (item for share in shares for item in share):
+            if merged and merged[-1][0] == diag and merged[-1][2] == lo:
+                lo = merged.pop()[1]
+            merged.append((diag, lo, hi))
+        assert merged == [(diag, 0, size) for diag, size in blocks.items()]
+        totals = [sum(hi - lo for _, lo, hi, _ in share) for share in shares]
+        assert max(totals) - min(totals) <= 1, totals
     # equal shares cut blocks in the middle; the matrix-by-matrix scan must
     # then classify exactly its part of each block
     assert census_bruteforce(3, 30, jobs=3, method="reduction").counts == base
     assert cocyclic_bruteforce(3, 30, jobs=3, method="reduction") == base_cocyclic
+    # a tiny int64 bound sends some blocks to the scan: with boxes of 7 it still
+    # runs once per (share, block), over exactly that share's range
+    scanned = []
+    real_scan = oracle._scan_tally
+
+    def scan(n, diag, classify, lo, hi):
+        scanned.append((diag, lo, hi))
+        return real_scan(n, diag, classify, lo, hi)
+
+    monkeypatch.setattr(oracle, "_scan_tally", scan)
+    monkeypatch.setattr(oracle, "_INT64_SAFE", 2 * 12**2)
+    for brute, want in ((census_bruteforce, base), (cocyclic_bruteforce, base_cocyclic)):
+        handed.clear()
+        scanned.clear()
+        got = brute(3, 30, jobs=3, chunk=7)
+        assert getattr(got, "counts", got) == want
+        expected = [(d, lo, hi) for share in handed[0] for d, lo, hi, vector in share if not vector]
+        assert scanned and sorted(scanned) == sorted(expected)
 
 
 def test_pattern_plans_are_the_minors_of_any_such_matrix():
