@@ -24,6 +24,7 @@ _SOURCES = {
     "ord_p": "arith",
     "partition_count": "arith",
     "partitions": "arith",
+    "sigma1": "arith",
     "CensusTable": "census",
     "class_census": "census",
     "class_count": "census",

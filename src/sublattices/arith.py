@@ -177,13 +177,3 @@ def sigma1(k: int) -> int:
         out *= (p ** (e + 1) - 1) // (p - 1)
     return out
 
-
-def euler_phi_prime_power(p: int, s: int) -> int:
-    """Euler phi of p**s for prime p and s >= 0; phi(1) is 1."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if s < 0:
-        raise ValueError(f"need s >= 0, got {s}")
-    if s == 0:
-        return 1
-    return p ** (s - 1) * (p - 1)

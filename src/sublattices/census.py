@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 from .arith import (
     distinct_prime_factors_upto,
     divisor_compositions,
-    euler_phi_prime_power,
     factorize,
     is_prime,
     ord_p,
@@ -204,16 +203,3 @@ def class_census(n: int, m: int) -> CensusTable:
         counts[key] = prod(class_size_prime(exps, p) for (p, _), exps in zip(fac, combo))
     return CensusTable(n, m, counts)
 
-
-def euler_phi_recurrence_check(n: int, p: int, r: int) -> bool:
-    """Dimension recurrence for co-cyclic counts, used as an internal cross-check.
-
-    f_n = p**r * f_{n-1}(p**r) + sum_{r1=1..r-1} phi(p**(r-r1)) * f_{n-1}(p**(r-r1)) + 1.
-    """
-    if n < 2 or r < 1:
-        raise ValueError(f"need n >= 2 and r >= 1, got n={n} r={r}")
-    lhs = cocyclic_count_prime_power(n, p, r)
-    rhs = p**r * cocyclic_count_prime_power(n - 1, p, r) + 1
-    for r1 in range(1, r):
-        rhs += euler_phi_prime_power(p, r - r1) * cocyclic_count_prime_power(n - 1, p, r - r1)
-    return lhs == rhs

@@ -6,8 +6,8 @@ against the brute-force oracle).  Structured output goes to stdout; timing and
 warnings go to stderr so reports stay byte-stable across worker counts.
 
 Exit codes: 0 success, 1 verification mismatch or internal inconsistency,
-2 invalid input, 3 work would exceed the budget (matrices, or indices for
-count cocyclic-cumulative).
+2 invalid input, 3 work would exceed the budget (matrices, indices for
+count cocyclic-cumulative, or divisor tuples for count fn --method recursion).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import os
 import sys
 import tempfile
 import time
+from math import comb, prod
 from typing import TYPE_CHECKING
 
 from .arith import factorize, is_prime, ord_p
@@ -155,6 +156,12 @@ def _save_memo(path: str | None, memo: dict) -> None:
 
 def _cmd_count_fn(args) -> int:
     if args.method == "recursion":
+        if args.n > 0 and args.m > 0:
+            # the recursion visits every ordered n-tuple of divisors with product m
+            tuples = prod(comb(e + args.n - 1, e) for _, e in factorize(args.m))
+            if tuples > DEFAULT_BUDGET:
+                scope = f"count fn n={args.n} m={args.m}"
+                raise BudgetExceededError(tuples, DEFAULT_BUDGET, scope, unit="divisor tuples")
         value = sublattice_count_recursion(args.n, args.m)
     else:
         value = sublattice_count(args.n, args.m)

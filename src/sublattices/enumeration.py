@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product, repeat
+from math import prod
 from typing import Iterator
 
 from .arith import divisor_compositions
 from .forms import HnfMatrix
 
 DEFAULT_BUDGET = 10_000_000
+_LISTED = 1 << 12  # most values of one Hermite row that block_rows lists
 
 
 class BudgetExceededError(RuntimeError):
@@ -21,28 +23,45 @@ class BudgetExceededError(RuntimeError):
         self.scope = scope
 
 
-def _row(diag: tuple[int, ...], i: int) -> Iterator[tuple[int, ...]]:
-    # row i of a Hermite form: zeros, the diagonal entry, then h[i][j] in [0, diag[j])
-    return product(*([(0,)] * i), (diag[i],), *(range(d) for d in diag[i + 1 :]))
+def _odometer(prefix: tuple[int, ...], sizes: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """prefix + v for every v in range(sizes[0]) x range(sizes[1]) x ..., last fastest.
+
+    Unlike itertools.product, no range is listed: each level holds one
+    position, and the last level runs in C.
+    """
+    if not sizes:
+        return iter((prefix,))
+    if len(sizes) == 1:
+        return map(prefix.__add__, zip(range(sizes[0])))
+    rest = sizes[1:]
+    return chain.from_iterable(_odometer(prefix + (v,), rest) for v in range(sizes[0]))
 
 
 def block_rows(diag: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Row tuples of every Hermite form with diagonal diag, in hnf_stream order.
 
-    Rows 1..n-1 are listed once; row i has prod(diag[i+1:]) options, at most
-    the square root of the block's size.  Row 0 is streamed: its entry in
-    column 1 counts through range(diag[1]), which may be as long as the
-    block, and its later entries repeat those of the listed row 1.
+    Row i is an odometer over its entries h[i][j] in range(diag[j]), j > i,
+    with prod(diag[i+1:]) values.  The trailing rows with at most _LISTED
+    values each are listed once and run through itertools.product; every
+    earlier row is iterated lazily, so at most n * _LISTED rows are held
+    whatever the block size.
     """
-    if len(diag) == 1:
-        yield (tuple(diag),)
-        return
-    tails = [tuple(_row(diag, i)) for i in range(1, len(diag))]
-    for h in range(diag[1]):
-        for row1 in tails[0]:
-            row0 = (diag[0], h) + row1[2:]
-            for tail in product(*tails):
-                yield (row0,) + tail
+    n = len(diag)
+    rows = [((0,) * i + (diag[i],), diag[i + 1 :]) for i in range(n)]
+    k = next(i for i in range(n) if prod(diag[i + 1 :]) <= _LISTED)
+    tails = [tuple(_odometer(*row)) for row in rows[k:]]
+
+    def forms(i: int, head: tuple) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if i == k:
+            return map(head.__add__, product(*tails))
+        values = _odometer(*rows[i])
+        if i == k - 1 and len(tails[0]) == 1:
+            # diag[k+1:] is all ones, so the listed rows form one tail: pair it
+            # with each value in C, with no Python step per form
+            return map(tuple.__add__, map(head.__add__, zip(values)), repeat(sum(tails, ())))
+        return chain.from_iterable(forms(i + 1, head + (row,)) for row in values)
+
+    return forms(0, ())
 
 
 def hnf_stream(n: int, m: int) -> Iterator[HnfMatrix]:
@@ -53,15 +72,13 @@ def hnf_stream(n: int, m: int) -> Iterator[HnfMatrix]:
     (h12, h13, ..., h1n, h23, ...) run through a row-major odometer with the last
     position moving fastest, each h[i][j] ranging over [0, h[j][j]).
 
-    Memory is bounded per diagonal: the first row is produced on the fly, and
-    every later row is listed once, at most sqrt(block size) tuples each,
-    where the block size is the number of forms with that diagonal.
+    Memory is bounded whatever m: a row with more than _LISTED values is
+    iterated lazily instead of listed.
     """
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n} m={m}")
     for diag in divisor_compositions(m, n):
-        for rows in block_rows(diag):
-            yield HnfMatrix(rows)
+        yield from map(HnfMatrix, block_rows(diag))
 
 
 def hnf_stream_count(n: int, m: int) -> int:

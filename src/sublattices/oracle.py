@@ -6,14 +6,15 @@ of order n-1 have gcd 1.  Both share one batched int64 kernel.  A diagonal's
 unit pattern, the set of positions where it equals 1, fixes one symbolic plan
 of the needed minors with the diagonal entries as variables: a unit column
 holds nothing but its diagonal 1.  The forms of one diagonal, a block, are cut
-into boxes of at most chunk matrices, contiguous in hnf_stream order: a box
+into boxes of at most _CHUNK matrices, contiguous in hnf_stream order: a box
 fixes the leading slots, ranges one slot and runs the trailing slots in full.
 Each slot that varies is an arange along its own axis, so every minor
 broadcasts over only the slots it reads.  Census chains are tallied by the
 index of each gcd among the divisors of m, on the un-broadcast gcd arrays.  A
 bound on every minor, with entries bounded by m, decides per pattern whether
 int64 is exact; a block whose pattern fails it is scanned matrix by matrix
-with exact Python integers, as is everything under the per-matrix methods.
+with exact Python integers: invariant_factors for the census, minor_gcd for the
+co-cyclic count.
 Each worker takes an equal contiguous part of all blocks in hnf_stream order,
 and tallies are plain sums, so they are identical for any worker count.
 """
@@ -45,14 +46,14 @@ from .forms import (
     hnf2_smith_exponent,
     hnf3_smith_exponents,
     invariant_factors,
-    invariant_factors_via_minors,
     minor_gcd,
 )
 from .polyalg import leading_terms_check
 
 _POOL_MIN = 50_000  # below this predicted count, worker pools are not worth forking
-_CHUNK = 1 << 16
+_CHUNK = 1 << 16  # most matrices in one box of the int64 kernel
 _INT64_SAFE = 1 << 62
+_SHORTCUT_CAP = 200_000  # most forms verify_index diffs against the Smith shortcuts
 
 
 def _check_scope(n: int, m: int) -> None:
@@ -319,32 +320,24 @@ def _worker(args):
     return counts
 
 
-def _check_count(name, value):
-    if not isinstance(value, int) or value < 1:
-        raise ValueError(f"need an integer {name} >= 1, got {value!r}")
-
-
-def _bruteforce(n, m, scope, jobs, budget, method, chunk, orders, tally, classify):
+def _bruteforce(n, m, scope, jobs, budget, orders, tally, classify):
     """Shared entry: validate, refuse over budget, split the blocks evenly and merge.
 
     A block runs on the int64 kernel when the minors of its unit pattern, the
     positions where its diagonal equals 1, are bounded inside int64 with
-    entries bounded by m, and is scanned otherwise; every other method scans
-    everything.  The blocks in hnf_stream order form one run of matrices, and
-    each worker takes one contiguous, equal part of it.
+    entries bounded by m, and is scanned with classify otherwise.  The blocks
+    in hnf_stream order form one run of matrices, and each worker takes one
+    contiguous, equal part of it.  The verdict and _CHUNK are read here and
+    handed to the workers, so a worker sees the parent's values.
     """
     _check_scope(n, m)
-    if method not in ("auto", "reduction", "minors"):
-        raise ValueError(f"unknown method {method!r}")
-    _check_count("jobs", jobs)
-    _check_count("chunk", chunk)
+    if not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"need an integer jobs >= 1, got {jobs!r}")
     predicted = _check_budget(n, m, budget, f"{scope} n={n} m={m}")
     blocks = []
     for diag in divisor_compositions(m, n):
-        vector = False
-        if method == "auto":
-            _, weight, degree = _pattern_plans(n, tuple(d == 1 for d in diag), orders)
-            vector = weight * m**degree < _INT64_SAFE
+        _, weight, degree = _pattern_plans(n, tuple(d == 1 for d in diag), orders)
+        vector = weight * m**degree < _INT64_SAFE
         blocks.append((diag, prod(d**j for j, d in enumerate(diag)), vector))
     workers = 1 if predicted < _POOL_MIN else min(jobs, os.cpu_count() or 1)
     total = sum(size for _, size, _ in blocks)
@@ -357,7 +350,7 @@ def _bruteforce(n, m, scope, jobs, budget, method, chunk, orders, tally, classif
             if a < z:
                 share.append((diag, a - start, z - start, vector))
         start += size
-    work = [(n, m, share, chunk, orders, tally, classify) for share in shares]
+    work = [(n, m, share, _CHUNK, orders, tally, classify) for share in shares]
     if workers == 1:
         return _worker(work[0])
     # imported only here: one worker never needs the pool module
@@ -371,47 +364,27 @@ def _bruteforce(n, m, scope, jobs, budget, method, chunk, orders, tally, classif
 
 
 def census_bruteforce(
-    n: int,
-    m: int,
-    *,
-    jobs: int = 1,
-    budget: int = DEFAULT_BUDGET,
-    method: str = "auto",
-    chunk: int = _CHUNK,
+    n: int, m: int, *, jobs: int = 1, budget: int = DEFAULT_BUDGET
 ) -> CensusTable:
     """Classify every index-m Hermite form of dimension n by its invariant factors.
 
-    method "auto" mixes the vectorized minor path with elementary reduction;
-    "reduction" and "minors" force the per-matrix algorithms so the two can be
-    played against each other.  The per-diagonal split makes the result
-    independent of jobs.
+    The minor gcds of the int64 kernel give the chain; a block past the int64
+    bound is reduced matrix by matrix.  The even split over the blocks makes
+    the result independent of jobs.
     """
     orders = tuple(range(1, n))
-    classify = invariant_factors_via_minors if method == "minors" else invariant_factors
-    counts = _bruteforce(
-        n, m, "census", jobs, budget, method, chunk, orders, _tally_chains, classify
-    )
+    counts = _bruteforce(n, m, "census", jobs, budget, orders, _tally_chains, invariant_factors)
     return CensusTable(n, m, counts)
 
 
-def cocyclic_bruteforce(
-    n: int,
-    m: int,
-    *,
-    jobs: int = 1,
-    budget: int = DEFAULT_BUDGET,
-    method: str = "auto",
-    chunk: int = _CHUNK,
-) -> int:
+def cocyclic_bruteforce(n: int, m: int, *, jobs: int = 1, budget: int = DEFAULT_BUDGET) -> int:
     """Count index-m Hermite forms whose minors of order n-1 have gcd 1.
 
     That gcd condition says the quotient group is cyclic, i.e. the invariant
-    factor chain is (1, ..., 1, m).  Every method other than "auto" scans
-    matrix by matrix with minor_gcd, independently of the census classifiers.
+    factor chain is (1, ..., 1, m).  A block past the int64 bound is scanned
+    matrix by matrix with minor_gcd.
     """
-    counts = _bruteforce(
-        n, m, "cocyclic", jobs, budget, method, chunk, (n - 1,), _tally_cocyclic, _is_cocyclic
-    )
+    counts = _bruteforce(n, m, "cocyclic", jobs, budget, (n - 1,), _tally_cocyclic, _is_cocyclic)
     return counts.get(True, 0)
 
 
@@ -498,14 +471,7 @@ def _shortcut_chain(h: HnfMatrix, fac) -> tuple[int, ...]:
     return (p**s, p ** (t - s), p ** (r - t))
 
 
-def verify_index(
-    n: int,
-    m: int,
-    *,
-    jobs: int = 1,
-    budget: int = DEFAULT_BUDGET,
-    shortcut_cap: int = 200_000,
-) -> SectionReport:
+def verify_index(n: int, m: int, *, jobs: int = 1, budget: int = DEFAULT_BUDGET) -> SectionReport:
     """Diff every formula against the brute force for one (n, m)."""
     _check_scope(n, m)
     formula = class_census(n, m)
@@ -551,7 +517,7 @@ def verify_index(
         checks.append(
             Check("multiplicative_split", split_ok, f"{len(fac)} prime power factors")
         )
-    if n in (2, 3) and len(fac) <= 1 and closed <= shortcut_cap:
+    if n in (2, 3) and len(fac) <= 1 and closed <= _SHORTCUT_CAP:
         ok = True
         detail = ""
         for h in hnf_stream(n, m):

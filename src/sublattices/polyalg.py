@@ -1,4 +1,4 @@
-"""Dense integer polynomials in one formal variable, and the class-size recursion.
+"""Dense integer polynomials in one formal variable T, and the class-size recursion.
 
 A polynomial is a plain list of int coefficients, constant term first, with no
 trailing zeros; the zero polynomial is the empty list.  Class sizes at a fixed
@@ -10,7 +10,8 @@ the prime.
 
 The recursion runs push-style, one level (dimension n, exponent sum k) at a
 time.  Each (pivot, inner) glue box of the level is scanned once, its cells are
-bucketed by merged exponent tuple, and every bucket's glue weight times the
+bucketed by merged exponent tuple (fixed by the cell's valuation levels and
+cutoff, from _profile), and every bucket's glue weight times the
 inner class polynomial goes to its target, so one pass builds every class of
 the level.  Glue weights are tallied as integer counts per (c, s), standing
 for T^s (T - 1)^c, with no polynomial arithmetic per cell."""
@@ -20,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import product as iter_product
 from math import comb
-from typing import MutableMapping, NamedTuple, Sequence
+from typing import MutableMapping, Sequence
 
 from .arith import INFINITY, partitions
 
@@ -63,7 +64,7 @@ def poly_eval(coeffs: Sequence[int], x: int) -> int:
     return out
 
 
-def poly_render(coeffs: Sequence[int], var: str = "T") -> str:
+def poly_render(coeffs: Sequence[int]) -> str:
     """Human form, highest degree first: [0, 1, 1] -> 'T^2 + T'."""
     coeffs = poly_normalize(coeffs)
     if not coeffs:
@@ -76,7 +77,7 @@ def poly_render(coeffs: Sequence[int], var: str = "T") -> str:
         if deg == 0:
             body = str(abs(c))
         else:
-            power = var if deg == 1 else f"{var}^{deg}"
+            power = "T" if deg == 1 else f"T^{deg}"
             body = power if abs(c) == 1 else f"{abs(c)}{power}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
@@ -85,52 +86,18 @@ def poly_render(coeffs: Sequence[int], var: str = "T") -> str:
     return " ".join(parts)
 
 
-class ValuationProfile(NamedTuple):
-    """Valuation levels of an inner class extended by one glue vector.
-
-    levels has one entry per dimension of the merged lattice; the entries are
-    nondecreasing and the last one is INFINITY so that a cutoff always exists.
-    cutoff is the first 1-based index whose level strictly exceeds the pivot
-    exponent.
-    """
-
-    levels: tuple
-    cutoff: int
-
-
-def _check_inner(inner: tuple[int, ...]) -> None:
-    """The inner class of a glue box must be nondecreasing and nonnegative."""
-    if any(b < 0 for b in inner) or any(inner[i] > inner[i + 1] for i in range(len(inner) - 1)):
-        raise ValueError(f"inner class must be nondecreasing and nonnegative, got {inner}")
-
-
-def valuation_profile(pivot: int, inner: Sequence[int], glue: Sequence[int]) -> ValuationProfile:
-    """Profile of the class obtained by gluing a pivot vector onto an inner class.
+def _profile(pivot: int, inner: tuple[int, ...], glue: tuple[int, ...]) -> tuple[tuple, int]:
+    """(levels, cutoff) of the class glued from a pivot vector onto an inner class.
 
     inner is the nondecreasing exponent tuple of the inner class and glue the
     componentwise valuations of the glue vector, with 0 <= glue[i] <= inner[i].
-    Level k (1-based, below the sentinel) is
+    Level k (1-based) is
         min(inner[k-1] - inner[i] + glue[i] for i < k-1,  glue[j] for j >= k-1)
-    over 0-based positions of the inner tuple.
-    """
-    inner = tuple(int(b) for b in inner)
-    glue = tuple(int(d) for d in glue)
-    if pivot < 0:
-        raise ValueError(f"pivot exponent must be nonnegative, got {pivot}")
-    if len(glue) != len(inner):
-        raise ValueError("glue vector and inner class must have equal length")
-    _check_inner(inner)
-    for b, d in zip(inner, glue):
-        if not 0 <= d <= b:
-            raise ValueError(f"glue valuation {d} outside [0, {b}]")
-    return _profile(pivot, inner, glue)
-
-
-def _profile(pivot: int, inner: tuple[int, ...], glue: tuple[int, ...]) -> ValuationProfile:
-    """valuation_profile on trusted arguments, one pass with running minima.
-
-    head is min(glue[i] - inner[i]) over the positions before q and tail[q] is
-    min(glue[q:]), so position q gets level min(inner[q] + head, tail[q]).
+    over 0-based positions of the inner tuple, and a last level INFINITY makes
+    the cutoff, the first 1-based k whose level exceeds pivot, always exist.
+    One pass with running minima: head is min(glue[i] - inner[i]) over the
+    positions before q and tail[q] is min(glue[q:]), so position q gets level
+    min(inner[q] + head, tail[q]).
     """
     tail = list(glue)
     for q in range(len(tail) - 2, -1, -1):
@@ -146,15 +113,15 @@ def _profile(pivot: int, inner: tuple[int, ...], glue: tuple[int, ...]) -> Valua
         if a > b:
             raise ArithmeticError(f"valuation levels must be nondecreasing, got {levels}")
     cutoff = next(k for k, lv in enumerate(levels, start=1) if pivot < lv)
-    return ValuationProfile(tuple(levels), cutoff)
+    return tuple(levels), cutoff
 
 
-def _merged_exponents(pivot: int, inner: tuple[int, ...], prof: ValuationProfile) -> tuple[int, ...]:
-    """Exponent tuple of the class glued from (pivot, inner) with the given profile."""
+def _merged_exponents(pivot: int, inner: tuple[int, ...], prof: tuple[tuple, int]) -> tuple[int, ...]:
+    """Exponent tuple of the class glued from (pivot, inner) with the profile (levels, cutoff)."""
     n = len(inner) + 1
-    lv = (0,) + prof.levels  # 1-based access with level_0 = 0
+    levels, k0 = prof
+    lv = (0,) + levels  # 1-based access with level_0 = 0
     b = (0,) + inner  # 1-based access with inner_0 = 0
-    k0 = prof.cutoff
     out = []
     for k in range(1, n + 1):
         if k < k0:
@@ -185,7 +152,8 @@ def admissible_glue(pivot: int, target: Sequence[int], inner: Sequence[int]) -> 
     The bucket of target in the scan of the box prod [0, inner[i]], in scan
     order.  Empty when the exponent budget sum(target) = pivot + sum(inner)
     fails.  The result does not depend on any prime, which is what makes the
-    class sizes polynomial in the prime.
+    class sizes polynomial in the prime.  The recursion reads the buckets of
+    _glue_buckets directly; this per-target view serves the benchmark probes.
     """
     target = tuple(int(a) for a in target)
     inner = tuple(int(b) for b in inner)
@@ -195,7 +163,8 @@ def admissible_glue(pivot: int, target: Sequence[int], inner: Sequence[int]) -> 
         raise ValueError("target must have one more part than the inner class")
     if sum(target) != pivot + sum(inner):
         return []
-    _check_inner(inner)
+    if any(b < 0 for b in inner) or any(inner[i] > inner[i + 1] for i in range(len(inner) - 1)):
+        raise ValueError(f"inner class must be nondecreasing and nonnegative, got {inner}")
     return _glue_buckets(pivot, inner).get(target, [])
 
 
@@ -217,16 +186,6 @@ def _glue_weight(inner: Sequence[int], glues: Sequence[Sequence[int]]) -> list[i
         for j in range(c + 1):
             out[s + j] += (-1) ** (c - j) * comb(c, j) * count
     return poly_normalize(out)
-
-
-def glue_vector_poly(inner: Sequence[int], glue: Sequence[int]) -> list[int]:
-    """Glue vector count as a polynomial in the prime: product of (T^e - T^(e-1))."""
-    if len(glue) != len(inner):
-        raise ValueError("glue vector and inner class must have equal length")
-    for b, d in zip(inner, glue):
-        if not 0 <= d <= b:
-            raise ValueError(f"glue valuation {d} outside [0, {b}]")
-    return _glue_weight(inner, [glue])
 
 
 _DEFAULT_MEMO: dict[tuple[int, ...], list[int]] = {}

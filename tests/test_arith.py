@@ -9,7 +9,6 @@ from sublattices.arith import (
     distinct_prime_factors_upto,
     divisor_compositions,
     divisors,
-    euler_phi_prime_power,
     factorize,
     is_prime,
     ord_p,
@@ -187,17 +186,3 @@ def test_sigma1_multiplicative():
             if gcd(a, b) == 1:
                 assert sigma1(a * b) == table[a] * table[b], (a, b)
 
-
-def test_euler_phi_prime_power():
-    assert euler_phi_prime_power(2, 0) == 1
-    assert euler_phi_prime_power(2, 3) == 4
-    assert euler_phi_prime_power(5, 2) == 20
-    # phi(p^s) counts units: cross-check by gcd scan
-    for p in (2, 3, 5):
-        for s in range(0, 4):
-            q = p**s
-            assert euler_phi_prime_power(p, s) == sum(1 for a in range(1, q + 1) if math.gcd(a, q) == 1)
-    with pytest.raises(ValueError):
-        euler_phi_prime_power(4, 1)
-    with pytest.raises(ValueError):
-        euler_phi_prime_power(3, -1)

@@ -3,7 +3,7 @@ from math import gcd, prod
 import pytest
 
 from sublattices import arith
-from sublattices.arith import INFINITY, factorize, partitions
+from sublattices.arith import factorize, partitions
 from sublattices.census import (
     CensusTable,
     class_census,
@@ -14,17 +14,11 @@ from sublattices.census import (
     cocyclic_count,
     cocyclic_count_prime_power,
     cocyclic_count_upto,
-    euler_phi_recurrence_check,
     sublattice_count,
     sublattice_count_recursion,
     validate_chain,
 )
-from sublattices.polyalg import (
-    admissible_glue,
-    glue_vector_poly,
-    poly_eval,
-    valuation_profile,
-)
+from sublattices.polyalg import admissible_glue
 
 # index counts pinned by hand and by the independent routes below
 KNOWN_COUNTS = {
@@ -114,28 +108,6 @@ def test_validate_chain():
         validate_chain([])
 
 
-def test_valuation_profile_levels():
-    prof = valuation_profile(2, (1, 3), (0, 2))
-    # level 1 = min(glue), level 2 = min(b2 - b1 + d1, d2), sentinel last;
-    # pivot 2 is not strictly below level 2, so the cutoff is the sentinel slot
-    assert prof.levels == (0, 2, INFINITY)
-    assert prof.cutoff == 3
-    prof = valuation_profile(0, (2,), (2,))
-    assert prof.levels == (2, INFINITY)
-    assert prof.cutoff == 1
-
-
-def test_valuation_profile_errors():
-    with pytest.raises(ValueError):
-        valuation_profile(-1, (1,), (0,))
-    with pytest.raises(ValueError):
-        valuation_profile(1, (1, 2), (0,))
-    with pytest.raises(ValueError):
-        valuation_profile(1, (2, 1), (0, 0))
-    with pytest.raises(ValueError):
-        valuation_profile(1, (1,), (2,))
-
-
 def test_admissible_glue_budget():
     # sum(target) != pivot + sum(inner) can never merge
     assert admissible_glue(1, (0, 1, 1), (1, 1)) == []
@@ -156,18 +128,6 @@ def test_admissible_glue_errors():
         admissible_glue(-1, (0, 1), (1,))
     with pytest.raises(ValueError):
         admissible_glue(1, (0, 1), (0, 1))
-
-
-def test_glue_vector_count():
-    def glue_vector_count(inner, glue, p):
-        return poly_eval(glue_vector_poly(inner, glue), p)
-
-    assert glue_vector_count((), (), 5) == 1
-    assert glue_vector_count((3,), (1,), 2) == 2  # 2^2 - 2^1
-    assert glue_vector_count((3,), (3,), 2) == 1  # pinned at the top
-    assert glue_vector_count((2, 2), (0, 1), 3) == (9 - 3) * (3 - 1)
-    with pytest.raises(ValueError):
-        glue_vector_count((1,), (2,), 3)
 
 
 def test_class_size_prime_dimension_two():
@@ -339,9 +299,15 @@ def test_cocyclic_count_upto_independent_of_segment_length(monkeypatch):
 
 
 def test_euler_phi_recurrence():
+    # dimension recurrence for co-cyclic counts:
+    # f_n(p^r) = p^r f_{n-1}(p^r) + sum_{s=1..r-1} phi(p^s) f_{n-1}(p^s) + 1,
+    # with phi(p^s) counted by a gcd scan
+    def phi(q):
+        return sum(1 for a in range(1, q + 1) if gcd(a, q) == 1)
+
     for p in (2, 3, 5):
         for n in (2, 3, 4):
             for r in range(1, 6):
-                assert euler_phi_recurrence_check(n, p, r), (n, p, r)
-    with pytest.raises(ValueError):
-        euler_phi_recurrence_check(1, 2, 3)
+                below = [cocyclic_count_prime_power(n - 1, p, s) for s in range(r + 1)]
+                rhs = p**r * below[r] + 1 + sum(phi(p**s) * below[s] for s in range(1, r))
+                assert cocyclic_count_prime_power(n, p, r) == rhs, (n, p, r)

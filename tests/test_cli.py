@@ -47,6 +47,18 @@ def test_count_fn_methods_agree(capsys):
     assert closed == rec
 
 
+def test_count_fn_recursion_refuses_unbounded_work(capsys):
+    # the product of the first 15 primes has 8**15 ordered 8-tuples of divisors
+    code, out, err = run_cli(
+        capsys, "count", "fn", "--n", "8", "--m", "614889782588491410", "--method", "recursion"
+    )
+    assert code == 3 and out == ""
+    assert f"predicted {8**15} divisor tuples exceeds the budget of 10000000" in err
+    # the closed form answers the same scope at once
+    code, out, _ = run_cli(capsys, "count", "fn", "--n", "8", "--m", "614889782588491410")
+    assert code == 0 and json.loads(out)["payload"]["value"]
+
+
 def test_count_other_subcommands(capsys):
     code, out, _ = run_cli(capsys, "count", "gn", "--n", "3", "--m", "8", "--format", "plain")
     assert code == 0 and out.strip() == "3"

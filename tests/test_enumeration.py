@@ -3,6 +3,7 @@ from itertools import islice, product, zip_longest
 
 import pytest
 
+from sublattices import enumeration
 from sublattices.arith import divisor_compositions
 from sublattices.census import sublattice_count
 from sublattices.enumeration import hnf_stream, hnf_stream_count
@@ -42,6 +43,15 @@ def test_stream_order_matches_slot_odometer(n):
             assert got == want, (n, m, k)
 
 
+@pytest.mark.parametrize("listed", [1, 3])
+def test_stream_order_with_lazy_rows(monkeypatch, listed):
+    # rows with more than _LISTED values are iterated lazily: the order holds
+    # across the switch from lazy rows to listed ones
+    monkeypatch.setattr(enumeration, "_LISTED", listed)
+    for n, m in ((1, 6), (2, 12), (3, 12), (4, 8), (5, 4)):
+        assert [h.rows for h in hnf_stream(n, m)] == list(slot_odometer(n, m)), (n, m)
+
+
 def test_scan_tally_matches_stream_slices():
     for n, m in ((2, 12), (3, 12), (4, 8), (5, 4)):
         for diag in divisor_compositions(m, n):
@@ -56,15 +66,23 @@ def test_scan_tally_matches_stream_slices():
 
 
 def test_stream_does_not_list_the_first_row():
-    # at n = 2 the diagonal (1, p) puts p forms in the first row alone
-    tracemalloc.start()
-    try:
-        first = [h.rows for h in islice(hnf_stream(2, 1_000_003), 3)]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert first == [((1, 0), (0, 1_000_003)), ((1, 1), (0, 1_000_003)), ((1, 2), (0, 1_000_003))]
-    assert peak < 1 << 20
+    # the diagonal (1, ..., 1, p) gives p values to every row but the last;
+    # such rows are iterated lazily, so the peak does not grow with p
+    p = 1_000_003
+    for n in (2, 3, 4):
+        tracemalloc.start()
+        try:
+            first = [h.rows for h in islice(hnf_stream(n, p), 3)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = []
+        for v in range(3):
+            rows = [[int(i == j) for j in range(n)] for i in range(n)]
+            rows[n - 1][n - 1], rows[n - 2][n - 1] = p, v
+            want.append(tuple(map(tuple, rows)))
+        assert first == want, n
+        assert peak < 1 << 20, (n, peak)
 
 
 def test_stream_1_m():

@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import random
+from collections import Counter
 from itertools import combinations, product as iter_product
 from math import prod
 
@@ -9,7 +10,8 @@ import pytest
 from sublattices import oracle
 from sublattices.arith import divisor_compositions
 from sublattices.census import class_census, cocyclic_count, sublattice_count
-from sublattices.forms import integer_det
+from sublattices.enumeration import hnf_stream
+from sublattices.forms import integer_det, invariant_factors, invariant_factors_via_minors, minor_gcd
 from sublattices.oracle import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -42,14 +44,14 @@ def test_bruteforce_matches_formula():
 
 
 def test_bruteforce_methods_agree(monkeypatch):
-    # vector path, tiny chunks, and both per-matrix classifiers
+    # the int64 kernel against both per-matrix classifiers over the Hermite stream
     for n, m in ((2, 36), (3, 16), (3, 24), (4, 16), (5, 4), (5, 8), (5, 9)):
-        auto = census_bruteforce(n, m).counts
-        assert auto == census_bruteforce(n, m, chunk=7).counts, (n, m)
-        assert auto == census_bruteforce(n, m, method="reduction").counts, (n, m)
+        kernel = census_bruteforce(n, m).counts
+        assert kernel == Counter(invariant_factors(h.rows) for h in hnf_stream(n, m)), (n, m)
         # the minor-gcd classifier costs seconds per call at n = 5, m = 8
         if n < 5 or m < 8:
-            assert auto == census_bruteforce(n, m, method="minors").counts, (n, m)
+            minors = Counter(invariant_factors_via_minors(h.rows) for h in hnf_stream(n, m))
+            assert kernel == minors, (n, m)
     # every chunk covers each block exactly once with boxes; small chunks cut a
     # block in the middle of an axis, with a fixed leading slot and a ranged
     # slot before the trailing ones
@@ -61,19 +63,26 @@ def test_bruteforce_methods_agree(monkeypatch):
         return real_box(diag, axes, per_order, scalars, box)
 
     monkeypatch.setattr(oracle, "_box_gcds", box_gcds)
+    default_chunk = oracle._CHUNK
     for n, m in ((3, 49), (3, 120), (4, 32), (5, 9)):
         want = class_census(n, m).counts
         want_cocyclic = cocyclic_count(n, m)
-        # the per-matrix routes fan out above the pool threshold; the minor-gcd
-        # scan behind the per-matrix co-cyclic count costs seconds at (4, 32)
-        assert census_bruteforce(n, m, method="reduction", jobs=2).counts == want, (n, m)
-        if (n, m) != (4, 32):
-            assert cocyclic_bruteforce(n, m, method="reduction", jobs=2) == want_cocyclic
+        # with no pattern inside the int64 bound every block is scanned, split
+        # over workers above the pool threshold; the minor-gcd scan behind the
+        # co-cyclic count costs seconds at (4, 32)
+        boxes.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(oracle, "_INT64_SAFE", 0)
+            assert census_bruteforce(n, m, jobs=2).counts == want, (n, m)
+            if (n, m) != (4, 32):
+                assert cocyclic_bruteforce(n, m, jobs=2) == want_cocyclic, (n, m)
+        assert boxes == []
         # one-matrix boxes cost seconds at (4, 32); (5, 9) takes chunk 1 higher up
-        for chunk in (7, 1000, oracle._CHUNK) if n == 4 else (1, 7, 1000, oracle._CHUNK):
+        for chunk in (7, 1000, default_chunk) if n == 4 else (1, 7, 1000, default_chunk):
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
             for brute, expect in ((census_bruteforce, want), (cocyclic_bruteforce, want_cocyclic)):
                 boxes.clear()
-                got = brute(n, m, chunk=chunk)
+                got = brute(n, m)
                 assert getattr(got, "counts", got) == expect, (n, m, chunk)
                 assert sum(prod(shape) for *_, shape in boxes) == sublattice_count(n, m)
                 assert max(prod(shape) for *_, shape in boxes) <= chunk
@@ -82,7 +91,7 @@ def test_bruteforce_methods_agree(monkeypatch):
 
 
 def test_bruteforce_auto_scans_only_on_int64_fallback(monkeypatch):
-    # method "auto" classifies no matrix one by one while the int64 bound holds,
+    # no matrix is classified one by one while the int64 bound holds,
     # for the census and the co-cyclic count alike
     scanned = []
     real_scan = oracle._scan_tally
@@ -131,21 +140,13 @@ def test_bruteforce_errors():
     with pytest.raises(ValueError):
         census_bruteforce(0, 4)
     with pytest.raises(ValueError):
-        census_bruteforce(2, 4, method="magic")
-    with pytest.raises(ValueError):
-        cocyclic_bruteforce(2, 4, method="magic")
-    with pytest.raises(ValueError):
         cocyclic_bruteforce(0, 4)
     # refused before the single-process path, not clamped to one worker or
-    # truncated; a chunk below 1 is refused for every method instead of hanging
+    # truncated
     for brute in (census_bruteforce, cocyclic_bruteforce):
         for jobs in (0, -3, 2.5):
             with pytest.raises(ValueError, match="jobs"):
                 brute(2, 4, jobs=jobs)
-        for method in ("auto", "reduction", "minors"):
-            for chunk in (0, -1, 2.5):
-                with pytest.raises(ValueError, match="chunk"):
-                    brute(3, 12, chunk=chunk, method=method)
 
 
 def test_bruteforce_pool_capped_at_cpu_count(monkeypatch):
@@ -193,8 +194,10 @@ def test_bruteforce_pool_capped_at_cpu_count(monkeypatch):
         assert max(totals) - min(totals) <= 1, totals
     # equal shares cut blocks in the middle; the matrix-by-matrix scan must
     # then classify exactly its part of each block
-    assert census_bruteforce(3, 30, jobs=3, method="reduction").counts == base
-    assert cocyclic_bruteforce(3, 30, jobs=3, method="reduction") == base_cocyclic
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, "_INT64_SAFE", 0)
+        assert census_bruteforce(3, 30, jobs=3).counts == base
+        assert cocyclic_bruteforce(3, 30, jobs=3) == base_cocyclic
     # a tiny int64 bound sends some blocks to the scan: with boxes of 7 it still
     # runs once per (share, block), over exactly that share's range
     scanned = []
@@ -206,10 +209,11 @@ def test_bruteforce_pool_capped_at_cpu_count(monkeypatch):
 
     monkeypatch.setattr(oracle, "_scan_tally", scan)
     monkeypatch.setattr(oracle, "_INT64_SAFE", 2 * 12**2)
+    monkeypatch.setattr(oracle, "_CHUNK", 7)
     for brute, want in ((census_bruteforce, base), (cocyclic_bruteforce, base_cocyclic)):
         handed.clear()
         scanned.clear()
-        got = brute(3, 30, jobs=3, chunk=7)
+        got = brute(3, 30, jobs=3)
         assert getattr(got, "counts", got) == want
         expected = [(d, lo, hi) for share in handed[0] for d, lo, hi, vector in share if not vector]
         assert scanned and sorted(scanned) == sorted(expected)
@@ -252,8 +256,10 @@ def test_cocyclic_bruteforce():
 
 
 def test_cocyclic_bruteforce_methods():
+    # the int64 kernel against the minor gcd of every matrix in the Hermite stream
     for n, m in ((3, 16), (4, 16), (2, 36), (5, 8)):
-        assert cocyclic_bruteforce(n, m) == cocyclic_bruteforce(n, m, method="reduction")
+        scanned = sum(minor_gcd(h.rows, n - 1) == 1 for h in hnf_stream(n, m))
+        assert cocyclic_bruteforce(n, m) == scanned, (n, m)
     with pytest.raises(BudgetExceededError):
         cocyclic_bruteforce(4, 32, budget=10)
 

@@ -13,11 +13,12 @@ from sublattices.census import (
 )
 from sublattices.oracle import census_bruteforce
 from sublattices.polyalg import (
+    _glue_weight,
     _merged_exponents,
+    _profile,
     admissible_glue,
     class_size_poly,
     cocyclic_count_poly,
-    glue_vector_poly,
     leading_terms_check,
     poly_add,
     poly_eval,
@@ -26,7 +27,6 @@ from sublattices.polyalg import (
     poly_render,
     poly_sub,
     sublattice_count_poly,
-    valuation_profile,
 )
 
 
@@ -77,8 +77,8 @@ def test_poly_render():
     assert poly_render([0, 1, 1]) == "T^2 + T"
     assert poly_render([0, -2, 1]) == "T^2 - 2T"
     assert poly_render([-1]) == "-1"
-    assert poly_render([3], var="p") == "3"
-    assert poly_render([0, 1], var="p") == "p"
+    assert poly_render([3]) == "3"
+    assert poly_render([0, 1]) == "T"
 
 
 def test_glue_vector_poly_matches_count():
@@ -99,11 +99,9 @@ def test_glue_vector_poly_matches_count():
 
     cases = [((3,), (1,)), ((3,), (3,)), ((2, 2), (0, 1)), ((), ()), ((1, 2, 2), (0, 0, 2))]
     for inner, glue in cases:
-        poly = glue_vector_poly(inner, glue)
+        poly = _glue_weight(inner, [glue])
         for p in (2, 3, 5, 7):
             assert poly_eval(poly, p) == enumerated(inner, glue, p), (inner, glue, p)
-    with pytest.raises(ValueError):
-        glue_vector_poly((1,), (2,))
 
 
 def test_class_size_poly_known():
@@ -184,7 +182,11 @@ def test_valuation_profile_matches_definition():
                 ] + [INFINITY]
                 for pivot in range(k + 2):
                     cutoff = next(j for j, lv in enumerate(levels, start=1) if pivot < lv)
-                    assert valuation_profile(pivot, inner, glue) == (tuple(levels), cutoff)
+                    assert _profile(pivot, inner, glue) == (tuple(levels), cutoff)
+    # pinned by hand: pivot 2 is not strictly below level 2 of (1, 3) glued at
+    # (0, 2), so the cutoff is the INFINITY slot
+    assert _profile(2, (1, 3), (0, 2)) == ((0, 2, INFINITY), 3)
+    assert _profile(0, (2,), (2,)) == ((2, INFINITY), 1)
 
 
 def test_admissible_glue_matches_per_target_scan():
@@ -195,7 +197,7 @@ def test_admissible_glue_matches_per_target_scan():
         for target in partitions(len(inner) + 1, pivot + sum(inner)):
             direct = [
                 g for g in box
-                if _merged_exponents(pivot, inner, valuation_profile(pivot, inner, g)) == target
+                if _merged_exponents(pivot, inner, _profile(pivot, inner, g)) == target
             ]
             assert admissible_glue(pivot, target, inner) == direct, (pivot, inner, target)
             total += len(direct)
