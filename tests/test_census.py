@@ -3,7 +3,7 @@ from math import gcd, prod
 import pytest
 
 from sublattices import arith
-from sublattices.arith import factorize, partitions
+from sublattices.arith import INFINITY, factorize, partitions
 from sublattices.census import (
     CensusTable,
     class_census,
@@ -18,7 +18,7 @@ from sublattices.census import (
     sublattice_count_recursion,
     validate_chain,
 )
-from sublattices.polyalg import admissible_glue
+from sublattices.polyalg import _glue_buckets, _glue_weight, _profile, admissible_glue, poly_eval
 
 # index counts pinned by hand and by the independent routes below
 KNOWN_COUNTS = {
@@ -108,6 +108,13 @@ def test_validate_chain():
         validate_chain([])
 
 
+def test_valuation_profile_levels():
+    # level 1 = min(glue), level 2 = min(b2 - b1 + d1, d2), sentinel last;
+    # pivot 2 is not strictly below level 2, so the cutoff is the sentinel slot
+    assert _profile(2, (1, 3), (0, 2)) == ((0, 2, INFINITY), 3)
+    assert _profile(0, (2,), (2,)) == ((2, INFINITY), 1)
+
+
 def test_admissible_glue_budget():
     # sum(target) != pivot + sum(inner) can never merge
     assert admissible_glue(1, (0, 1, 1), (1, 1)) == []
@@ -128,6 +135,21 @@ def test_admissible_glue_errors():
         admissible_glue(-1, (0, 1), (1,))
     with pytest.raises(ValueError):
         admissible_glue(1, (0, 1), (0, 1))
+
+
+def test_glue_vector_count():
+    def glue_vector_count(inner, glue, p):
+        return poly_eval(_glue_weight(inner, [glue]), p)
+
+    assert glue_vector_count((), (), 5) == 1
+    assert glue_vector_count((3,), (1,), 2) == 2  # 2^2 - 2^1
+    assert glue_vector_count((3,), (3,), 2) == 1  # pinned at the top
+    assert glue_vector_count((2, 2), (0, 1), 3) == (9 - 3) * (3 - 1)
+    # _glue_weight takes its glue tuples from the box scan, which never puts a
+    # glue valuation above the inner exponent, so it checks no bounds itself
+    for pivot, inner in ((1, (1,)), (0, (2, 2)), (2, (1, 3))):
+        for glues in _glue_buckets(pivot, inner).values():
+            assert all(0 <= d <= b for glue in glues for b, d in zip(inner, glue))
 
 
 def test_class_size_prime_dimension_two():

@@ -183,10 +183,6 @@ def test_valuation_profile_matches_definition():
                 for pivot in range(k + 2):
                     cutoff = next(j for j, lv in enumerate(levels, start=1) if pivot < lv)
                     assert _profile(pivot, inner, glue) == (tuple(levels), cutoff)
-    # pinned by hand: pivot 2 is not strictly below level 2 of (1, 3) glued at
-    # (0, 2), so the cutoff is the INFINITY slot
-    assert _profile(2, (1, 3), (0, 2)) == ((0, 2, INFINITY), 3)
-    assert _profile(0, (2,), (2,)) == ((2, INFINITY), 1)
 
 
 def test_admissible_glue_matches_per_target_scan():
