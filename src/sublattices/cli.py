@@ -20,10 +20,11 @@ import os
 import sys
 import tempfile
 import time
+from itertools import islice
 from math import comb, prod
 from typing import TYPE_CHECKING
 
-from .arith import factorize, is_prime, ord_p
+from .arith import factorize, is_prime, ord_p, partitions
 from .census import (
     class_count,
     cocyclic_count,
@@ -103,7 +104,10 @@ def _load_memo(path: str | None) -> dict:
     """Read a coefficient cache, dropping it with a warning if anything is off.
 
     Keys look like "n:k:a1,...,aN" for a nondecreasing exponent tuple of length
-    n summing to k; values are constant-first integer coefficient lists.
+    n summing to k; values are constant-first integer coefficient lists.  The
+    program stores whole levels (n, k), so each level must hold every partition
+    of k into n parts, and its class sizes must sum to the sublattice count of
+    index T**k at T = 2 and T = 3.
     """
     if not path or not os.path.exists(path):
         return {}
@@ -113,6 +117,7 @@ def _load_memo(path: str | None) -> dict:
         if not isinstance(raw, dict):
             raise ValueError("cache root must be an object")
         memo = {}
+        levels: dict = {}
         for key, val in raw.items():
             n_text, k_text, exps_text = key.split(":")
             exps = tuple(int(x) for x in exps_text.split(","))
@@ -127,6 +132,15 @@ def _load_memo(path: str | None) -> dict:
             if val and val[-1] == 0:
                 raise ValueError(f"coefficient list under {key!r} has trailing zeros")
             memo[exps] = val
+            levels.setdefault((len(exps), sum(exps)), {})[exps] = val
+        for (n, k), level in levels.items():
+            # every key is a partition of k into n parts, so the level is whole
+            # when no partition is left over; the walk stops one past the level
+            if set(level) != set(islice(partitions(n, k), len(level) + 1)):
+                raise ValueError(f"level {n}:{k} lacks a partition")
+            for t in (2, 3):
+                if sum(poly_eval(c, t) for c in level.values()) != sublattice_count(n, t**k):
+                    raise ValueError(f"level {n}:{k} does not sum to the count at T={t}")
         return memo
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"warning: ignoring unusable cache {path}: {exc}", file=sys.stderr)

@@ -1,8 +1,8 @@
-"""Exhaustive ground truth: classify every Hermite-form matrix and diff the formulas.
+"""Exhaustive ground truth: sort every Hermite-form matrix into its class, diff the formulas.
 
 The brute-force census enumerates all index-m Hermite forms and tallies them by
 invariant factor chain; the co-cyclic count tallies them by whether the minors
-of order n-1 have gcd 1.  Both share one batched int64 kernel.  A diagonal's
+of order n-1 have gcd 1.  Both run on one batched int64 kernel.  A diagonal's
 unit pattern, the set of positions where it equals 1, fixes one symbolic plan
 of the needed minors with the diagonal entries as variables: a unit column
 holds nothing but its diagonal 1.  The forms of one diagonal, a block, are cut
@@ -11,10 +11,9 @@ fixes the leading slots, ranges one slot and runs the trailing slots in full.
 Each slot that varies is an arange along its own axis, so every minor
 broadcasts over only the slots it reads.  Census chains are tallied by the
 index of each gcd among the divisors of m, on the un-broadcast gcd arrays.  A
-bound on every minor, with entries bounded by m, decides per pattern whether
-int64 is exact; a block whose pattern fails it is scanned matrix by matrix
-with exact Python integers: invariant_factors for the census, minor_gcd for the
-co-cyclic count.
+bound on every minor, with entries bounded by m, says whether int64 is exact;
+a scope where any pattern's bound reaches _INT64_SAFE is refused up front,
+like one over the matrix budget, so no answer leaves the kernel.
 Each worker takes an equal contiguous part of all blocks in hnf_stream order,
 and tallies are plain sums, so they are identical for any worker count.
 """
@@ -25,7 +24,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, islice, product as iter_product
+from itertools import chain, product as iter_product
 from math import gcd, prod
 
 import numpy as np
@@ -40,13 +39,12 @@ from .census import (
     sublattice_count,
     sublattice_count_recursion,
 )
-from .enumeration import DEFAULT_BUDGET, BudgetExceededError, block_rows, hnf_stream
+from .enumeration import DEFAULT_BUDGET, BudgetExceededError, hnf_stream
 from .forms import (
     HnfMatrix,
     hnf2_smith_exponent,
     hnf3_smith_exponents,
     invariant_factors,
-    minor_gcd,
 )
 from .polyalg import leading_terms_check
 
@@ -286,71 +284,50 @@ def _tally_cocyclic(n, m, parts):
     return {True: hits}
 
 
-def _is_cocyclic(rows) -> bool:
-    return minor_gcd(rows, len(rows) - 1) == 1
-
-
-def _scan_tally(n, diag, classify, lo, hi):
-    """Classify positions lo..hi-1 of one block matrix by matrix, in hnf_stream order."""
-    counts: dict = {}
-    for rows in islice(block_rows(diag), lo, hi):
-        key = classify(rows)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def _merge(counts, part):
-    for key, v in part.items():
-        counts[key] = counts.get(key, 0) + v
-
-
 def _worker(args):
-    """Tally one share: ranges of blocks, on the int64 kernel or matrix by matrix."""
-    n, m, share, chunk, orders, tally, classify = args
-    counts: dict = {}
+    """Tally one share, ranges of blocks, on the int64 kernel."""
+    n, m, share, chunk, orders, tally = args
     parts = []
-    for diag, lo, hi, vector in share:
-        if vector:
-            per_order = _pattern_plans(n, tuple(d == 1 for d in diag), orders)[0]
-            parts.append(_block_gcds(n, diag, per_order, lo, hi, chunk))
-        else:
-            _merge(counts, _scan_tally(n, diag, classify, lo, hi))
-    if parts:
-        _merge(counts, tally(n, m, chain.from_iterable(parts)))
-    return counts
+    for diag, lo, hi in share:
+        per_order = _pattern_plans(n, tuple(d == 1 for d in diag), orders)[0]
+        parts.append(_block_gcds(n, diag, per_order, lo, hi, chunk))
+    return tally(n, m, chain.from_iterable(parts))
 
 
-def _bruteforce(n, m, scope, jobs, budget, orders, tally, classify):
-    """Shared entry: validate, refuse over budget, split the blocks evenly and merge.
+def _bruteforce(n, m, scope, jobs, budget, orders, tally):
+    """Shared entry: validate, refuse up front, split the blocks evenly and merge.
 
-    A block runs on the int64 kernel when the minors of its unit pattern, the
-    positions where its diagonal equals 1, are bounded inside int64 with
-    entries bounded by m, and is scanned with classify otherwise.  The blocks
-    in hnf_stream order form one run of matrices, and each worker takes one
-    contiguous, equal part of it.  The verdict and _CHUNK are read here and
-    handed to the workers, so a worker sees the parent's values.
+    Refuses with BudgetExceededError before any box runs: over budget matrices,
+    or where the minor bound weight * m**degree of a unit pattern, the
+    positions where a diagonal equals 1, reaches _INT64_SAFE.  The blocks in
+    hnf_stream order form one run of matrices, and each worker takes one
+    contiguous, equal part of it.  _CHUNK is read here and handed to the
+    workers, so a worker sees the parent's value.
     """
     _check_scope(n, m)
     if not isinstance(jobs, int) or jobs < 1:
         raise ValueError(f"need an integer jobs >= 1, got {jobs!r}")
-    predicted = _check_budget(n, m, budget, f"{scope} n={n} m={m}")
+    where = f"{scope} n={n} m={m}"
+    predicted = _check_budget(n, m, budget, where)
     blocks = []
     for diag in divisor_compositions(m, n):
         _, weight, degree = _pattern_plans(n, tuple(d == 1 for d in diag), orders)
-        vector = weight * m**degree < _INT64_SAFE
-        blocks.append((diag, prod(d**j for j, d in enumerate(diag)), vector))
+        bound = weight * m**degree
+        if bound >= _INT64_SAFE:
+            raise BudgetExceededError(bound, _INT64_SAFE, f"{where} on int64", unit="minor bound")
+        blocks.append((diag, prod(d**j for j, d in enumerate(diag))))
     workers = 1 if predicted < _POOL_MIN else min(jobs, os.cpu_count() or 1)
-    total = sum(size for _, size, _ in blocks)
+    total = sum(size for _, size in blocks)
     cuts = [total * w // workers for w in range(workers + 1)]
     shares: list[list] = [[] for _ in range(workers)]
     start = 0
-    for diag, size, vector in blocks:
+    for diag, size in blocks:
         for share, lo, hi in zip(shares, cuts, cuts[1:]):
             a, z = max(lo, start), min(hi, start + size)
             if a < z:
-                share.append((diag, a - start, z - start, vector))
+                share.append((diag, a - start, z - start))
         start += size
-    work = [(n, m, share, _CHUNK, orders, tally, classify) for share in shares]
+    work = [(n, m, share, _CHUNK, orders, tally) for share in shares]
     if workers == 1:
         return _worker(work[0])
     # imported only here: one worker never needs the pool module
@@ -359,7 +336,8 @@ def _bruteforce(n, m, scope, jobs, budget, orders, tally, classify):
     counts: dict = {}
     with ProcessPoolExecutor(max_workers=workers) as ex:
         for part in ex.map(_worker, work):
-            _merge(counts, part)
+            for key, v in part.items():
+                counts[key] = counts.get(key, 0) + v
     return counts
 
 
@@ -368,12 +346,13 @@ def census_bruteforce(
 ) -> CensusTable:
     """Classify every index-m Hermite form of dimension n by its invariant factors.
 
-    The minor gcds of the int64 kernel give the chain; a block past the int64
-    bound is reduced matrix by matrix.  The even split over the blocks makes
-    the result independent of jobs.
+    The minor gcds of the int64 kernel give the chain.  The even split over
+    the blocks makes the result independent of jobs.  Raises
+    BudgetExceededError, before any work, over budget matrices or where a
+    minor could leave int64.
     """
     orders = tuple(range(1, n))
-    counts = _bruteforce(n, m, "census", jobs, budget, orders, _tally_chains, invariant_factors)
+    counts = _bruteforce(n, m, "census", jobs, budget, orders, _tally_chains)
     return CensusTable(n, m, counts)
 
 
@@ -381,10 +360,10 @@ def cocyclic_bruteforce(n: int, m: int, *, jobs: int = 1, budget: int = DEFAULT_
     """Count index-m Hermite forms whose minors of order n-1 have gcd 1.
 
     That gcd condition says the quotient group is cyclic, i.e. the invariant
-    factor chain is (1, ..., 1, m).  A block past the int64 bound is scanned
-    matrix by matrix with minor_gcd.
+    factor chain is (1, ..., 1, m).  Refused like census_bruteforce, over
+    budget matrices or where a minor could leave int64.
     """
-    counts = _bruteforce(n, m, "cocyclic", jobs, budget, (n - 1,), _tally_cocyclic, _is_cocyclic)
+    counts = _bruteforce(n, m, "cocyclic", jobs, budget, (n - 1,), _tally_cocyclic)
     return counts.get(True, 0)
 
 

@@ -153,7 +153,8 @@ def admissible_glue(pivot: int, target: Sequence[int], inner: Sequence[int]) -> 
     order.  Empty when the exponent budget sum(target) = pivot + sum(inner)
     fails.  The result does not depend on any prime, which is what makes the
     class sizes polynomial in the prime.  The recursion reads the buckets of
-    _glue_buckets directly; this per-target view serves the benchmark probes.
+    _glue_buckets directly and never calls this per-target view; it stays for
+    the benchmark's census.glue_cells probe, which wraps it and so counts 0 cells.
     """
     target = tuple(int(a) for a in target)
     inner = tuple(int(b) for b in inner)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from sublattices import oracle
 from sublattices.cli import main
 
 
@@ -243,6 +244,13 @@ def test_poly_cache_roundtrip(tmp_path, capsys):
     )
     assert code == 0
     assert out1 == out2
+    # a whole level far up, here (1, 2000), loads without a warning and is kept
+    cache.write_text(json.dumps({"1:2000:2000": [1]}))
+    code, out3, err = run_cli(
+        capsys, "poly", "class", "--n", "3", "--partition", "0,1,2", "--cache", str(cache)
+    )
+    assert code == 0 and out3 == out1 and "warning" not in err
+    assert json.loads(cache.read_text())["1:2000:2000"] == [1]
 
 
 def test_count_class_uses_cache(tmp_path, capsys):
@@ -314,6 +322,28 @@ def test_poly_cache_rejects_wrong_shapes(tmp_path, capsys):
         capsys, "poly", "class", "--n", "2", "--partition", "0,1", "--cache", str(cache)
     )
     assert code == 0 and "warning" in err
+    # well-formed but wrong: the level (2, 1) sums to 5, not f_2(2) = 3
+    cache.write_text(json.dumps({"2:1:0,1": [5]}))
+    code, out, err = run_cli(
+        capsys, "poly", "class", "--n", "2", "--partition", "0,1", "--cache", str(cache)
+    )
+    assert code == 0 and "warning" in err and "does not sum" in err
+    assert json.loads(out)["payload"]["coefficients"] == ["1", "1"]
+    # the level (2, 2) without its partition (1, 1)
+    cache.write_text(json.dumps({"2:2:0,2": [0, 1, 1]}))
+    code, _, err = run_cli(
+        capsys, "poly", "class", "--n", "2", "--partition", "0,1", "--cache", str(cache)
+    )
+    assert code == 0 and "warning" in err and "lacks a partition" in err
+
+
+def test_verify_refuses_minors_past_int64(capsys, monkeypatch):
+    # refused up front with the int64 limit named, before any stdout
+    monkeypatch.setattr(oracle, "_INT64_SAFE", 1)
+    code, out, err = run_cli(capsys, "verify", "--n", "3", "--m", "12")
+    assert code == 3
+    assert out == ""
+    assert "int64" in err and "the budget of 1\n" in err
 
 
 def test_poly_cache_env_var(tmp_path, capsys, monkeypatch):

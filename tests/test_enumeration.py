@@ -7,8 +7,7 @@ from sublattices import enumeration
 from sublattices.arith import divisor_compositions
 from sublattices.census import sublattice_count
 from sublattices.enumeration import hnf_stream, hnf_stream_count
-from sublattices.forms import invariant_factors, validate_hnf
-from sublattices.oracle import _scan_tally
+from sublattices.forms import validate_hnf
 
 
 def slot_odometer(n, m):
@@ -50,19 +49,6 @@ def test_stream_order_with_lazy_rows(monkeypatch, listed):
     monkeypatch.setattr(enumeration, "_LISTED", listed)
     for n, m in ((1, 6), (2, 12), (3, 12), (4, 8), (5, 4)):
         assert [h.rows for h in hnf_stream(n, m)] == list(slot_odometer(n, m)), (n, m)
-
-
-def test_scan_tally_matches_stream_slices():
-    for n, m in ((2, 12), (3, 12), (4, 8), (5, 4)):
-        for diag in divisor_compositions(m, n):
-            block = [h.rows for h in hnf_stream(n, m) if h.diag == diag]
-            size = len(block)
-            for lo, hi in ((0, size), (1, size), (0, size - 1), (size // 3, 2 * size // 3)):
-                want: dict = {}
-                for rows in block[lo:hi]:
-                    key = invariant_factors(rows)
-                    want[key] = want.get(key, 0) + 1
-                assert _scan_tally(n, diag, invariant_factors, lo, hi) == want, (diag, lo, hi)
 
 
 def test_stream_does_not_list_the_first_row():

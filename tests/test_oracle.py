@@ -39,7 +39,7 @@ def test_bruteforce_matches_formula():
     for m in (2, 4, 8, 12, 16):
         assert census_bruteforce(4, m).counts == class_census(4, m).counts, m
     # past the old n <= 4 cap: blocks of 256 and more run on the int64 kernel
-    for n, m in ((5, 6), (5, 8), (5, 9), (5, 12), (6, 4), (6, 8)):
+    for n, m in ((5, 6), (5, 8), (5, 9), (5, 12), (6, 4), (6, 8), (8, 4)):
         assert census_bruteforce(n, m).counts == class_census(n, m).counts, (n, m)
 
 
@@ -67,15 +67,14 @@ def test_bruteforce_methods_agree(monkeypatch):
     for n, m in ((3, 49), (3, 120), (4, 32), (5, 9)):
         want = class_census(n, m).counts
         want_cocyclic = cocyclic_count(n, m)
-        # with no pattern inside the int64 bound every block is scanned, split
-        # over workers above the pool threshold; the minor-gcd scan behind the
-        # co-cyclic count costs seconds at (4, 32)
+        # with no pattern inside the int64 bound both brute forces refuse the
+        # scope before any box runs, on one worker or split over several
         boxes.clear()
         with monkeypatch.context() as mp:
             mp.setattr(oracle, "_INT64_SAFE", 0)
-            assert census_bruteforce(n, m, jobs=2).counts == want, (n, m)
-            if (n, m) != (4, 32):
-                assert cocyclic_bruteforce(n, m, jobs=2) == want_cocyclic, (n, m)
+            for brute in (census_bruteforce, cocyclic_bruteforce):
+                with pytest.raises(BudgetExceededError, match="int64"):
+                    brute(n, m, jobs=2)
         assert boxes == []
         # one-matrix boxes cost seconds at (4, 32); (5, 9) takes chunk 1 higher up
         for chunk in (7, 1000, default_chunk) if n == 4 else (1, 7, 1000, default_chunk):
@@ -90,28 +89,22 @@ def test_bruteforce_methods_agree(monkeypatch):
                     assert any(fixed and len(shape) > 1 for fixed, _, shape in boxes), (n, m)
 
 
-def test_bruteforce_auto_scans_only_on_int64_fallback(monkeypatch):
-    # no matrix is classified one by one while the int64 bound holds,
-    # for the census and the co-cyclic count alike
-    scanned = []
-    real_scan = oracle._scan_tally
-
-    def scan(n, diag, classify, lo, hi):
-        scanned.append((n, diag, lo, hi))
-        return real_scan(n, diag, classify, lo, hi)
-
-    monkeypatch.setattr(oracle, "_scan_tally", scan)
-    for n, m in ((2, 36), (3, 120), (4, 16), (5, 8), (5, 9), (6, 8), (8, 4)):
-        assert census_bruteforce(n, m).counts == class_census(n, m).counts, (n, m)
-        assert cocyclic_bruteforce(n, m) == cocyclic_count(n, m), (n, m)
-    assert scanned == []
-    # a tiny bound sends the patterns with a two-term minor of degree 2 or more
-    # to the scan and keeps the rest on the kernel; the answers must not move
-    monkeypatch.setattr(oracle, "_INT64_SAFE", 2 * 12**2)
-    for n, m in ((3, 12), (4, 8)):
-        assert census_bruteforce(n, m).counts == class_census(n, m).counts, (n, m)
-        assert cocyclic_bruteforce(n, m) == cocyclic_count(n, m), (n, m)
-    assert scanned
+def test_int64_gate_never_refuses_within_default_budget():
+    # the diagonal (1, ..., 1, m) alone has m**(n-1) forms, so every scope the
+    # default budget admits has m**(n-1) <= DEFAULT_BUDGET; prime m reach that
+    # far (n = 3 admits m = 3137), well past the first m over the budget
+    for n in range(3, 7):
+        bounds = [
+            oracle._pattern_plans(n, units, orders)[1:]
+            for units in iter_product((False, True), repeat=n)
+            for orders in (tuple(range(1, n)), (n - 1,))
+        ]
+        m = 1
+        while m ** (n - 1) <= DEFAULT_BUDGET:
+            for weight, degree in bounds:
+                assert weight * m**degree < oracle._INT64_SAFE, (n, m)
+            m += 1
+        assert sublattice_count(n, m) > DEFAULT_BUDGET, (n, m)
 
 
 def test_bruteforce_jobs_deterministic():
@@ -185,38 +178,13 @@ def test_bruteforce_pool_capped_at_cpu_count(monkeypatch):
     for shares, workers in zip(handed, sizes):
         assert len(shares) == workers
         merged: list = []
-        for diag, lo, hi, _ in (item for share in shares for item in share):
+        for diag, lo, hi in (item for share in shares for item in share):
             if merged and merged[-1][0] == diag and merged[-1][2] == lo:
                 lo = merged.pop()[1]
             merged.append((diag, lo, hi))
         assert merged == [(diag, 0, size) for diag, size in blocks.items()]
-        totals = [sum(hi - lo for _, lo, hi, _ in share) for share in shares]
+        totals = [sum(hi - lo for _, lo, hi in share) for share in shares]
         assert max(totals) - min(totals) <= 1, totals
-    # equal shares cut blocks in the middle; the matrix-by-matrix scan must
-    # then classify exactly its part of each block
-    with monkeypatch.context() as mp:
-        mp.setattr(oracle, "_INT64_SAFE", 0)
-        assert census_bruteforce(3, 30, jobs=3).counts == base
-        assert cocyclic_bruteforce(3, 30, jobs=3) == base_cocyclic
-    # a tiny int64 bound sends some blocks to the scan: with boxes of 7 it still
-    # runs once per (share, block), over exactly that share's range
-    scanned = []
-    real_scan = oracle._scan_tally
-
-    def scan(n, diag, classify, lo, hi):
-        scanned.append((diag, lo, hi))
-        return real_scan(n, diag, classify, lo, hi)
-
-    monkeypatch.setattr(oracle, "_scan_tally", scan)
-    monkeypatch.setattr(oracle, "_INT64_SAFE", 2 * 12**2)
-    monkeypatch.setattr(oracle, "_CHUNK", 7)
-    for brute, want in ((census_bruteforce, base), (cocyclic_bruteforce, base_cocyclic)):
-        handed.clear()
-        scanned.clear()
-        got = brute(3, 30, jobs=3)
-        assert getattr(got, "counts", got) == want
-        expected = [(d, lo, hi) for share in handed[0] for d, lo, hi, vector in share if not vector]
-        assert scanned and sorted(scanned) == sorted(expected)
 
 
 def test_pattern_plans_are_the_minors_of_any_such_matrix():
@@ -251,7 +219,7 @@ def test_cocyclic_bruteforce():
     for n in (1, 2, 3, 4):
         for m in range(1, 33):
             assert cocyclic_bruteforce(n, m) == cocyclic_count(n, m), (n, m)
-    for n, m in ((5, 6), (5, 8), (5, 9), (5, 12), (6, 4), (6, 8)):
+    for n, m in ((5, 6), (5, 8), (5, 9), (5, 12), (6, 4), (6, 8), (8, 4)):
         assert cocyclic_bruteforce(n, m) == cocyclic_count(n, m), (n, m)
 
 
