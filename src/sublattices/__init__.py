@@ -3,8 +3,9 @@
 Sublattices of index m correspond to Hermite-form matrices with determinant m,
 and unimodular equivalence classes correspond to invariant factor chains.  The
 package provides closed-form counts, per-class sizes (polynomials in the
-prime from one glue recursion, and their values at a given prime), streaming
-enumeration, and a brute-force oracle for diffing.
+prime from a closed form that the paper's glue recursion verifies, and their
+values at a given prime), streaming enumeration, and a brute-force oracle for
+diffing.
 
 Public names are resolved lazily (PEP 562): each is imported from its
 submodule on first use, so only code that touches the oracle loads NumPy.
@@ -35,6 +36,7 @@ _SOURCES = {
     "cocyclic_count_prime_power": "census",
     "cocyclic_count_upto": "census",
     "sublattice_count": "census",
+    "sublattice_count_prime_power": "census",
     "sublattice_count_recursion": "census",
     "validate_chain": "census",
     "hnf_stream": "enumeration",

@@ -128,30 +128,46 @@ def divisor_compositions(m: int, n: int) -> Iterator[tuple[int, ...]]:
 
 
 def partitions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of k into exactly n nondecreasing nonnegative parts, lexicographic."""
+    """Partitions of k into exactly n nondecreasing nonnegative parts, lexicographic.
+
+    Iterative, so n and k are not bounded by the recursion limit: from
+    (0, ..., 0, k), each step grows by one the rightmost part before the last
+    that can grow, sets every later part but the last equal to it, and gives
+    the last part the rest.
+    """
     if n < 1 or k < 0:
         raise ValueError(f"need n >= 1 and k >= 0, got n={n} k={k}")
-
-    def rec(slots: int, total: int, lo: int) -> Iterator[tuple[int, ...]]:
-        if slots == 1:
-            if total >= lo:
-                yield (total,)
+    parts = [0] * (n - 1) + [k]
+    while True:
+        yield tuple(parts)
+        rest = parts[-1]  # sum of parts[i:]
+        for i in range(n - 2, -1, -1):
+            rest += parts[i]
+            if rest >= (n - i) * (parts[i] + 1):
+                break
+            if parts[i] == 0:
+                return  # every earlier part is 0 too, and cannot grow either
+        else:
             return
-        for a in range(lo, total // slots + 1):
-            for tail in rec(slots - 1, total - a, a):
-                yield (a,) + tail
-
-    yield from rec(n, k, 0)
+        grown = parts[i] + 1
+        parts[i : n - 1] = [grown] * (n - 1 - i)
+        parts[-1] = rest - grown * (n - 1 - i)
 
 
 @lru_cache(maxsize=None)
 def partition_count(n: int, k: int) -> int:
-    """len(list(partitions(n, k))) without enumerating, via the removal recurrence."""
-    if k < 0:
+    """len(list(partitions(n, k))) without enumerating.
+
+    The partitions of k into at most n positive parts, counted by their
+    conjugates, whose parts are at most n: one pass per part size, O(n k).
+    """
+    if n < 0 or k < 0:
         return 0
-    if n == 0:
-        return 1 if k == 0 else 0
-    return partition_count(n - 1, k) + partition_count(n, k - n)
+    ways = [1] + [0] * k
+    for size in range(1, min(n, k) + 1):
+        for total in range(size, k + 1):
+            ways[total] += ways[total - size]
+    return ways[k]
 
 
 def ord_p(p: int, m: int) -> int | float:

@@ -2,9 +2,9 @@
 
 Two sublattices of Z^n count as equivalent when a unimodular change of basis maps
 one onto the other, which happens exactly when they share the same invariant
-factor chain d1 | d2 | ... | dn.  Class sizes at a prime power come from the
-glue recursion in polyalg, evaluated at the prime.  Everything here is exact
-integer arithmetic.
+factor chain d1 | d2 | ... | dn.  Class sizes at a prime power are the
+class-size polynomials of polyalg, evaluated at the prime.  Everything here is
+exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -47,25 +47,32 @@ def sublattice_count_recursion(n: int, m: int) -> int:
     return total
 
 
-def sublattice_count(n: int, m: int) -> int:
-    """Number of index-m sublattices of Z^n, multiplicative closed form.
+def sublattice_count_prime_power(n: int, p: int, r: int) -> int:
+    """Number of index-p**r sublattices of Z^n: prod_{j=1..n-1} (p^(j+r)-1)/(p^j-1).
 
-    Per prime power p**r the count is prod_{j=1..n-1} (p^(j+r)-1)/(p^j-1);
-    the quotient of the full products is exact even though individual factors
-    need not divide, so we multiply everything out before the one division.
+    No factorization, so its cost does not grow with r beyond the size of the
+    answer.  The product is the Gaussian binomial [n-1+r choose r] at p, so it
+    runs over j up to min(n-1, r) with the two roles swapped.  The quotient of
+    the full products is exact even though individual factors need not divide,
+    so everything is multiplied out before the one division.
     """
+    if n < 1 or r < 0:
+        raise ValueError(f"need n >= 1 and r >= 0, got n={n} r={r}")
+    short, long = sorted((n - 1, r))
+    num = 1
+    den = 1
+    for j in range(1, short + 1):
+        num *= p ** (j + long) - 1
+        den *= p**j - 1
+    if num % den:
+        raise ArithmeticError(f"closed form lost exactness at p={p} r={r} n={n}")
+    return num // den
+
+
+def sublattice_count(n: int, m: int) -> int:
+    """Number of index-m sublattices of Z^n, the product of the prime-power counts."""
     _check_nm(n, m)
-    total = 1
-    for p, r in factorize(m):
-        num = 1
-        den = 1
-        for j in range(1, n):
-            num *= p ** (j + r) - 1
-            den *= p**j - 1
-        if num % den:
-            raise ArithmeticError(f"closed form lost exactness at p={p} r={r} n={n}")
-        total *= num // den
-    return total
+    return prod(sublattice_count_prime_power(n, p, r) for p, r in factorize(m))
 
 
 def class_count(n: int, m: int) -> int:
@@ -99,7 +106,7 @@ def class_size_prime(exponents: Sequence[int], p: int) -> int:
     """Number of sublattices whose invariant factors are p**e along the exponent tuple.
 
     The class-size polynomial of class_size_poly evaluated at p, so every prime
-    shares one memoized recursion per exponent tuple.
+    shares one memoized polynomial per exponent tuple.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")

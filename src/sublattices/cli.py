@@ -30,6 +30,7 @@ from .census import (
     cocyclic_count,
     cocyclic_count_upto,
     sublattice_count,
+    sublattice_count_prime_power,
     sublattice_count_recursion,
     validate_chain,
 )
@@ -107,7 +108,8 @@ def _load_memo(path: str | None) -> dict:
     n summing to k; values are constant-first integer coefficient lists.  The
     program stores whole levels (n, k), so each level must hold every partition
     of k into n parts, and its class sizes must sum to the sublattice count of
-    index T**k at T = 2 and T = 3.
+    index T**k at T = 2 and T = 3, from the prime-power formula, whose cost
+    does not grow with k beyond the size of the count.
     """
     if not path or not os.path.exists(path):
         return {}
@@ -139,7 +141,8 @@ def _load_memo(path: str | None) -> dict:
             if set(level) != set(islice(partitions(n, k), len(level) + 1)):
                 raise ValueError(f"level {n}:{k} lacks a partition")
             for t in (2, 3):
-                if sum(poly_eval(c, t) for c in level.values()) != sublattice_count(n, t**k):
+                want = sublattice_count_prime_power(n, t, k)
+                if sum(poly_eval(c, t) for c in level.values()) != want:
                     raise ValueError(f"level {n}:{k} does not sum to the count at T={t}")
         return memo
     except (OSError, ValueError, json.JSONDecodeError) as exc:

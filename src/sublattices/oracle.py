@@ -29,7 +29,7 @@ from math import gcd, prod
 
 import numpy as np
 
-from .arith import divisor_compositions, divisors, factorize, is_prime
+from .arith import divisor_compositions, divisors, factorize, is_prime, partitions
 from .census import (
     CensusTable,
     class_census,
@@ -46,7 +46,7 @@ from .forms import (
     hnf3_smith_exponents,
     invariant_factors,
 )
-from .polyalg import leading_terms_check
+from .polyalg import class_size_poly, class_size_poly_glue, leading_terms_check, poly_render
 
 _POOL_MIN = 50_000  # below this predicted count, worker pools are not worth forking
 _CHUNK = 1 << 16  # most matrices in one box of the int64 kernel
@@ -566,12 +566,37 @@ def _multiplicativity_section(limit: int = 120, max_n: int = 3) -> SectionReport
     return SectionReport("multiplicativity across coprime factors", checks=checks)
 
 
+def _closed_vs_glue_section(max_n: int = 5, max_k: int = 6) -> SectionReport:
+    """Closed-form class sizes against the glue recursion, one check per level (n, k).
+
+    Both routes get a memo of their own, shared across the levels, so each
+    level is built once per route.
+    """
+    closed: dict = {}
+    glue: dict = {}
+    checks = []
+    for n in range(1, max_n + 1):
+        for k in range(0, max_k + 1):
+            level = list(partitions(n, k))
+            ok, detail = True, f"{len(level)} classes"
+            for exps in level:
+                want = class_size_poly_glue(exps, glue)
+                got = class_size_poly(exps, closed)
+                if got != want:
+                    ok = False
+                    detail = f"{exps}: closed {poly_render(got)}, glue {poly_render(want)}"
+                    break
+            checks.append(Check(f"class_size_closed_vs_glue n={n} k={k}", ok, detail))
+    return SectionReport("class sizes: closed form vs glue recursion", checks=checks)
+
+
 def verify_suite(*, jobs: int = 1, budget: int = DEFAULT_BUDGET) -> VerifyReport:
     """Fixed moderate-scale sweep over every formula family.
 
     Index sweeps at n = 2 and 3 including composite indices, small n = 4 powers
     of two, prime-power ladders that exercise the dimension-2 and dimension-3
-    closed forms, the polynomial leading-term checks, and multiplicativity.
+    closed forms, the polynomial leading-term checks, multiplicativity, and
+    the closed-form class sizes against the glue recursion.
     """
     t0 = time.perf_counter()
     planned: list[tuple[int, int]] = []
@@ -592,4 +617,5 @@ def verify_suite(*, jobs: int = 1, budget: int = DEFAULT_BUDGET) -> VerifyReport
         sections.append(verify_index(n, m, jobs=jobs, budget=budget))
     sections.append(_leading_terms_section())
     sections.append(_multiplicativity_section())
+    sections.append(_closed_vs_glue_section())
     return VerifyReport("suite", sections, elapsed=time.perf_counter() - t0)

@@ -1,20 +1,26 @@
-"""Dense integer polynomials in one formal variable T, and the class-size recursion.
+"""Dense integer polynomials in one formal variable T, and the class-size polynomials.
 
 A polynomial is a plain list of int coefficients, constant term first, with no
 trailing zeros; the zero polynomial is the empty list.  Class sizes at a fixed
-exponent tuple are polynomials in the prime.  The paper's glue recursion lives
-here, once: the admissible-glue scan does not depend on the prime, and the
-recursion builds the class sizes with no division anywhere, so integrality
-holds by construction.  Numeric class sizes are these polynomials evaluated at
-the prime.
+exponent tuple are polynomials in the prime, and numeric class sizes are these
+polynomials evaluated at the prime.
 
-The recursion runs push-style, one level (dimension n, exponent sum k) at a
-time.  Each (pivot, inner) glue box of the level is scanned once, its cells are
-bucketed by merged exponent tuple (fixed by the cell's valuation levels and
-cutoff, from _profile), and every bucket's glue weight times the
-inner class polynomial goes to its target, so one pass builds every class of
-the level.  Glue weights are tallied as integer counts per (c, s), standing
-for T^s (T - 1)^c, with no polynomial arithmetic per cell."""
+Production builds them from a product formula: the class of quotient group
+G is |Surj(Z^n, G)| / |Aut G| (Hillar & Rhea, "Automorphisms of finite abelian
+groups", Amer. Math. Monthly 114 (2007)), a power of T times a Gaussian
+multinomial, built by multiplications and exact divisions by T^i - 1.  A miss
+fills the whole level (dimension n, exponent sum k) of the memo, and only that
+level.
+
+The paper's glue recursion stays as the independent route that verifies it,
+behind class_size_poly_glue, which recurses only into itself.  It runs
+push-style, one level at a time.  Each (pivot, inner) glue box of the level is
+scanned once, its cells are bucketed by merged exponent tuple (fixed by the
+cell's valuation levels and cutoff, from _profile), and every bucket's glue
+weight times the inner class polynomial goes to its target, so one pass builds
+every class of the level.  Glue weights are tallied as integer counts per
+(c, s), standing for T^s (T - 1)^c, with no polynomial arithmetic per cell and
+no division anywhere."""
 
 from __future__ import annotations
 
@@ -189,10 +195,69 @@ def _glue_weight(inner: Sequence[int], glues: Sequence[Sequence[int]]) -> list[i
     return poly_normalize(out)
 
 
+def _times_cyclic(a: Sequence[int], i: int) -> list[int]:
+    """a * (T^i - 1), for i >= 1."""
+    out = [0] * i + list(a)
+    for j, c in enumerate(a):
+        out[j] -= c
+    return poly_normalize(out)
+
+
+def _over_cyclic(a: Sequence[int], i: int) -> list[int]:
+    """The exact quotient a / (T^i - 1), for i >= 1; ArithmeticError on a remainder.
+
+    Synthetic division from the constant term up: a[j] = q[j-i] - q[j].
+    """
+    q = [0] * max(len(a) - i, 0)
+    for j in range(len(q)):
+        q[j] = (q[j - i] if j >= i else 0) - a[j]
+    if any(a[j] != (q[j - i] if j >= i else 0) for j in range(len(q), len(a))):
+        raise ArithmeticError(f"T^{i} - 1 does not divide {poly_render(a)}")
+    return q
+
+
+def _class_size_closed(exps: tuple[int, ...]) -> list[int]:
+    """Class size at a nondecreasing exponent tuple, |Surj(Z^n, G)| / |Aut G|.
+
+    With parts e_1 <= ... <= e_s the nonzero exponents, mu_g the multiplicities
+    of their distinct values, and c_j, d_j the first and last 1-based index of a
+    part equal to e_j, the class size is T^a times the Gaussian multinomial
+    [n; n-s, mu_1, ..., mu_g], where
+    a = n |e| - n s - sum_j (e_j (s - d_j) + (e_j - 1) (s - c_j + 1)).
+    """
+    n = len(exps)
+    parts = [e for e in exps if e]
+    s = len(parts)
+    a = n * sum(parts) - n * s
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for j, e in enumerate(parts, start=1):
+        first.setdefault(e, j)
+        last[e] = j
+    for e in parts:
+        a -= e * (s - last[e]) + (e - 1) * (s - first[e] + 1)
+    out = [1]
+    for i in range(n - s + 1, n + 1):
+        out = _times_cyclic(out, i)
+    for e in first:
+        for i in range(1, last[e] - first[e] + 2):
+            out = _over_cyclic(out, i)
+    return [0] * a + out
+
+
 _DEFAULT_MEMO: dict[tuple[int, ...], list[int]] = {}
 
 
-def _class_size_poly(exponents: tuple[int, ...], memo: MutableMapping) -> list[int]:
+def class_size_poly_glue(exponents: tuple[int, ...], memo: MutableMapping) -> list[int]:
+    """Class size at a nondecreasing exponent tuple by the paper's glue recursion.
+
+    The independent route that verifies the closed form of class_size_poly:
+    split off the first basis direction (the pivot), classify the remaining
+    directions as an inner class one dimension down, and weight each inner
+    class by the number of glue vectors through which the two merge into the
+    requested class.  A miss fills the whole level of the tuple in memo, and
+    the levels below it that the level reads; there is no default memo.
+    """
     got = memo.get(exponents)
     if got is None:
         _fill_level(len(exponents), sum(exponents), memo)
@@ -219,7 +284,7 @@ def _fill_level(n: int, k: int, memo: MutableMapping) -> None:
                     if target not in todo:
                         continue
                     if inner_poly is None:
-                        inner_poly = _class_size_poly(inner, memo)
+                        inner_poly = class_size_poly_glue(inner, memo)
                     term = poly_mul(inner_poly, _glue_weight(inner, glues))
                     todo[target] = poly_add(todo[target], term)
     memo.update(todo)
@@ -228,13 +293,12 @@ def _fill_level(n: int, k: int, memo: MutableMapping) -> None:
 def class_size_poly(exponents: Sequence[int], memo: MutableMapping | None = None) -> list[int]:
     """Class size at the given exponent tuple as a polynomial in the prime.
 
-    The paper's recursion on dimension: split off the first basis direction
-    (the pivot), classify the remaining directions as an inner class one
-    dimension down, and weight each inner class by the number of glue vectors
-    through which the two merge into the requested class.  Evaluating the
-    result at a prime p gives class_size_prime(exponents, p).  An explicit memo
-    mapping exponent tuples to coefficient lists can be supplied to reuse work
-    across calls (the CLI backs it with a JSON cache file).
+    The closed form |Surj(Z^n, G)| / |Aut G| of the class's quotient group G.
+    Evaluating the result at a prime p gives class_size_prime(exponents, p).
+    An explicit memo mapping exponent tuples to coefficient lists can be
+    supplied to reuse work across calls (the CLI backs it with a JSON cache
+    file); a miss adds every class of its level (n, sum of exponents) that the
+    memo lacks, and nothing else.
     """
     exps = tuple(int(e) for e in exponents)
     if not exps:
@@ -243,7 +307,10 @@ def class_size_poly(exponents: Sequence[int], memo: MutableMapping | None = None
         raise ValueError(f"exponents must be nondecreasing and nonnegative, got {exps}")
     if memo is None:
         memo = _DEFAULT_MEMO
-    return list(_class_size_poly(exps, memo))
+    if exps not in memo:
+        level = partitions(len(exps), sum(exps))
+        memo.update({t: _class_size_closed(t) for t in level if t not in memo})
+    return list(memo[exps])
 
 
 def sublattice_count_poly(n: int, r: int, memo: MutableMapping | None = None) -> list[int]:

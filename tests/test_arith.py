@@ -145,6 +145,36 @@ def test_partitions_errors():
         list(partitions(2, -1))
 
 
+def test_partitions_match_recursive_reference():
+    # the recursive definition: first part a from lo up, then the rest from a up
+    def reference(slots, total, lo=0):
+        if slots == 1:
+            return [(total,)] if total >= lo else []
+        return [
+            (a,) + tail
+            for a in range(lo, total // slots + 1)
+            for tail in reference(slots - 1, total - a, a)
+        ]
+
+    for n in range(1, 8):
+        for k in range(0, 16):
+            assert list(partitions(n, k)) == reference(n, k), (n, k)
+
+
+def test_partitions_past_the_recursion_limit():
+    import sys
+
+    deep = sys.getrecursionlimit() + 500
+    assert list(partitions(deep, 1)) == [(0,) * (deep - 1) + (1,)]
+    assert list(partitions(deep, 2)) == [(0,) * (deep - 1) + (2,), (0,) * (deep - 2) + (1, 1)]
+    assert list(partitions(1, deep)) == [(deep,)]
+    assert partition_count(1, deep) == 1
+    assert partition_count(deep, 1) == 1
+    assert partition_count(2, deep) == deep // 2 + 1
+    # partitions into at most three parts: the nearest integer to (k + 3)^2 / 12
+    assert partition_count(3, deep) == round((deep + 3) ** 2 / 12)
+
+
 def test_partition_count_matches_enumeration():
     for n in range(1, 9):
         for k in range(0, 31):

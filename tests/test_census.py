@@ -15,6 +15,7 @@ from sublattices.census import (
     cocyclic_count_prime_power,
     cocyclic_count_upto,
     sublattice_count,
+    sublattice_count_prime_power,
     sublattice_count_recursion,
     validate_chain,
 )
@@ -58,6 +59,23 @@ def test_count_routes_agree():
             assert count == sublattice_count_recursion(n, m), (n, m)
             # crude but universal upper bound, catches sign and overflow slips
             assert count <= m ** (n * n)
+
+
+def test_sublattice_count_prime_power():
+    for n in (1, 2, 3, 4, 5):
+        for p in (2, 3, 5):
+            for r in range(0, 6):
+                want = sublattice_count_recursion(n, p**r)
+                assert sublattice_count_prime_power(n, p, r) == want, (n, p, r)
+                # the Gaussian binomial [n-1+r choose r] is symmetric in n-1 and r
+                assert sublattice_count_prime_power(r + 1, p, n - 1) == want, (n, p, r)
+    # no factorization: a far-up exponent costs only the size of the answer
+    assert sublattice_count_prime_power(1, 3, 10**6) == 1
+    assert sublattice_count_prime_power(2, 2, 10**4) == 2 ** (10**4 + 1) - 1
+    with pytest.raises(ValueError):
+        sublattice_count_prime_power(0, 2, 1)
+    with pytest.raises(ValueError):
+        sublattice_count_prime_power(2, 2, -1)
 
 
 def test_count_multiplicative():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -235,7 +236,8 @@ def test_poly_cache_roundtrip(tmp_path, capsys):
     assert code == 0
     assert cache.exists()
     stored = json.loads(cache.read_text())
-    assert "3:3:0,1,2" in stored
+    # the miss filled its level (3, 3) and nothing below it
+    assert set(stored) == {"3:3:0,0,3", "3:3:0,1,2", "3:3:1,1,1"}
     # keys carry dimension and total as a prefix
     assert all(k.count(":") == 2 for k in stored)
     # second run reads it back and must agree
@@ -251,6 +253,43 @@ def test_poly_cache_roundtrip(tmp_path, capsys):
     )
     assert code == 0 and out3 == out1 and "warning" not in err
     assert json.loads(cache.read_text())["1:2000:2000"] == [1]
+
+
+def test_cache_far_up_level_loads_fast(tmp_path, capsys):
+    # the load check's sublattice count at T**100000 needs no factorization
+    cache = tmp_path / "coeffs.json"
+    cache.write_text(json.dumps({"1:100000:100000": [1]}))
+    t0 = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "poly", "class", "--n", "2", "--partition", "0,1", "--cache", str(cache)
+    )
+    elapsed = time.perf_counter() - t0
+    assert code == 0 and err == "" and elapsed < 1.0, (err, elapsed)
+    assert json.loads(out)["payload"]["coefficients"] == ["1", "1"]
+    assert json.loads(cache.read_text())["1:100000:100000"] == [1]
+
+
+def test_inputs_past_the_recursion_limit(tmp_path, capsys):
+    code, out, _ = run_cli(
+        capsys, "count", "gn", "--n", "1", "--m", str(2**1100), "--format", "plain"
+    )
+    assert (code, out) == (0, "1\n")
+    code, out, _ = run_cli(capsys, "count", "gn", "--n", "2000", "--m", "2", "--format", "plain")
+    assert (code, out) == (0, "1\n")
+    # one class, the cyclic one: 1 + T + ... + T^(n-1)
+    code, out, _ = run_cli(capsys, "poly", "fn", "--n", "1500", "--r", "1")
+    assert code == 0 and json.loads(out)["payload"]["coefficients"] == ["1"] * 1500
+    part = ",".join(["0"] * 1199 + ["1"])
+    code, out, _ = run_cli(capsys, "poly", "class", "--n", "1200", "--partition", part)
+    assert code == 0 and json.loads(out)["payload"]["coefficients"] == ["1"] * 1200
+    # a cache whose key has n = 2000 is written, then loaded without a warning
+    cache = tmp_path / "coeffs.json"
+    argv = ("poly", "fn", "--n", "2000", "--r", "1", "--cache", str(cache))
+    code, cold, err = run_cli(capsys, *argv)
+    assert code == 0 and "warning" not in err
+    assert json.loads(cache.read_text()) == {"2000:1:" + "0," * 1999 + "1": [1] * 2000}
+    code, warm, err = run_cli(capsys, *argv)
+    assert (code, warm, err) == (0, cold, "")
 
 
 def test_count_class_uses_cache(tmp_path, capsys):

@@ -283,3 +283,9 @@ def test_verify_suite_payload_deterministic():
     assert payload["kind"] == "report"
     assert payload["all_match"] is True
     assert "elapsed" not in json.dumps(payload)
+    # last section: every level (n, k) with n <= 5, k <= 6, closed form vs glue
+    last = payload["sections"][-1]
+    assert last["scope"] == "class sizes: closed form vs glue recursion" and last["ok"]
+    assert [c["name"] for c in last["checks"]] == [
+        f"class_size_closed_vs_glue n={n} k={k}" for n in range(1, 6) for k in range(7)
+    ]

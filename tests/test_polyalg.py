@@ -6,6 +6,7 @@ import pytest
 from sublattices import polyalg
 from sublattices.arith import INFINITY, partitions
 from sublattices.census import (
+    class_census,
     class_size_2x2,
     class_size_prime,
     cocyclic_count_prime_power,
@@ -15,9 +16,12 @@ from sublattices.oracle import census_bruteforce
 from sublattices.polyalg import (
     _glue_weight,
     _merged_exponents,
+    _over_cyclic,
     _profile,
+    _times_cyclic,
     admissible_glue,
     class_size_poly,
+    class_size_poly_glue,
     cocyclic_count_poly,
     leading_terms_check,
     poly_add,
@@ -68,6 +72,26 @@ def test_poly_ring_identities():
         assert poly_eval(poly_add(a, b), x) == poly_eval(a, x) + poly_eval(b, x)
         assert poly_eval(poly_mul(a, b), x) == poly_eval(a, x) * poly_eval(b, x)
         assert poly_eval(poly_sub(a, b), x) == poly_eval(a, x) - poly_eval(b, x)
+
+
+def test_cyclic_factor_helpers():
+    import random
+
+    rng = random.Random(7)
+    assert _times_cyclic([1], 2) == [-1, 0, 1]
+    assert _over_cyclic([-1, 0, 0, 1], 3) == [1]
+    assert _over_cyclic([-1, 0, 0, 1], 1) == [1, 1, 1]
+    assert _over_cyclic([], 4) == []
+    for _ in range(200):
+        a = poly_normalize([rng.randrange(-5, 6) for _ in range(rng.randrange(0, 6))])
+        i = rng.randrange(1, 5)
+        prod_poly = _times_cyclic(a, i)
+        assert prod_poly == poly_mul(a, [-1] + [0] * (i - 1) + [1])
+        assert _over_cyclic(prod_poly, i) == a
+    # a nonzero remainder is an error, never a truncated quotient
+    for a, i in [([1, 0, 1], 1), ([1], 1), ([0, 0, 1], 2), ([-1, 0, 1, 1], 2)]:
+        with pytest.raises(ArithmeticError):
+            _over_cyclic(a, i)
 
 
 def test_poly_render():
@@ -139,8 +163,8 @@ def test_class_size_poly_memo_reuse():
     first = class_size_poly((0, 1, 2), memo)
     assert (0, 1, 2) in memo
     assert memo[(0, 1, 2)] == first
-    # subproblems land in the same mapping and a second call reuses them
-    assert any(len(key) == 2 for key in memo)
+    # the miss filled its level (3, 3) and nothing else; a second call reuses it
+    assert set(memo) == set(partitions(3, 3))
     again = class_size_poly((0, 1, 2), memo)
     assert again == first
     # the returned list is a copy, not the cached one
@@ -148,7 +172,7 @@ def test_class_size_poly_memo_reuse():
     assert memo[(0, 1, 2)] == first
 
 
-def test_cold_count_scans_each_glue_box_once(monkeypatch):
+def _spy_glue_buckets(monkeypatch) -> list:
     real = polyalg._glue_buckets
     seen = []
 
@@ -157,7 +181,14 @@ def test_cold_count_scans_each_glue_box_once(monkeypatch):
         return real(pivot, inner)
 
     monkeypatch.setattr(polyalg, "_glue_buckets", spy)
-    sublattice_count_poly(5, 6, memo={})
+    return seen
+
+
+def test_cold_count_scans_each_glue_box_once(monkeypatch):
+    seen = _spy_glue_buckets(monkeypatch)
+    memo = {}
+    for exps in partitions(5, 6):
+        class_size_poly_glue(exps, memo)
     assert len(seen) == len(set(seen))
     # the boxes of level (5, 6) and of every level (n, k) below it with k <= 6
     levels = [(5, 6)] + [(n, k) for n in (2, 3, 4) for k in range(7)]
@@ -202,18 +233,50 @@ def test_admissible_glue_matches_per_target_scan():
 
 def test_partial_memo_fills_level_without_overwriting():
     cold = {}
-    want = class_size_poly((0, 3, 3), cold)
-    # a memo written by an earlier run that reached only some classes of level
-    # (3, 6) and of the levels below; one entry carries a marker value
-    marker = [7]
-    seeded = {key: list(cold[key]) for key in [(0, 0, 6), (1, 1), (0, 4), (2, 2), (1,)]}
-    seeded[(1, 2, 3)] = marker
-    before = {key: list(val) for key, val in seeded.items()}
-    assert class_size_poly((0, 3, 3), seeded) == want
-    assert {key: seeded[key] for key in before} == before
-    assert seeded[(1, 2, 3)] is marker
-    assert all(seeded[key] == cold[key] for key in seeded if key not in before)
-    assert set(partitions(3, 6)) <= set(seeded)
+    want = class_size_poly_glue((0, 3, 3), cold)
+    for route in (class_size_poly, class_size_poly_glue):
+        # a memo written by an earlier run that reached only some classes of
+        # level (3, 6) and of the levels below; one entry carries a marker value
+        marker = [7]
+        seeded = {key: list(cold[key]) for key in [(0, 0, 6), (1, 1), (0, 4), (2, 2), (1,)]}
+        seeded[(1, 2, 3)] = marker
+        before = {key: list(val) for key, val in seeded.items()}
+        assert route((0, 3, 3), seeded) == want, route
+        assert {key: seeded[key] for key in before} == before
+        assert seeded[(1, 2, 3)] is marker
+        assert all(seeded[key] == cold[key] for key in seeded if key not in before)
+        assert set(partitions(3, 6)) <= set(seeded)
+
+
+def test_closed_form_matches_glue_route():
+    glue = {}
+    checked = 0
+    for n in range(1, 7):
+        for k in range(0, 8):
+            for exps in partitions(n, k):
+                assert class_size_poly(exps, {}) == class_size_poly_glue(exps, glue), exps
+                checked += 1
+    assert checked == 183
+
+
+def test_memo_miss_fills_exactly_its_level():
+    for n, k in [(1, 0), (1, 9), (3, 0), (3, 6), (4, 5), (6, 7)]:
+        memo = {}
+        first = next(partitions(n, k))
+        class_size_poly(first, memo)
+        assert set(memo) == set(partitions(n, k)), (n, k)
+    # a memo holding another level keeps it as it is and gains only this level
+    memo = {(0, 2): [0, 1, 1], (1, 1): [1]}
+    class_size_poly((0, 1, 3), memo)
+    assert set(memo) == {(0, 2), (1, 1)} | set(partitions(3, 4))
+
+
+def test_production_routes_scan_no_glue_box(monkeypatch):
+    seen = _spy_glue_buckets(monkeypatch)
+    sublattice_count_poly(6, 12, memo={})
+    table = class_census(4, 2**5 * 3**4 * 5**3)
+    assert table.total() == sublattice_count(4, 2**5 * 3**4 * 5**3)
+    assert seen == []
 
 
 def test_sublattice_count_poly():
