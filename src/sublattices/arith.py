@@ -174,6 +174,11 @@ def ord_p(p: int, m: int) -> int | float:
     """Largest t with p**t dividing m; INFINITY when m is 0."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return _valuation(p, m)
+
+
+def _valuation(p: int, m: int) -> int | float:
+    """ord_p for a p the caller already knows is prime, without re-testing it."""
     if m == 0:
         return INFINITY
     m = abs(m)

@@ -1,13 +1,28 @@
-"""Hermite-form matrices and Smith invariant factors, by several independent routes."""
+"""Hermite-form matrices and Smith invariant factors, by several independent routes.
+
+Three routes to the invariant factors, none calling another:
+
+- invariant_factors: extended-gcd elimination to a diagonal, then a pairwise
+  gcd/lcm pass over it (Kannan & Bachem 1979; Cohen, *A Course in
+  Computational Algebraic Number Theory*, 2.4.4).  Reads neither minors nor
+  valuations.
+- invariant_factors_via_minors: successive quotients of the gcds of k x k
+  minors.
+- hnf2_smith_exponent / hnf3_smith_exponents: closed forms in the p-adic
+  valuations of the entries of a prime-power Hermite form.  The (p, exponents)
+  of each diagonal come from a memo of at most _DIAG_MEMO diagonals, so the
+  index is factored once per diagonal, not once per form.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, prod
 from typing import Sequence
 
-from .arith import factorize, ord_p
+from .arith import _valuation, factorize
 
 
 class HnfError(ValueError):
@@ -99,65 +114,85 @@ def minor_gcd(rows: Sequence[Sequence[int]], k: int) -> int:
     return g
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x*a + y*b == g == gcd(a, b) >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
 def invariant_factors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Invariant factor chain d1 | d2 | ... | dn of a nonsingular square integer matrix.
 
-    Elementary row and column reduction with smallest-magnitude pivoting.
+    Extended-gcd elimination to a diagonal (Kannan & Bachem 1979): at step t
+    a nonzero pivot sits at (t, t); column steps clear row t right of it and
+    row steps clear column t below it, each an exact subtraction when the
+    pivot divides the entry and otherwise the 2x2 unimodular step built from
+    xgcd(pivot, entry), which makes the pivot the gcd.  Row steps of that
+    second kind refill row t, so the two sweeps repeat until both are clear;
+    the pivot shrinks each time.  The diagonal is then put in divisor order
+    pairwise, diag(a, b) ~ diag(gcd, lcm).  Reads no minors and no valuations.
     """
     a = [list(map(int, r)) for r in rows]
     n = len(a)
-    if n == 0 or any(len(r) != n for r in a):
+    if n == 0 or set(map(len, a)) != {n}:
         raise ValueError("need a nonempty square matrix")
-    out = []
-    for t in range(n):
-        while True:
-            pivot = None
-            best = None
-            for i in range(t, n):
-                for j in range(t, n):
-                    v = abs(a[i][j])
-                    if v and (best is None or v < best):
-                        best, pivot = v, (i, j)
-            if pivot is None:
+    for t in range(n - 1):
+        if a[t][t] == 0:
+            nonzero = next(((i, j) for i in range(t, n) for j in range(t, n) if a[i][j]), None)
+            if nonzero is None:
                 raise ValueError("matrix is singular")
-            pi, pj = pivot
-            if pi != t:
-                a[t], a[pi] = a[pi], a[t]
-            if pj != t:
-                for r in a:
-                    r[t], r[pj] = r[pj], r[t]
-            if a[t][t] < 0:
-                a[t] = [-v for v in a[t]]
-            p = a[t][t]
-            dirty = False
-            for i in range(t + 1, n):
-                q = a[i][t] // p
-                if q:
-                    for j in range(t, n):
-                        a[i][j] -= q * a[t][j]
-                if a[i][t]:
-                    dirty = True
+            i, j = nonzero
+            a[t], a[i] = a[i], a[t]
+            for r in a:
+                r[t], r[j] = r[j], r[t]
+        while True:
+            rt = a[t]
+            p = rt[t]
             for j in range(t + 1, n):
-                q = a[t][j] // p
-                if q:
-                    for i in range(t, n):
-                        a[i][j] -= q * a[i][t]
-                if a[t][j]:
-                    dirty = True
-            if dirty:
-                continue
-            bad = next(
-                ((i, j) for i in range(t + 1, n) for j in range(t + 1, n) if a[i][j] % p),
-                None,
-            )
-            if bad is None:
+                b = rt[j]
+                if not b:
+                    continue
+                if b % p == 0:
+                    q = b // p
+                    for r in a[t:]:
+                        r[j] -= q * r[t]
+                    continue
+                g, x, y = _xgcd(p, b)
+                u, v = p // g, b // g
+                for r in a[t:]:
+                    c, d = r[t], r[j]
+                    r[t], r[j] = x * c + y * d, u * d - v * c
+                p = g
+            for i in range(t + 1, n):
+                ri = a[i]
+                b = ri[t]
+                if not b:
+                    continue
+                if b % p == 0:
+                    q = b // p
+                    a[i] = [d - q * c for c, d in zip(rt, ri)]
+                    continue
+                g, x, y = _xgcd(p, b)
+                u, v = p // g, b // g
+                a[t] = [x * c + y * d for c, d in zip(rt, ri)]
+                a[i] = [u * d - v * c for c, d in zip(rt, ri)]
+                rt = a[t]
+                p = g
+            if not any(rt[t + 1 :]):
                 break
-            # pivot must divide the trailing block; pull the offending row up and retry
-            bi = bad[0]
-            for j in range(t, n):
-                a[t][j] += a[bi][j]
-        out.append(a[t][t])
-    return tuple(out)
+    if not a[n - 1][n - 1]:
+        raise ValueError("matrix is singular")
+    d = [abs(a[t][t]) for t in range(n)]
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return tuple(d)
 
 
 def invariant_factors_via_minors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -178,11 +213,15 @@ def invariant_factors_via_minors(rows: Sequence[Sequence[int]]) -> tuple[int, ..
     return tuple(out)
 
 
-def _prime_power_diag(h: HnfMatrix) -> tuple[int | None, tuple[int, ...]]:
+_DIAG_MEMO = 4096  # most diagonals whose (p, exponents) the shortcuts keep
+
+
+@lru_cache(maxsize=_DIAG_MEMO)
+def _prime_power_diag(diag: tuple[int, ...]) -> tuple[int | None, tuple[int, ...]]:
     """(p, exponents) for a diagonal of powers of one prime; p is None when all ones."""
     p = None
     exps = []
-    for v in h.diag:
+    for v in diag:
         if v == 1:
             exps.append(0)
             continue
@@ -201,13 +240,14 @@ def _prime_power_diag(h: HnfMatrix) -> tuple[int | None, tuple[int, ...]]:
 
 def hnf2_smith_exponent(h: HnfMatrix) -> int:
     """Exponent t with invariant factors (p**t, p**(r-t)) for a 2 x 2 prime-power HNF matrix."""
-    if h.n != 2:
+    rows = h.rows
+    if len(rows) != 2:
         raise ValueError(f"need a 2 x 2 matrix, got n={h.n}")
-    p, (r1, r2) = _prime_power_diag(h)
+    (d1, h12), (_, d2) = rows
+    p, (r1, r2) = _prime_power_diag((d1, d2))
     if p is None:
         return 0
-    t = min(r1, r2, ord_p(p, h.rows[0][1]))
-    return int(t)
+    return min(r1, r2, _valuation(p, h12))
 
 
 def hnf3_smith_exponents(h: HnfMatrix) -> tuple[int, int]:
@@ -216,15 +256,15 @@ def hnf3_smith_exponents(h: HnfMatrix) -> tuple[int, int]:
     Closed form from the entry valuations; the combination h12*h23 - p**r2 * h13
     carries the one interaction the pairwise valuations miss.
     """
-    if h.n != 3:
+    rows = h.rows
+    if len(rows) != 3:
         raise ValueError(f"need a 3 x 3 matrix, got n={h.n}")
-    p, (r1, r2, r3) = _prime_power_diag(h)
+    (d1, h12, h13), (_, d2, h23), (_, _, d3) = rows
+    p, (r1, r2, r3) = _prime_power_diag((d1, d2, d3))
     if p is None:
         return 0, 0
-    h12, h13 = h.rows[0][1], h.rows[0][2]
-    h23 = h.rows[1][2]
-    o12, o13, o23 = ord_p(p, h12), ord_p(p, h13), ord_p(p, h23)
+    o12, o13, o23 = _valuation(p, h12), _valuation(p, h13), _valuation(p, h23)
     s = min(r1, r2, r3, o12, o13, o23)
-    u = ord_p(p, h12 * h23 - p**r2 * h13)
+    u = _valuation(p, h12 * h23 - d2 * h13)
     t = min(r1 + r2, r2 + r3, r1 + r3, r1 + o23, r3 + o12, u)
-    return int(s), int(t)
+    return s, t

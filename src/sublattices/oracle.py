@@ -443,7 +443,7 @@ def _shortcut_chain(h: HnfMatrix, fac) -> tuple[int, ...]:
     if not fac:
         return (1,) * h.n
     p, r = fac[0]
-    if h.n == 2:
+    if len(h.rows) == 2:
         t = hnf2_smith_exponent(h)
         return (p**t, p ** (r - t))
     s, t = hnf3_smith_exponents(h)

@@ -405,6 +405,33 @@ def test_verify_index_cli(capsys):
     assert "elapsed" not in out
 
 
+VERIFY_3_64 = (
+    '{"command":"verify index","params":{"m":64,"n":3},"payload":{"all_match":true,'
+    '"kind":"report","scope":"n=3 m=64","sections":[{"checks":[{"detail":"10795 vs 10795",'
+    '"name":"count_closed_vs_recursion","ok":true},{"detail":"10795 vs 10795",'
+    '"name":"count_vs_oracle_total","ok":true},{"detail":"expected 7, oracle 7, formula 7",'
+    '"name":"class_count_vs_distinct_keys","ok":true},'
+    '{"detail":"formula 7168, bruteforce 7168, census 7168",'
+    '"name":"cocyclic_formula_vs_bruteforce","ok":true},'
+    '{"detail":"","name":"smith_shortcut_agreement","ok":true}],"ok":true,"rows":['
+    '{"class":"1,1,64","formula":"7168","match":true,"oracle":"7168"},'
+    '{"class":"1,2,32","formula":"2688","match":true,"oracle":"2688"},'
+    '{"class":"1,4,16","formula":"672","match":true,"oracle":"672"},'
+    '{"class":"1,8,8","formula":"112","match":true,"oracle":"112"},'
+    '{"class":"2,2,16","formula":"112","match":true,"oracle":"112"},'
+    '{"class":"2,4,8","formula":"42","match":true,"oracle":"42"},'
+    '{"class":"4,4,4","formula":"1","match":true,"oracle":"1"}],'
+    '"scope":"n=3 m=64"}]},"schema_version":"1"}\n'
+)
+
+
+def test_verify_shortcut_check_output_pinned(capsys):
+    # 10795 forms through both Smith routes; the report bytes are fixed
+    code, out, _ = run_cli(capsys, "verify", "--n", "3", "--m", "64")
+    assert code == 0
+    assert out == VERIFY_3_64
+
+
 def test_verify_rejects_zero_index(capsys):
     code, _, err = run_cli(capsys, "verify", "--n", "2", "--m", "0")
     assert code == 2

@@ -1,10 +1,12 @@
 import random
+from itertools import permutations, product
 from math import gcd
 
 import pytest
 
 from sublattices.enumeration import hnf_stream
 from sublattices.forms import (
+    _DIAG_MEMO,
     HnfError,
     HnfMatrix,
     hnf2_smith_exponent,
@@ -12,9 +14,12 @@ from sublattices.forms import (
     integer_det,
     invariant_factors,
     invariant_factors_via_minors,
+    _prime_power_diag,
     minor_gcd,
     validate_hnf,
 )
+
+BOTH_ROUTES = (invariant_factors, invariant_factors_via_minors)
 
 
 def test_validate_hnf_accepts():
@@ -157,6 +162,96 @@ def test_two_invariant_factor_routes_agree_on_random_triangular():
         assert invariant_factors(a) == invariant_factors_via_minors(a), a
 
 
+def _unimodular(rng: random.Random, n: int) -> list[list[int]]:
+    """A random product of elementary row operations: determinant +-1."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        k = rng.randrange(-3, 4)
+        u[i] = [a + k * b for a, b in zip(u[i], u[j])]
+    i = rng.randrange(n)
+    u[i] = [-a for a in u[i]]
+    rng.shuffle(u)
+    return u
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_two_invariant_factor_routes_agree_on_random_5x5():
+    rng = random.Random(5055)
+    count = 0
+    while count < 120:
+        if count % 2:
+            a = [[rng.randrange(-9, 10) for _ in range(5)] for _ in range(5)]
+        else:
+            # U * diag * V hides a chain with nontrivial small factors
+            d = [[rng.choice((1, 2, 3, 4, 6, 12)) if i == j else 0 for j in range(5)] for i in range(5)]
+            a = _matmul(_matmul(_unimodular(rng, 5), d), _unimodular(rng, 5))
+        if integer_det(a) == 0:
+            continue
+        count += 1
+        assert invariant_factors(a) == invariant_factors_via_minors(a), a
+
+
+def test_two_invariant_factor_routes_agree_on_large_entries():
+    # pivots rarely divide entries this large, so nearly every step is an xgcd step
+    rng = random.Random(1_000_003)
+    count = 0
+    while count < 400:
+        n = rng.randrange(2, 5)
+        scale = [rng.choice((1, 2, 6, 1000)) for _ in range(n)]
+        a = [[k * rng.randrange(-(10**6), 10**6 + 1) for _ in range(n)] for k in scale]
+        if integer_det(a) == 0:
+            continue
+        count += 1
+        assert invariant_factors(a) == invariant_factors_via_minors(a), a
+
+
+def test_two_invariant_factor_routes_agree_on_signed_permutations():
+    # any permutation but the identity leaves a 0 on the diagonal, which
+    # sends the reduction down its swap path
+    for n in range(1, 5):
+        for perm in permutations(range(n)):
+            for signs in product((1, -1), repeat=n):
+                a = [[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+                assert invariant_factors(a) == invariant_factors_via_minors(a) == (1,) * n, a
+                b = [[v * (i + 2) for v in row] for i, row in enumerate(a)]
+                assert invariant_factors(b) == invariant_factors_via_minors(b), b
+
+
+def test_singular_matrices_rejected_by_both_routes():
+    cases = [
+        [[0]],
+        [[0, 0], [0, 0]],
+        [[0, 0, 0], [1, 2, 3], [4, 5, 6]],  # zero row
+        [[1, 0, 3], [4, 0, 6], [7, 0, 9]],  # zero column
+        [[1, 2, 3], [4, 5, 6], [5, 7, 9]],  # rank 2: third row is the sum
+        [[0, 6, 4], [0, 3, 2], [5, 1, 1]],  # rank 2, zero leading pivot
+    ]
+    rng = random.Random(404)
+    for n in range(2, 6):
+        for _ in range(20):
+            top = [[rng.randrange(-50, 51) for _ in range(n)] for _ in range(n - 1)]
+            k = [rng.randrange(-4, 5) for _ in range(n - 1)]
+            last = [sum(c * row[j] for c, row in zip(k, top)) for j in range(n)]
+            a = top + [last]
+            rng.shuffle(a)
+            cases.append(a)
+    for a in cases:
+        for route in BOTH_ROUTES:
+            with pytest.raises(ValueError, match="singular"):
+                route(a)
+
+
+def test_diagonal_needs_gcd_lcm_pass():
+    # a diagonal that is not yet a divisor chain: diag(a, b) ~ diag(gcd, lcm)
+    for route in BOTH_ROUTES:
+        assert route([[6, 0, 0], [0, 10, 0], [0, 0, 15]]) == (1, 30, 30)
+        assert route([[4, 0], [0, 6]]) == (2, 12)
+
+
 def test_hnf2_smith_exponent_known():
     assert hnf2_smith_exponent(validate_hnf([[2, 0], [0, 2]])) == 1
     assert hnf2_smith_exponent(validate_hnf([[2, 1], [0, 2]])) == 0
@@ -201,6 +296,20 @@ def test_hnf3_smith_exponents_exhaustive():
 
 
 def test_mixed_prime_diag_rejected():
+    with pytest.raises(ValueError, match="single common prime"):
+        hnf2_smith_exponent(validate_hnf([[6, 0], [0, 6]]))
+
+
+def test_diagonal_memo_is_bounded():
+    _prime_power_diag.cache_clear()
+    exps = [(a, b) for a in range(75) for b in range(75)]
+    for a, b in exps:
+        assert hnf2_smith_exponent(validate_hnf([[2**a, 0], [0, 2**b]])) == min(a, b)
+    info = _prime_power_diag.cache_info()
+    assert info.misses == len(exps) > 5000
+    assert info.maxsize == _DIAG_MEMO
+    assert info.currsize <= _DIAG_MEMO
+    # an entry still raises once the memo is full
     with pytest.raises(ValueError, match="single common prime"):
         hnf2_smith_exponent(validate_hnf([[6, 0], [0, 6]]))
 

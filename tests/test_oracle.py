@@ -7,7 +7,7 @@ from math import prod
 
 import pytest
 
-from sublattices import oracle
+from sublattices import arith, census, oracle
 from sublattices.arith import divisor_compositions
 from sublattices.census import class_census, cocyclic_count, sublattice_count
 from sublattices.enumeration import hnf_stream
@@ -244,6 +244,23 @@ def test_verify_index_green():
     assert "cocyclic_formula_vs_bruteforce" in names
     # n = 3 prime power: the direct Smith shortcut gets diffed too
     assert "smith_shortcut_agreement" in names
+
+
+def test_verify_index_tests_primality_a_bounded_number_of_times(monkeypatch):
+    # the Smith shortcuts must not re-prove the prime once per form
+    calls = []
+    real = arith.is_prime
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    for module in (arith, census, oracle):
+        monkeypatch.setattr(module, "is_prime", counting)
+    section = verify_index(2, 10007)
+    assert section.ok
+    assert "smith_shortcut_agreement" in [c.name for c in section.checks]
+    assert len(calls) < 50
 
 
 def test_verify_index_composite_skips_shortcut():
