@@ -10,7 +10,6 @@ exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 from math import prod
 from typing import Iterable, Sequence
 
@@ -195,18 +194,22 @@ class CensusTable:
 def class_census(n: int, m: int) -> CensusTable:
     """Every invariant factor chain of index m together with its class size.
 
-    Keys combine one exponent partition per prime of m; the count is the product
-    of the per-prime class sizes.  Key count equals class_count(n, m) and the
-    counts sum to sublattice_count(n, m).
+    Keys combine one exponent partition per prime of m, the last prime's
+    varying fastest; the count is the product of the per-prime class sizes.
+    Key count equals class_count(n, m) and the counts sum to
+    sublattice_count(n, m).  Partitions are streamed, never listed, and the
+    keys share one int object per divisor value, so memory is the table's own.
     """
     _check_nm(n, m)
-    fac = factorize(m)
-    prime_parts = [list(partitions(n, r)) for _, r in fac]
-    counts: dict[tuple[int, ...], int] = {}
-    for combo in iter_product(*prime_parts):
-        key = tuple(
-            prod(p ** exps[i] for (p, _), exps in zip(fac, combo)) for i in range(n)
-        )
-        counts[key] = prod(class_size_prime(exps, p) for (p, _), exps in zip(fac, combo))
+    counts: dict[tuple[int, ...], int] = {(1,) * n: 1}
+    for p, r in factorize(m):
+        shared: dict[int, int] = {}
+        grown: dict[tuple[int, ...], int] = {}
+        for key, size in counts.items():
+            for exps in partitions(n, r):
+                divs = (d * p**e for d, e in zip(key, exps))
+                chain = tuple(shared.setdefault(d, d) for d in divs)
+                grown[chain] = size * class_size_prime(exps, p)
+        counts = grown
     return CensusTable(n, m, counts)
 

@@ -24,9 +24,11 @@ from itertools import islice
 from math import comb, prod
 from typing import TYPE_CHECKING
 
-from .arith import factorize, is_prime, ord_p, partitions
+from .arith import factorize, ord_p, partitions
 from .census import (
     class_count,
+    class_size,
+    class_size_prime,
     cocyclic_count,
     cocyclic_count_upto,
     sublattice_count,
@@ -97,11 +99,7 @@ def _cache_path(args) -> str | None:
     return os.environ.get(CACHE_ENV) or None
 
 
-def _memo_key(exps: tuple[int, ...]) -> str:
-    return f"{len(exps)}:{sum(exps)}:{','.join(map(str, exps))}"
-
-
-def _load_memo(path: str | None) -> dict:
+def _load_memo(path: str) -> dict:
     """Read a coefficient cache, dropping it with a warning if anything is off.
 
     Keys look like "n:k:a1,...,aN" for a nondecreasing exponent tuple of length
@@ -111,14 +109,13 @@ def _load_memo(path: str | None) -> dict:
     index T**k at T = 2 and T = 3, from the prime-power formula, whose cost
     does not grow with k beyond the size of the count.
     """
-    if not path or not os.path.exists(path):
+    if not os.path.exists(path):
         return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError("cache root must be an object")
-        memo = {}
         levels: dict = {}
         for key, val in raw.items():
             n_text, k_text, exps_text = key.split(":")
@@ -133,7 +130,6 @@ def _load_memo(path: str | None) -> dict:
                 raise ValueError(f"bad coefficient list under {key!r}")
             if val and val[-1] == 0:
                 raise ValueError(f"coefficient list under {key!r} has trailing zeros")
-            memo[exps] = val
             levels.setdefault((len(exps), sum(exps)), {})[exps] = val
         for (n, k), level in levels.items():
             # every key is a partition of k into n parts, so the level is whole
@@ -144,16 +140,14 @@ def _load_memo(path: str | None) -> dict:
                 want = sublattice_count_prime_power(n, t, k)
                 if sum(poly_eval(c, t) for c in level.values()) != want:
                     raise ValueError(f"level {n}:{k} does not sum to the count at T={t}")
-        return memo
+        return {exps: val for level in levels.values() for exps, val in level.items()}
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"warning: ignoring unusable cache {path}: {exc}", file=sys.stderr)
         return {}
 
 
-def _save_memo(path: str | None, memo: dict) -> None:
-    if not path:
-        return
-    payload = {_memo_key(k): v for k, v in sorted(memo.items())}
+def _save_memo(path: str, memo: dict) -> None:
+    payload = {f"{len(k)}:{sum(k)}:{','.join(map(str, k))}": v for k, v in sorted(memo.items())}
     target_dir = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=target_dir, suffix=".cache")
@@ -167,6 +161,20 @@ def _save_memo(path: str | None, memo: dict) -> None:
             raise
     except OSError as exc:
         print(f"warning: could not write cache {path}: {exc}", file=sys.stderr)
+
+
+def _cache_levels(args, levels) -> None:
+    """Add every class of the levels (n, k) a command touched to the named cache file.
+
+    Nothing reads a class size back: one closed-form tuple costs less than the load check.
+    """
+    path = _cache_path(args)
+    if not path:
+        return
+    memo = _load_memo(path)
+    for n, k in levels:
+        memo.update({t: class_size_poly(t) for t in partitions(n, k) if t not in memo})
+    _save_memo(path, memo)
 
 
 # ---------------------------------------------------------------- count
@@ -196,30 +204,23 @@ def _cmd_count_class(args) -> int:
     by_partition = args.partition is not None or args.prime is not None or args.n is not None
     if by_chain == by_partition:
         raise ValueError("give either --divisors, or --n with --prime and --partition")
-    path = _cache_path(args)
-    memo = _load_memo(path)
     if by_chain:
         chain = validate_chain(_parse_int_list(args.divisors, "--divisors"))
-        value = 1
-        for p, _ in factorize(chain[-1]):
-            exps = tuple(ord_p(p, d) for d in chain)
-            value *= poly_eval(class_size_poly(exps, memo), p)
+        value = class_size(chain)
         params = {"divisors": ",".join(map(str, chain))}
+        # the index is factored a second time only for a cache file
+        primes = [p for p, _ in factorize(chain[-1])] if _cache_path(args) else []
+        levels = [(len(chain), sum(ord_p(p, d) for d in chain)) for p in primes]
     else:
         if args.n is None or args.prime is None or args.partition is None:
             raise ValueError("the partition form needs --n, --prime, and --partition together")
         exps = _parse_int_list(args.partition, "--partition")
         if len(exps) != args.n:
             raise ValueError(f"--partition must have exactly n={args.n} parts, got {len(exps)}")
-        if not is_prime(args.prime):
-            raise ValueError(f"{args.prime} is not prime")
-        value = poly_eval(class_size_poly(exps, memo), args.prime)
-        params = {
-            "n": args.n,
-            "prime": args.prime,
-            "partition": ",".join(map(str, exps)),
-        }
-    _save_memo(path, memo)
+        value = class_size_prime(exps, args.prime)
+        params = {"n": args.n, "prime": args.prime, "partition": ",".join(map(str, exps))}
+        levels = [(args.n, sum(exps))]
+    _cache_levels(args, levels)
     return _emit_value(args, "count class", params, value)
 
 
@@ -299,19 +300,15 @@ def _cmd_poly_class(args) -> int:
     exps = _parse_int_list(args.partition, "--partition")
     if len(exps) != args.n:
         raise ValueError(f"--partition must have exactly n={args.n} parts, got {len(exps)}")
-    path = _cache_path(args)
-    memo = _load_memo(path)
-    coeffs = class_size_poly(exps, memo)
-    _save_memo(path, memo)
+    coeffs = class_size_poly(exps)
+    _cache_levels(args, [(args.n, sum(exps))])
     params = {"n": args.n, "partition": ",".join(map(str, exps))}
     return _emit_poly(args, "poly class", params, coeffs)
 
 
 def _cmd_poly_fn(args) -> int:
-    path = _cache_path(args)
-    memo = _load_memo(path)
-    coeffs = sublattice_count_poly(args.n, args.r, memo)
-    _save_memo(path, memo)
+    coeffs = sublattice_count_poly(args.n, args.r)
+    _cache_levels(args, [(args.n, args.r)])
     return _emit_poly(args, "poly fn", {"n": args.n, "r": args.r}, coeffs)
 
 

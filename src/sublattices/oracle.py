@@ -46,7 +46,14 @@ from .forms import (
     hnf3_smith_exponents,
     invariant_factors,
 )
-from .polyalg import class_size_poly, class_size_poly_glue, leading_terms_check, poly_render
+from .polyalg import (
+    class_size_poly,
+    class_size_poly_glue,
+    leading_terms_check,
+    poly_add,
+    poly_render,
+    sublattice_count_poly,
+)
 
 _POOL_MIN = 50_000  # below this predicted count, worker pools are not worth forking
 _CHUNK = 1 << 16  # most matrices in one box of the int64 kernel
@@ -453,8 +460,9 @@ def _shortcut_chain(h: HnfMatrix, fac) -> tuple[int, ...]:
 def verify_index(n: int, m: int, *, jobs: int = 1, budget: int = DEFAULT_BUDGET) -> SectionReport:
     """Diff every formula against the brute force for one (n, m)."""
     _check_scope(n, m)
-    formula = class_census(n, m)
+    # the oracle refuses an over-budget scope up front, before the formula census
     oracle = census_bruteforce(n, m, jobs=jobs, budget=budget)
+    formula = class_census(n, m)
     keys = sorted(set(formula.counts) | set(oracle.counts))
     rows = [ClassRow(k, formula.counts.get(k, 0), oracle.counts.get(k, 0)) for k in keys]
     checks = []
@@ -535,57 +543,56 @@ def _leading_terms_section(max_n: int = 4, max_r: int = 5) -> SectionReport:
     return SectionReport("polynomial leading terms", checks=checks)
 
 
+def _first_split_failure(n: int, limit: int) -> str:
+    """Where the answers at the first coprime m1 * m2 <= limit fail to split, or ''."""
+    for m1 in range(2, limit + 1):
+        for m2 in range(2, limit // m1 + 1):
+            if gcd(m1, m2) != 1:
+                continue
+            if sublattice_count(n, m1 * m2) != sublattice_count(n, m1) * sublattice_count(n, m2):
+                return f"count split fails at {m1} * {m2}"
+            if class_count(n, m1 * m2) != class_count(n, m1) * class_count(n, m2):
+                return f"class count split fails at {m1} * {m2}"
+            for k1, s1 in class_census(n, m1).counts.items():
+                for k2, s2 in class_census(n, m2).counts.items():
+                    merged = tuple(a * b for a, b in zip(k1, k2))
+                    if class_size(merged) != s1 * s2:
+                        return f"class size split fails at {merged}"
+    return ""
+
+
 def _multiplicativity_section(limit: int = 120, max_n: int = 3) -> SectionReport:
     checks = []
     for n in range(1, max_n + 1):
-        ok = True
-        detail = ""
-        for m1 in range(2, limit + 1):
-            for m2 in range(2, limit // m1 + 1):
-                if gcd(m1, m2) != 1:
-                    continue
-                if sublattice_count(n, m1 * m2) != sublattice_count(n, m1) * sublattice_count(n, m2):
-                    ok, detail = False, f"count split fails at {m1} * {m2}"
-                    break
-                if class_count(n, m1 * m2) != class_count(n, m1) * class_count(n, m2):
-                    ok, detail = False, f"class count split fails at {m1} * {m2}"
-                    break
-                for k1, s1 in class_census(n, m1).counts.items():
-                    for k2, s2 in class_census(n, m2).counts.items():
-                        merged = tuple(a * b for a, b in zip(k1, k2))
-                        if class_size(merged) != s1 * s2:
-                            ok, detail = False, f"class size split fails at {merged}"
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        checks.append(Check(f"multiplicative up to {limit}, n={n}", ok, detail))
+        detail = _first_split_failure(n, limit)
+        checks.append(Check(f"multiplicative up to {limit}, n={n}", not detail, detail))
     return SectionReport("multiplicativity across coprime factors", checks=checks)
 
 
 def _closed_vs_glue_section(max_n: int = 5, max_k: int = 6) -> SectionReport:
     """Closed-form class sizes against the glue recursion, one check per level (n, k).
 
-    Both routes get a memo of their own, shared across the levels, so each
-    level is built once per route.
+    Each level's class sizes must also sum to the Gaussian-binomial count
+    polynomial.  The glue route gets one memo, shared across the levels, so
+    each level is built once.
     """
-    closed: dict = {}
     glue: dict = {}
     checks = []
     for n in range(1, max_n + 1):
         for k in range(0, max_k + 1):
             level = list(partitions(n, k))
             ok, detail = True, f"{len(level)} classes"
+            total: list[int] = []
             for exps in level:
                 want = class_size_poly_glue(exps, glue)
-                got = class_size_poly(exps, closed)
+                got = class_size_poly(exps)
                 if got != want:
                     ok = False
                     detail = f"{exps}: closed {poly_render(got)}, glue {poly_render(want)}"
                     break
+                total = poly_add(total, got)
+            if ok and total != (count := sublattice_count_poly(n, k)):
+                ok, detail = False, f"class sum {poly_render(total)}, count {poly_render(count)}"
             checks.append(Check(f"class_size_closed_vs_glue n={n} k={k}", ok, detail))
     return SectionReport("class sizes: closed form vs glue recursion", checks=checks)
 

@@ -5,12 +5,12 @@ trailing zeros; the zero polynomial is the empty list.  Class sizes at a fixed
 exponent tuple are polynomials in the prime, and numeric class sizes are these
 polynomials evaluated at the prime.
 
-Production builds them from a product formula: the class of quotient group
-G is |Surj(Z^n, G)| / |Aut G| (Hillar & Rhea, "Automorphisms of finite abelian
-groups", Amer. Math. Monthly 114 (2007)), a power of T times a Gaussian
-multinomial, built by multiplications and exact divisions by T^i - 1.  A miss
-fills the whole level (dimension n, exponent sum k) of the memo, and only that
-level.
+Production builds each fact from one closed form, by multiplications and exact
+divisions by T^i - 1: the class of quotient group G is |Surj(Z^n, G)| / |Aut G|
+(Hillar & Rhea, Amer. Math. Monthly 114 (2007)), one exponent tuple at a time,
+and the count at index T^r is the Gaussian binomial [n-1+r; n-1]_T (Lubotzky &
+Segal, "Subgroup Growth", ch. 15), which verify suite checks against the sum
+of its level's class sizes.
 
 The paper's glue recursion stays as the independent route that verifies it,
 behind class_size_poly_glue, which recurses only into itself.  It runs
@@ -25,6 +25,7 @@ no division anywhere."""
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from itertools import product as iter_product
 from math import comb
 from typing import MutableMapping, Sequence
@@ -158,9 +159,8 @@ def admissible_glue(pivot: int, target: Sequence[int], inner: Sequence[int]) -> 
     The bucket of target in the scan of the box prod [0, inner[i]], in scan
     order.  Empty when the exponent budget sum(target) = pivot + sum(inner)
     fails.  The result does not depend on any prime, which is what makes the
-    class sizes polynomial in the prime.  The recursion reads the buckets of
-    _glue_buckets directly and never calls this per-target view; it stays for
-    the benchmark's census.glue_cells probe, which wraps it and so counts 0 cells.
+    class sizes polynomial in the prime.  The recursion never calls this
+    per-target view; the benchmark's glue-cell probe wraps it.
     """
     target = tuple(int(a) for a in target)
     inner = tuple(int(b) for b in inner)
@@ -216,6 +216,10 @@ def _over_cyclic(a: Sequence[int], i: int) -> list[int]:
     return q
 
 
+_CLOSED_MEMO = 4096  # most exponent tuples whose closed form stays cached
+
+
+@lru_cache(maxsize=_CLOSED_MEMO)
 def _class_size_closed(exps: tuple[int, ...]) -> list[int]:
     """Class size at a nondecreasing exponent tuple, |Surj(Z^n, G)| / |Aut G|.
 
@@ -243,9 +247,6 @@ def _class_size_closed(exps: tuple[int, ...]) -> list[int]:
         for i in range(1, last[e] - first[e] + 2):
             out = _over_cyclic(out, i)
     return [0] * a + out
-
-
-_DEFAULT_MEMO: dict[tuple[int, ...], list[int]] = {}
 
 
 def class_size_poly_glue(exponents: tuple[int, ...], memo: MutableMapping) -> list[int]:
@@ -290,36 +291,35 @@ def _fill_level(n: int, k: int, memo: MutableMapping) -> None:
     memo.update(todo)
 
 
-def class_size_poly(exponents: Sequence[int], memo: MutableMapping | None = None) -> list[int]:
+def class_size_poly(exponents: Sequence[int]) -> list[int]:
     """Class size at the given exponent tuple as a polynomial in the prime.
 
-    The closed form |Surj(Z^n, G)| / |Aut G| of the class's quotient group G.
-    Evaluating the result at a prime p gives class_size_prime(exponents, p).
-    An explicit memo mapping exponent tuples to coefficient lists can be
-    supplied to reuse work across calls (the CLI backs it with a JSON cache
-    file); a miss adds every class of its level (n, sum of exponents) that the
-    memo lacks, and nothing else.
+    The closed form |Surj(Z^n, G)| / |Aut G| of the class's quotient group G,
+    built for this tuple alone and cached per tuple (at most _CLOSED_MEMO
+    tuples); the returned list is a fresh copy.  Evaluating the result at a
+    prime p gives class_size_prime(exponents, p).
     """
     exps = tuple(int(e) for e in exponents)
     if not exps:
         raise ValueError("exponent tuple must be nonempty")
     if any(e < 0 for e in exps) or any(exps[i] > exps[i + 1] for i in range(len(exps) - 1)):
         raise ValueError(f"exponents must be nondecreasing and nonnegative, got {exps}")
-    if memo is None:
-        memo = _DEFAULT_MEMO
-    if exps not in memo:
-        level = partitions(len(exps), sum(exps))
-        memo.update({t: _class_size_closed(t) for t in level if t not in memo})
-    return list(memo[exps])
+    return list(_class_size_closed(exps))
 
 
 def sublattice_count_poly(n: int, r: int, memo: MutableMapping | None = None) -> list[int]:
-    """Number of index-p**r sublattices of Z^n as a polynomial in the prime p."""
+    """Number of index-p**r sublattices of Z^n as a polynomial in the prime p.
+
+    The Gaussian binomial [n-1+r; n-1]_T, the product over i = 1..min(n-1, r) of
+    (T^(max(n-1, r)+i) - 1) / (T^i - 1); every partial product is a Gaussian
+    binomial, so each division is exact.  memo is accepted and never read.
+    """
     if n < 1 or r < 0:
         raise ValueError(f"need n >= 1 and r >= 0, got n={n} r={r}")
-    out: list[int] = []
-    for exps in partitions(n, r):
-        out = poly_add(out, class_size_poly(exps, memo))
+    short, long = sorted((n - 1, r))
+    out = [1]
+    for i in range(1, short + 1):
+        out = _over_cyclic(_times_cyclic(out, long + i), i)
     return out
 
 
@@ -343,21 +343,13 @@ def leading_terms_check(n: int, r: int) -> tuple[bool, dict]:
     full = sublattice_count_poly(n, r)
     coc = cocyclic_count_poly(n, r)
     top = (n - 1) * r
-
-    def coeff(c: list[int], d: int) -> int:
-        return c[d] if 0 <= d < len(c) else 0
-
-    ok = (
-        len(full) - 1 == top
-        and len(coc) - 1 == top
-        and coeff(full, top) == coeff(coc, top) == 1
-        and coeff(full, top - 1) == coeff(coc, top - 1) == 1
-    )
+    full_top, coc_top = ([c[d] if d < len(c) else 0 for d in (top, top - 1)] for c in (full, coc))
+    ok = len(full) == len(coc) == top + 1 and full_top == coc_top == [1, 1]
     diff = poly_sub(full, coc)
     report = {
         "degree": top,
-        "full_top": [coeff(full, top), coeff(full, top - 1)],
-        "cocyclic_top": [coeff(coc, top), coeff(coc, top - 1)],
+        "full_top": full_top,
+        "cocyclic_top": coc_top,
         "difference_degree": len(diff) - 1 if diff else None,
         "match": ok,
     }

@@ -271,6 +271,20 @@ def test_class_census_merges_over_coprime_parts():
         assert merged == class_census(n, a * b).counts, (n, a, b)
 
 
+def test_class_census_keys_share_divisor_objects():
+    # one int object per divisor value across all keys, in the order of the
+    # product of per-prime partitions, the last prime varying fastest
+    table = class_census(4, 2**40 * 3**2)
+    divisors_seen = [d for key in table.counts for d in key]
+    assert len({id(d) for d in divisors_seen}) == len(set(divisors_seen))
+    want = [
+        tuple(2**a * 3**b for a, b in zip(two, three))
+        for two in partitions(4, 40)
+        for three in partitions(4, 2)
+    ]
+    assert list(table.counts) == want
+
+
 def test_class_census_matches_class_size():
     for n, m in ((2, 12), (3, 8), (3, 36), (4, 16)):
         for chain, size in class_census(n, m).counts.items():

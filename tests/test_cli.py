@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from sublattices import oracle
+from sublattices.census import cocyclic_count_prime_power, sublattice_count_prime_power
 from sublattices.cli import main
+from sublattices.polyalg import poly_eval
 
 
 def run_cli(capsys, *argv):
@@ -393,6 +395,37 @@ def test_poly_cache_env_var(tmp_path, capsys, monkeypatch):
     assert cache.exists()
     stored = json.loads(cache.read_text())
     assert all(isinstance(v, list) for v in stored.values())
+
+
+def test_verify_refuses_before_the_formula_census(capsys):
+    # 2**64 in dimension 8: the oracle's matrix count refuses it before the
+    # formula census of its 116 263 classes is built
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--n", "8", "--m", str(2**64))
+    elapsed = time.perf_counter() - t0
+    assert code == 3 and out == ""
+    assert "predicted" in err
+    assert elapsed < 1.0, elapsed
+
+
+def test_far_up_inputs_answer_at_once(capsys):
+    for n, r in [(3, 600), (4, 200)]:
+        t0 = time.perf_counter()
+        code, out, _ = run_cli(capsys, "poly", "fn", "--n", str(n), "--r", str(r))
+        elapsed = time.perf_counter() - t0
+        assert code == 0 and elapsed < 1.0, (n, r, elapsed)
+        coeffs = [int(c) for c in json.loads(out)["payload"]["coefficients"]]
+        for t in (2, 3):
+            assert poly_eval(coeffs, t) == sublattice_count_prime_power(n, t, r), (n, r, t)
+    # the cyclic class at 2**200, against its own closed form
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "count", "class", "--n", "4", "--prime", "2", "--partition", "0,0,0,200",
+        "--format", "plain",
+    )
+    elapsed = time.perf_counter() - t0
+    assert code == 0 and elapsed < 1.0, elapsed
+    assert int(out) == cocyclic_count_prime_power(4, 2, 200)
 
 
 def test_verify_index_cli(capsys):

@@ -20,6 +20,7 @@ from sublattices.oracle import (
     verify_index,
     verify_prime_powers,
     verify_suite,
+    _closed_vs_glue_section,
     _leading_terms_section,
     _multiplicativity_section,
 )
@@ -284,9 +285,16 @@ def test_verify_prime_powers():
         verify_prime_powers(2, 3, 0)
 
 
-def test_aggregate_sections():
+def test_aggregate_sections(monkeypatch):
     assert _leading_terms_section(max_n=3, max_r=3).ok
     assert _multiplicativity_section(limit=40, max_n=2).ok
+    # each dimension reports its first failed split and goes on to the next
+    monkeypatch.setattr(oracle, "class_size", lambda chain: 0)
+    section = _multiplicativity_section(limit=40, max_n=2)
+    assert [(c.ok, c.detail) for c in section.checks] == [
+        (False, "class size split fails at (6,)"),
+        (False, "class size split fails at (1, 6)"),
+    ]
 
 
 def test_verify_suite_payload_deterministic():
@@ -305,4 +313,25 @@ def test_verify_suite_payload_deterministic():
     assert last["scope"] == "class sizes: closed form vs glue recursion" and last["ok"]
     assert [c["name"] for c in last["checks"]] == [
         f"class_size_closed_vs_glue n={n} k={k}" for n in range(1, 6) for k in range(7)
+    ]
+
+
+def test_closed_vs_glue_section_names_the_failed_comparison(monkeypatch):
+    assert [c.detail for c in _closed_vs_glue_section(max_n=2, max_k=2).checks] == [
+        "1 classes", "1 classes", "1 classes", "1 classes", "1 classes", "2 classes"
+    ]
+    # a count polynomial off by one at level (2, 2) fails only that level's sum
+    real_count = oracle.sublattice_count_poly
+    monkeypatch.setattr(
+        oracle, "sublattice_count_poly",
+        lambda n, r: real_count(n, r) + [1] if (n, r) == (2, 2) else real_count(n, r),
+    )
+    section = _closed_vs_glue_section(max_n=2, max_k=2)
+    assert [c.ok for c in section.checks] == [True] * 5 + [False]
+    assert section.checks[-1].detail == "class sum T^2 + T + 1, count T^3 + T^2 + T + 1"
+    # a wrong closed form fails on the class comparison, before the sum
+    monkeypatch.setattr(oracle, "class_size_poly", lambda exps: [2])
+    section = _closed_vs_glue_section(max_n=1, max_k=1)
+    assert [c.detail for c in section.checks] == [
+        "(0,): closed 2, glue 1", "(1,): closed 2, glue 1"
     ]

@@ -159,17 +159,31 @@ def test_class_size_poly_errors():
 
 
 def test_class_size_poly_memo_reuse():
-    memo = {}
-    first = class_size_poly((0, 1, 2), memo)
-    assert (0, 1, 2) in memo
-    assert memo[(0, 1, 2)] == first
-    # the miss filled its level (3, 3) and nothing else; a second call reuses it
-    assert set(memo) == set(partitions(3, 3))
-    again = class_size_poly((0, 1, 2), memo)
+    first = class_size_poly((0, 1, 2))
+    again = class_size_poly((0, 1, 2))
     assert again == first
     # the returned list is a copy, not the cached one
     again.append(999)
-    assert memo[(0, 1, 2)] == first
+    assert class_size_poly((0, 1, 2)) == first
+
+
+def test_closed_form_memo_is_bounded():
+    # 7166 classes at index 2**60 in dimension 5, more than the memo holds
+    polyalg._class_size_closed.cache_clear()
+    table = class_census(5, 2**60)
+    assert len(table.counts) == 7166
+    assert table.total() == sublattice_count(5, 2**60)
+    assert polyalg._class_size_closed.cache_info().currsize <= polyalg._CLOSED_MEMO
+
+
+def test_count_poly_never_reads_its_memo():
+    class Untouchable(dict):
+        def _touched(self, *args):
+            raise AssertionError("memo read")
+
+        __getitem__ = __contains__ = __iter__ = __len__ = get = _touched
+
+    assert sublattice_count_poly(4, 5, Untouchable()) == sublattice_count_poly(4, 5)
 
 
 def _spy_glue_buckets(monkeypatch) -> list:
@@ -234,18 +248,17 @@ def test_admissible_glue_matches_per_target_scan():
 def test_partial_memo_fills_level_without_overwriting():
     cold = {}
     want = class_size_poly_glue((0, 3, 3), cold)
-    for route in (class_size_poly, class_size_poly_glue):
-        # a memo written by an earlier run that reached only some classes of
-        # level (3, 6) and of the levels below; one entry carries a marker value
-        marker = [7]
-        seeded = {key: list(cold[key]) for key in [(0, 0, 6), (1, 1), (0, 4), (2, 2), (1,)]}
-        seeded[(1, 2, 3)] = marker
-        before = {key: list(val) for key, val in seeded.items()}
-        assert route((0, 3, 3), seeded) == want, route
-        assert {key: seeded[key] for key in before} == before
-        assert seeded[(1, 2, 3)] is marker
-        assert all(seeded[key] == cold[key] for key in seeded if key not in before)
-        assert set(partitions(3, 6)) <= set(seeded)
+    # a memo written by an earlier run that reached only some classes of
+    # level (3, 6) and of the levels below; one entry carries a marker value
+    marker = [7]
+    seeded = {key: list(cold[key]) for key in [(0, 0, 6), (1, 1), (0, 4), (2, 2), (1,)]}
+    seeded[(1, 2, 3)] = marker
+    before = {key: list(val) for key, val in seeded.items()}
+    assert class_size_poly_glue((0, 3, 3), seeded) == want
+    assert {key: seeded[key] for key in before} == before
+    assert seeded[(1, 2, 3)] is marker
+    assert all(seeded[key] == cold[key] for key in seeded if key not in before)
+    assert set(partitions(3, 6)) <= set(seeded)
 
 
 def test_closed_form_matches_glue_route():
@@ -254,21 +267,9 @@ def test_closed_form_matches_glue_route():
     for n in range(1, 7):
         for k in range(0, 8):
             for exps in partitions(n, k):
-                assert class_size_poly(exps, {}) == class_size_poly_glue(exps, glue), exps
+                assert class_size_poly(exps) == class_size_poly_glue(exps, glue), exps
                 checked += 1
     assert checked == 183
-
-
-def test_memo_miss_fills_exactly_its_level():
-    for n, k in [(1, 0), (1, 9), (3, 0), (3, 6), (4, 5), (6, 7)]:
-        memo = {}
-        first = next(partitions(n, k))
-        class_size_poly(first, memo)
-        assert set(memo) == set(partitions(n, k)), (n, k)
-    # a memo holding another level keeps it as it is and gains only this level
-    memo = {(0, 2): [0, 1, 1], (1, 1): [1]}
-    class_size_poly((0, 1, 3), memo)
-    assert set(memo) == {(0, 2), (1, 1)} | set(partitions(3, 4))
 
 
 def test_production_routes_scan_no_glue_box(monkeypatch):
@@ -285,6 +286,13 @@ def test_sublattice_count_poly():
             poly = sublattice_count_poly(n, r)
             for p in (2, 3, 5, 7, 11):
                 assert poly_eval(poly, p) == sublattice_count(n, p**r), (n, r, p)
+    # the Gaussian-binomial product against the sum of its level's class sizes
+    for n in range(1, 8):
+        for r in range(0, 9):
+            total = []
+            for exps in partitions(n, r):
+                total = poly_add(total, class_size_poly(exps))
+            assert sublattice_count_poly(n, r) == total, (n, r)
     assert sublattice_count_poly(3, 0) == [1]
     with pytest.raises(ValueError):
         sublattice_count_poly(0, 1)
