@@ -3,7 +3,7 @@
 Subcommands: count (closed-form counts), enumerate (stream Hermite forms as
 JSON lines), poly (polynomial-in-the-prime answers), verify (diff formulas
 against the brute-force oracle).  Structured output goes to stdout; timing and
-warnings go to stderr so reports stay byte-stable across worker counts.
+warnings go to stderr so reports stay byte-stable across runs and --jobs values.
 
 Exit codes: 0 success, 1 verification mismatch or internal inconsistency,
 2 invalid input, 3 work would exceed the budget (matrices, indices for
@@ -527,7 +527,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--prime", type=int, default=None)
     p.add_argument("--max-r", type=int, default=None, dest="max_r")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for the oracle")
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="accepted and checked (an integer >= 1); the oracle runs in one process",
+    )
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     _add_format(p)
     p.set_defaults(func=_cmd_verify)

@@ -14,17 +14,17 @@ index of each gcd among the divisors of m, on the un-broadcast gcd arrays.  A
 bound on every minor, with entries bounded by m, says whether int64 is exact;
 a scope where any pattern's bound reaches _INT64_SAFE is refused up front,
 like one over the matrix budget, so no answer leaves the kernel.
-Each worker takes an equal contiguous part of all blocks in hnf_stream order,
-and tallies are plain sums, so they are identical for any worker count.
+Everything runs in one process: inside the default budget a worker pool
+gained at most 1.2x and nearly doubled peak memory, so jobs is checked and
+selects nothing.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, product as iter_product
+from itertools import product as iter_product
 from math import gcd, prod
 
 import numpy as np
@@ -55,7 +55,6 @@ from .polyalg import (
     sublattice_count_poly,
 )
 
-_POOL_MIN = 50_000  # below this predicted count, worker pools are not worth forking
 _CHUNK = 1 << 16  # most matrices in one box of the int64 kernel
 _INT64_SAFE = 1 << 62
 _SHORTCUT_CAP = 200_000  # most forms verify_index diffs against the Smith shortcuts
@@ -189,24 +188,21 @@ def _principal_gcds(per_order, diag):
     )
 
 
-def _boxes(sizes, lo, hi, chunk):
-    """Cut positions lo..hi-1 of a block into boxes of at most chunk matrices.
+def _boxes(sizes, chunk):
+    """Cut a block into boxes of at most chunk matrices, in block order.
 
     sizes are the ranges of the block's slots, the last moving fastest as in
     hnf_stream.  A box (fixed, start, shape) fixes the leading slots to the
     digits in fixed, ranges the next slot over shape[0] values from start, and
     runs every later slot in full; its matrices are contiguous in block order.
+    The ranged slot is the shallowest one whose trailing slots fit in chunk.
     """
     spans = [prod(sizes[t + 1 :]) for t in range(len(sizes))]
-    pos = lo
-    while pos < hi:
-        # the shallowest slot whose steps stay aligned, in range and in chunk
-        room = min(chunk, hi - pos)
-        t = next(t for t, span in enumerate(spans) if pos % span == 0 and span <= room)
-        digits = [pos // spans[q] % sizes[q] for q in range(t + 1)]
-        k = min(sizes[t] - digits[t], (hi - pos) // spans[t], chunk // spans[t])
-        yield tuple(digits[:t]), digits[t], (k, *sizes[t + 1 :])
-        pos += k * spans[t]
+    t = next(t for t, span in enumerate(spans) if span <= chunk)
+    step = chunk // spans[t]
+    for fixed in iter_product(*map(range, sizes[:t])):
+        for start in range(0, sizes[t], step):
+            yield fixed, start, (min(step, sizes[t] - start), *sizes[t + 1 :])
 
 
 def _box_gcds(diag, axes, per_order, scalars, box):
@@ -235,13 +231,13 @@ def _box_gcds(diag, axes, per_order, scalars, box):
     ]
 
 
-def _block_gcds(n, diag, per_order, lo, hi, chunk):
-    """(count, gvals) per box of positions lo..hi-1 of one block."""
+def _block_gcds(n, diag, per_order):
+    """(count, gvals) per box of one block, boxes of at most _CHUNK matrices."""
     axes = [n + s for s, (_, j) in enumerate(_slots(n)) if diag[j] > 1]
     # a block without varying slots holds one matrix: one box on a dummy slot
     sizes = [diag[j] for _, j in _slots(n) if diag[j] > 1] or [1]
     scalars = _principal_gcds(per_order, diag)
-    for box in _boxes(sizes, lo, hi, chunk):
+    for box in _boxes(sizes, _CHUNK):
         yield prod(box[2]), _box_gcds(diag, axes, per_order, scalars, box)
 
 
@@ -280,7 +276,7 @@ def _tally_chains(n, m, parts):
     return counts
 
 
-def _tally_cocyclic(n, m, parts):
+def _tally_cocyclic(parts):
     """Count the matrices whose minors of order n-1 have gcd 1."""
     hits = 0
     for count, (g,) in parts:
@@ -288,64 +284,31 @@ def _tally_cocyclic(n, m, parts):
             hits += int(np.count_nonzero(g == 1)) * (count // g.size)
         elif g == 1:
             hits += count
-    return {True: hits}
+    return hits
 
 
-def _worker(args):
-    """Tally one share, ranges of blocks, on the int64 kernel."""
-    n, m, share, chunk, orders, tally = args
-    parts = []
-    for diag, lo, hi in share:
-        per_order = _pattern_plans(n, tuple(d == 1 for d in diag), orders)[0]
-        parts.append(_block_gcds(n, diag, per_order, lo, hi, chunk))
-    return tally(n, m, chain.from_iterable(parts))
-
-
-def _bruteforce(n, m, scope, jobs, budget, orders, tally):
-    """Shared entry: validate, refuse up front, split the blocks evenly and merge.
+def _bruteforce(n, m, scope, jobs, budget, orders):
+    """Shared entry: validate, refuse up front, then (count, gvals) per box.
 
     Refuses with BudgetExceededError before any box runs: over budget matrices,
     or where the minor bound weight * m**degree of a unit pattern, the
-    positions where a diagonal equals 1, reaches _INT64_SAFE.  The blocks in
-    hnf_stream order form one run of matrices, and each worker takes one
-    contiguous, equal part of it.  _CHUNK is read here and handed to the
-    workers, so a worker sees the parent's value.
+    positions where a diagonal equals 1, reaches _INT64_SAFE.  The boxes of
+    every block follow in hnf_stream order, in this process.  jobs must be an
+    integer of at least 1 and selects nothing.
     """
     _check_scope(n, m)
     if not isinstance(jobs, int) or jobs < 1:
         raise ValueError(f"need an integer jobs >= 1, got {jobs!r}")
     where = f"{scope} n={n} m={m}"
-    predicted = _check_budget(n, m, budget, where)
-    blocks = []
+    _check_budget(n, m, budget, where)
+    plans = []
     for diag in divisor_compositions(m, n):
-        _, weight, degree = _pattern_plans(n, tuple(d == 1 for d in diag), orders)
+        per_order, weight, degree = _pattern_plans(n, tuple(d == 1 for d in diag), orders)
         bound = weight * m**degree
         if bound >= _INT64_SAFE:
             raise BudgetExceededError(bound, _INT64_SAFE, f"{where} on int64", unit="minor bound")
-        blocks.append((diag, prod(d**j for j, d in enumerate(diag))))
-    workers = 1 if predicted < _POOL_MIN else min(jobs, os.cpu_count() or 1)
-    total = sum(size for _, size in blocks)
-    cuts = [total * w // workers for w in range(workers + 1)]
-    shares: list[list] = [[] for _ in range(workers)]
-    start = 0
-    for diag, size in blocks:
-        for share, lo, hi in zip(shares, cuts, cuts[1:]):
-            a, z = max(lo, start), min(hi, start + size)
-            if a < z:
-                share.append((diag, a - start, z - start))
-        start += size
-    work = [(n, m, share, _CHUNK, orders, tally) for share in shares]
-    if workers == 1:
-        return _worker(work[0])
-    # imported only here: one worker never needs the pool module
-    from concurrent.futures import ProcessPoolExecutor
-
-    counts: dict = {}
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        for part in ex.map(_worker, work):
-            for key, v in part.items():
-                counts[key] = counts.get(key, 0) + v
-    return counts
+        plans.append((diag, per_order))
+    return (part for diag, per_order in plans for part in _block_gcds(n, diag, per_order))
 
 
 def census_bruteforce(
@@ -353,14 +316,13 @@ def census_bruteforce(
 ) -> CensusTable:
     """Classify every index-m Hermite form of dimension n by its invariant factors.
 
-    The minor gcds of the int64 kernel give the chain.  The even split over
-    the blocks makes the result independent of jobs.  Raises
+    The minor gcds of the int64 kernel give the chain.  jobs is checked and
+    selects nothing: the oracle runs in one process.  Raises
     BudgetExceededError, before any work, over budget matrices or where a
     minor could leave int64.
     """
-    orders = tuple(range(1, n))
-    counts = _bruteforce(n, m, "census", jobs, budget, orders, _tally_chains)
-    return CensusTable(n, m, counts)
+    parts = _bruteforce(n, m, "census", jobs, budget, tuple(range(1, n)))
+    return CensusTable(n, m, _tally_chains(n, m, parts))
 
 
 def cocyclic_bruteforce(n: int, m: int, *, jobs: int = 1, budget: int = DEFAULT_BUDGET) -> int:
@@ -370,8 +332,7 @@ def cocyclic_bruteforce(n: int, m: int, *, jobs: int = 1, budget: int = DEFAULT_
     factor chain is (1, ..., 1, m).  Refused like census_bruteforce, over
     budget matrices or where a minor could leave int64.
     """
-    counts = _bruteforce(n, m, "cocyclic", jobs, budget, (n - 1,), _tally_cocyclic)
-    return counts.get(True, 0)
+    return _tally_cocyclic(_bruteforce(n, m, "cocyclic", jobs, budget, (n - 1,)))
 
 
 @dataclass
@@ -408,7 +369,7 @@ class VerifyReport:
     """Outcome of one verification run.
 
     elapsed is measured but deliberately kept out of to_payload() so that equal
-    scopes serialize byte-identically regardless of timing or worker count.
+    scopes serialize byte-identically regardless of timing or jobs.
     """
 
     scope: str

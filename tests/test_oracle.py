@@ -7,8 +7,7 @@ from math import prod
 
 import pytest
 
-from sublattices import arith, census, oracle
-from sublattices.arith import divisor_compositions
+from sublattices import arith, census, cli, oracle
 from sublattices.census import class_census, cocyclic_count, sublattice_count
 from sublattices.enumeration import hnf_stream
 from sublattices.forms import integer_det, invariant_factors, invariant_factors_via_minors, minor_gcd
@@ -69,7 +68,7 @@ def test_bruteforce_methods_agree(monkeypatch):
         want = class_census(n, m).counts
         want_cocyclic = cocyclic_count(n, m)
         # with no pattern inside the int64 bound both brute forces refuse the
-        # scope before any box runs, on one worker or split over several
+        # scope before any box runs, at any jobs
         boxes.clear()
         with monkeypatch.context() as mp:
             mp.setattr(oracle, "_INT64_SAFE", 0)
@@ -112,7 +111,7 @@ def test_bruteforce_jobs_deterministic():
     base = census_bruteforce(3, 30)
     for jobs in (2, 3, 8):
         assert census_bruteforce(3, 30, jobs=jobs).counts == base.counts, jobs
-    # above the fork threshold: (3, 120) has 62465 forms and (4, 32) 97155
+    # larger scopes: (3, 120) has 62465 forms and (4, 32) 97155
     for n, m in ((3, 120), (4, 32)):
         census = [census_bruteforce(n, m, jobs=jobs).counts for jobs in (1, 2, 3)]
         cocyclic = [cocyclic_bruteforce(n, m, jobs=jobs) for jobs in (1, 2, 3)]
@@ -143,49 +142,19 @@ def test_bruteforce_errors():
                 brute(2, 4, jobs=jobs)
 
 
-def test_bruteforce_pool_capped_at_cpu_count(monkeypatch):
-    # an in-process stand-in for the pool records the worker count and the work
-    sizes = []
-    handed = []
+def test_bruteforce_starts_no_process(monkeypatch, capsys):
+    # the oracle runs in one process at any jobs: a pool class that raises
+    # stands in for concurrent.futures' own, so any fork attempt fails
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("the oracle started a process pool")
 
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, work):
-            handed.append([args[2] for args in work])
-            return map(fn, work)
-
-    base = census_bruteforce(3, 30).counts
-    base_cocyclic = cocyclic_bruteforce(3, 30)
-    # the oracle imports the pool class where it makes the pool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(oracle, "_POOL_MIN", 0)
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
-    assert census_bruteforce(3, 30, jobs=64).counts == base
-    assert cocyclic_bruteforce(3, 30, jobs=64) == base_cocyclic
-    assert census_bruteforce(3, 30, jobs=2).counts == base
-    assert sizes == [3, 3, 2]
-    # every matrix of every block is handed out exactly once, and the workers'
-    # shares are contiguous parts of hnf_stream order that differ by at most one
-    # matrix, far below a chunk
-    blocks = {diag: prod(d**j for j, d in enumerate(diag)) for diag in divisor_compositions(30, 3)}
-    for shares, workers in zip(handed, sizes):
-        assert len(shares) == workers
-        merged: list = []
-        for diag, lo, hi in (item for share in shares for item in share):
-            if merged and merged[-1][0] == diag and merged[-1][2] == lo:
-                lo = merged.pop()[1]
-            merged.append((diag, lo, hi))
-        assert merged == [(diag, 0, size) for diag, size in blocks.items()]
-        totals = [sum(hi - lo for _, lo, hi in share) for share in shares]
-        assert max(totals) - min(totals) <= 1, totals
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    for n, m in ((3, 768), (4, 104)):
+        assert census_bruteforce(n, m, jobs=8).counts == class_census(n, m).counts, (n, m)
+        assert cocyclic_bruteforce(n, m, jobs=8) == cocyclic_count(n, m), (n, m)
+    assert cli.main(["verify", "--n", "3", "--m", "120", "--jobs", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["all_match"] is True
 
 
 def test_pattern_plans_are_the_minors_of_any_such_matrix():
