@@ -96,7 +96,10 @@ def distinct_prime_factors_upto(limit: int) -> Iterator[list[int]]:
             yield got
 
 
-@lru_cache(maxsize=None)
+_DIVISOR_MEMO = 4096  # most indices whose divisors are kept
+
+
+@lru_cache(maxsize=_DIVISOR_MEMO)
 def _divisor_tuple(m: int) -> tuple[int, ...]:
     divs = [1]
     for p, e in factorize(m):

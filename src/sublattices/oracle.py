@@ -32,6 +32,7 @@ import numpy as np
 from .arith import divisor_compositions, divisors, factorize, is_prime, partitions
 from .census import (
     CensusTable,
+    _check_nm,
     class_census,
     class_count,
     class_size,
@@ -39,7 +40,7 @@ from .census import (
     sublattice_count,
     sublattice_count_recursion,
 )
-from .enumeration import DEFAULT_BUDGET, BudgetExceededError, hnf_stream
+from .enumeration import DEFAULT_BUDGET, BudgetExceededError, _odometer, hnf_stream
 from .forms import (
     HnfMatrix,
     hnf2_smith_exponent,
@@ -60,11 +61,6 @@ _INT64_SAFE = 1 << 62
 _SHORTCUT_CAP = 200_000  # most forms verify_index diffs against the Smith shortcuts
 
 
-def _check_scope(n: int, m: int) -> None:
-    if n < 1 or m < 1:
-        raise ValueError(f"need n >= 1 and m >= 1, got n={n} m={m}")
-
-
 def _check_budget(n: int, m: int, budget: int, scope: str) -> int:
     predicted = sublattice_count(n, m)
     if predicted > budget:
@@ -83,12 +79,12 @@ def _pattern_plans(n, units, orders):
     Variable v < n stands for the diagonal entry d_v and variable n + s for the
     entry of slot s of _slots(n).  A unit column holds nothing but its diagonal
     1, so its slots are zero and drop out of every minor.  Returns
-    (per_order, weight, degree): per_order[i] = (principal, varying) splits the
-    nonzero orders[i] x orders[i] minors into those free of slot entries and
-    the rest, fewest slots first, each minor a plan of (variables, coeff)
-    monomials; every plan has
-    at most weight in absolute coefficients and degree variables per monomial,
-    so entries bounded by m bound every minor by weight * m**degree.
+    (per_order, weight, degree): per_order[i] is a tuple of the nonzero
+    orders[i] x orders[i] minors, each a plan of (variables, coeff) monomials,
+    sorted by the number of slot entries they read, so the principal minors,
+    which read none, come first.  Every plan has at most weight in absolute
+    coefficients and degree variables per monomial, so entries bounded by m
+    bound every minor by weight * m**degree.
     """
     if not orders:
         return (), 1, 0
@@ -133,26 +129,24 @@ def _pattern_plans(n, units, orders):
             if plan:
                 sign = 1 if plan[0][1] > 0 else -1
                 plans[tuple((s, sign * c) for s, c in plan)] = None
-        principal, varying = [], []
         for plan in plans:
             weight = max(weight, sum(abs(c) for _, c in plan))
             degree = max(degree, max(len(s) for s, _ in plan))
-            free = all(v < n for s, _ in plan for v in s)
-            (principal if free else varying).append(plan)
         # minors that read fewer slots broadcast over smaller arrays: fold them first
-        varying.sort(key=lambda plan: len({v for s, _ in plan for v in s if v >= n}))
-        per_order.append((tuple(principal), tuple(varying)))
+        per_order.append(
+            tuple(sorted(plans, key=lambda plan: len({v for s, _ in plan for v in s if v >= n})))
+        )
     return tuple(per_order), weight, degree
 
 
-def _eval_plan(plan, coord):
-    """One minor from its monomials; coord(v) is an int or an int64 array."""
+def _eval_plan(plan, values):
+    """One minor from its monomials; values[v] is an int or an int64 array."""
     const = 0
     acc = None
     for s, c in plan:
         arr = None
         for v in s:
-            x = coord(v)
+            x = values[v]
             if isinstance(x, int):
                 c *= x
             else:
@@ -167,25 +161,18 @@ def _eval_plan(plan, coord):
     return acc + const if const else acc
 
 
-def _fold(running, plans, coord):
+def _fold(plans, values):
     # determinants can be negative or zero; np.gcd folds them through their
     # absolute values, and the fold stops once every entry is exactly 1; a
     # plan that reads only fixed slots is an int and folds with math.gcd
+    running = 0
     for plan in plans:
-        value = _eval_plan(plan, coord)
+        value = _eval_plan(plan, values)
         both = isinstance(running, int) and isinstance(value, int)
         running = gcd(running, value) if both else np.gcd(running, value)
         if (running == 1) if both else (running == 1).all():
             return 1
     return running
-
-
-def _principal_gcds(per_order, diag):
-    """Per order, the gcd of the minors free of varying entries: ints fixed by the diagonal."""
-    return tuple(
-        gcd(*(_eval_plan(plan, diag.__getitem__) for plan in principal))
-        for principal, _ in per_order
-    )
 
 
 def _boxes(sizes, chunk):
@@ -200,19 +187,20 @@ def _boxes(sizes, chunk):
     spans = [prod(sizes[t + 1 :]) for t in range(len(sizes))]
     t = next(t for t, span in enumerate(spans) if span <= chunk)
     step = chunk // spans[t]
-    for fixed in iter_product(*map(range, sizes[:t])):
+    for fixed in _odometer((), tuple(sizes[:t])):
         for start in range(0, sizes[t], step):
             yield fixed, start, (min(step, sizes[t] - start), *sizes[t + 1 :])
 
 
-def _box_gcds(diag, axes, per_order, scalars, box):
+def _box_gcds(diag, axes, per_order, box):
     """gvals of one box: per order, the gcd of its minors, an int or an int64 array.
 
     axes lists the variables of the block's varying slots.  A fixed slot is
     an int; a ranged or trailing slot is an arange along its own axis of the
     box, so a minor broadcasts over only the slots it reads, and an array gval
-    has length 1 on every axis that none of its minors reads.  An order whose
-    principal gcd is 1, or whose minors are all principal, costs nothing.
+    has length 1 on every axis that none of its minors reads.  The principal
+    minors fold first, as ints, so an order where one of them is 1 builds no
+    array.
     """
     fixed, start, shape = box
     values = dict(enumerate(diag))
@@ -225,10 +213,7 @@ def _box_gcds(diag, axes, per_order, scalars, box):
             values[v] = np.arange(first, first + shape[axis], dtype=np.int64).reshape(
                 (-1,) + (1,) * (len(shape) - 1 - axis)
             )
-    return [
-        _fold(scalar, varying, values.__getitem__) if varying and scalar != 1 else scalar
-        for scalar, (_, varying) in zip(scalars, per_order)
-    ]
+    return [_fold(plans, values) for plans in per_order]
 
 
 def _block_gcds(n, diag, per_order):
@@ -236,9 +221,8 @@ def _block_gcds(n, diag, per_order):
     axes = [n + s for s, (_, j) in enumerate(_slots(n)) if diag[j] > 1]
     # a block without varying slots holds one matrix: one box on a dummy slot
     sizes = [diag[j] for _, j in _slots(n) if diag[j] > 1] or [1]
-    scalars = _principal_gcds(per_order, diag)
     for box in _boxes(sizes, _CHUNK):
-        yield prod(box[2]), _box_gcds(diag, axes, per_order, scalars, box)
+        yield prod(box[2]), _box_gcds(diag, axes, per_order, box)
 
 
 def _tally_chains(n, m, parts):
@@ -296,7 +280,7 @@ def _bruteforce(n, m, scope, jobs, budget, orders):
     every block follow in hnf_stream order, in this process.  jobs must be an
     integer of at least 1 and selects nothing.
     """
-    _check_scope(n, m)
+    _check_nm(n, m)
     if not isinstance(jobs, int) or jobs < 1:
         raise ValueError(f"need an integer jobs >= 1, got {jobs!r}")
     where = f"{scope} n={n} m={m}"
@@ -420,7 +404,7 @@ def _shortcut_chain(h: HnfMatrix, fac) -> tuple[int, ...]:
 
 def verify_index(n: int, m: int, *, jobs: int = 1, budget: int = DEFAULT_BUDGET) -> SectionReport:
     """Diff every formula against the brute force for one (n, m)."""
-    _check_scope(n, m)
+    _check_nm(n, m)
     # the oracle refuses an over-budget scope up front, before the formula census
     oracle = census_bruteforce(n, m, jobs=jobs, budget=budget)
     formula = class_census(n, m)

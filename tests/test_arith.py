@@ -216,3 +216,13 @@ def test_sigma1_multiplicative():
             if gcd(a, b) == 1:
                 assert sigma1(a * b) == table[a] * table[b], (a, b)
 
+
+def test_divisor_memo_is_bounded():
+    arith._divisor_tuple.cache_clear()
+    for m in range(1, 5001):
+        low = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+        assert divisors(m) == sorted(set(low + [m // d for d in low])), m
+    info = arith._divisor_tuple.cache_info()
+    assert info.misses == 5000
+    assert info.maxsize == arith._DIVISOR_MEMO
+    assert info.currsize <= arith._DIVISOR_MEMO

@@ -58,9 +58,9 @@ def test_bruteforce_methods_agree(monkeypatch):
     boxes = []
     real_box = oracle._box_gcds
 
-    def box_gcds(diag, axes, per_order, scalars, box):
+    def box_gcds(diag, axes, per_order, box):
         boxes.append(box)
-        return real_box(diag, axes, per_order, scalars, box)
+        return real_box(diag, axes, per_order, box)
 
     monkeypatch.setattr(oracle, "_box_gcds", box_gcds)
     default_chunk = oracle._CHUNK
@@ -87,6 +87,29 @@ def test_bruteforce_methods_agree(monkeypatch):
                 assert max(prod(shape) for *_, shape in boxes) <= chunk
                 if chunk == 7:
                     assert any(fixed and len(shape) > 1 for fixed, _, shape in boxes), (n, m)
+
+
+def test_boxes_do_not_list_the_leading_ranges():
+    # the leading slots are walked digit by digit: a box of a block with
+    # 2**80 leading positions comes at once, in O(n) memory
+    assert next(oracle._boxes([2**40, 2**40, 3], 7)) == ((0,), 0, (2, 3))
+
+
+def test_prime_index_builds_no_minor_array(monkeypatch):
+    # at a prime index every block has a principal minor equal to 1 at every
+    # order below n, and principal minors fold first: no array is evaluated
+    values = []
+    real = oracle._eval_plan
+
+    def eval_plan(*args):
+        value = real(*args)
+        values.append(value)
+        return value
+
+    monkeypatch.setattr(oracle, "_eval_plan", eval_plan)
+    assert census_bruteforce(3, 101).counts == class_census(3, 101).counts
+    assert cocyclic_bruteforce(3, 101) == cocyclic_count(3, 101)
+    assert values and all(isinstance(value, int) for value in values)
 
 
 def test_int64_gate_never_refuses_within_default_budget():
@@ -166,6 +189,7 @@ def test_pattern_plans_are_the_minors_of_any_such_matrix():
         orders = tuple(range(1, n + 1))
         for units in iter_product((False, True), repeat=n):
             per_order = oracle._pattern_plans(n, units, orders)[0]
+            assert len(per_order) == len(orders)
             diag = [1 if u else rng.choice((-7, -3, 2, 5, 9)) for u in units]
             entries = [0 if units[j] else rng.randint(-9, 9) for _, j in oracle._slots(n)]
             rows = [[0] * n for _ in range(n)]
@@ -174,9 +198,13 @@ def test_pattern_plans_are_the_minors_of_any_such_matrix():
             for (i, j), v in zip(oracle._slots(n), entries):
                 rows[i][j] = v
             values = diag + entries
-            for k, (principal, varying) in zip(orders, per_order):
-                plans = principal + varying
-                got = {abs(oracle._eval_plan(plan, values.__getitem__)) for plan in plans}
+            for k, plans in zip(orders, per_order):
+                # each order's plans are flat and fold fewest slot entries first
+                assert isinstance(plans, tuple)
+                assert all(isinstance(c, int) for plan in plans for _, c in plan)
+                reads = [len({v for s, _ in plan for v in s if v >= n}) for plan in plans]
+                assert reads == sorted(reads), (n, units, k)
+                got = {abs(oracle._eval_plan(plan, values)) for plan in plans}
                 want = {
                     abs(integer_det([[rows[i][j] for j in cols] for i in picked]))
                     for picked in combinations(range(n), k)
