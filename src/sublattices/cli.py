@@ -7,14 +7,14 @@ warnings go to stderr so reports stay byte-stable across runs and --jobs values.
 
 Exit codes: 0 success, 1 verification mismatch or internal inconsistency,
 2 invalid input, 3 work would exceed the budget (matrices, indices for
-count cocyclic-cumulative, or divisor tuples for count fn --method recursion).
+count cocyclic-cumulative, or divisor tuples for count fn --method recursion),
+or a minor of a verify scope could leave int64 (only a raised --budget gets there).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -22,7 +22,6 @@ import tempfile
 import time
 from itertools import islice
 from math import comb, prod
-from typing import TYPE_CHECKING
 
 from .arith import factorize, ord_p, partitions
 from .census import (
@@ -47,41 +46,31 @@ from .polyalg import (
     sublattice_count_poly,
 )
 
-if TYPE_CHECKING:
-    from .oracle import VerifyReport
-
 SCHEMA_VERSION = "1"
 CACHE_ENV = "SUBLATTICE_CACHE"
 
 
-def _print_json(command: str, params: dict, payload) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "params": params,
-        "payload": payload,
-    }
-    print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+def _emit(args, command: str, params: dict, payload, plain, table, code: int = 0) -> int:
+    """Print one answer in the chosen --format and return the exit code.
 
-
-def _print_csv(header, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    sys.stdout.write(buf.getvalue())
+    payload goes into the JSON document, plain is the list of lines for
+    --format plain, and table the csv rows, header first.
+    """
+    if args.format == "plain":
+        print(*plain, sep="\n")
+    elif args.format == "csv":
+        csv.writer(sys.stdout).writerows(table)
+    else:
+        doc = {"schema_version": SCHEMA_VERSION, "command": command,
+               "params": params, "payload": payload}
+        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    return code
 
 
 def _emit_value(args, command: str, params: dict, value: int) -> int:
-    if args.format == "plain":
-        print(value)
-    elif args.format == "csv":
-        keys = sorted(params)
-        _print_csv(keys + ["value"], [[params[k] for k in keys] + [str(value)]])
-    else:
-        _print_json(command, params, {"value": str(value)})
-    return 0
+    keys = sorted(params)
+    table = [keys + ["value"], [params[k] for k in keys] + [str(value)]]
+    return _emit(args, command, params, {"value": str(value)}, [value], table)
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -272,28 +261,19 @@ def _cmd_enumerate(args) -> int:
 # ---------------------------------------------------------------- poly
 
 def _emit_poly(args, command: str, params: dict, coeffs: list[int]) -> int:
-    value = None
-    if getattr(args, "eval", None) is not None:
-        value = poly_eval(coeffs, args.eval)
-        params = dict(params, eval=args.eval)
-    if args.format == "plain":
-        print(poly_render(coeffs))
-        if value is not None:
-            print(value)
-    elif args.format == "csv":
-        rows = [[i, str(c)] for i, c in enumerate(coeffs)]
-        _print_csv(["degree", "coefficient"], rows)
-        if value is not None:
-            print(value)
-    else:
-        payload = {
-            "coefficients": [str(c) for c in coeffs],
-            "rendered": poly_render(coeffs),
-        }
-        if value is not None:
-            payload["value"] = str(value)
-        _print_json(command, params, payload)
-    return 0
+    rendered = poly_render(coeffs)
+    payload = {"coefficients": [str(c) for c in coeffs], "rendered": rendered}
+    plain = [rendered]
+    table = [["degree", "coefficient"]] + [[i, str(c)] for i, c in enumerate(coeffs)]
+    if args.eval is None:
+        return _emit(args, command, params, payload, plain, table)
+    value = poly_eval(coeffs, args.eval)
+    payload["value"] = str(value)
+    code = _emit(args, command, dict(params, eval=args.eval), payload, plain + [value], table)
+    if args.format == "csv":
+        # the value follows the table as a bare line
+        print(value)
+    return code
 
 
 def _cmd_poly_class(args) -> int:
@@ -326,94 +306,70 @@ def _cmd_poly_leading(args) -> int:
         "difference_degree": report["difference_degree"],
         "match": ok,
     }
-    if args.format == "plain":
-        state = "ok" if ok else "FAIL"
-        print(
-            f"{state} degree {report['degree']},"
-            f" top coefficients {report['full_top']} vs {report['cocyclic_top']}"
-        )
-    elif args.format == "csv":
-        _print_csv(
-            ["n", "r", "degree", "difference_degree", "match"],
-            [[args.n, args.r, report["degree"], report["difference_degree"], str(ok).lower()]],
-        )
-    else:
-        _print_json("poly leading-check", {"n": args.n, "r": args.r}, payload)
-    return 0 if ok else 1
+    plain = [
+        f"{'ok' if ok else 'FAIL'} degree {report['degree']},"
+        f" top coefficients {report['full_top']} vs {report['cocyclic_top']}"
+    ]
+    table = [
+        ["n", "r", "degree", "difference_degree", "match"],
+        [args.n, args.r, report["degree"], report["difference_degree"], str(ok).lower()],
+    ]
+    params = {"n": args.n, "r": args.r}
+    return _emit(args, "poly leading-check", params, payload, plain, table, code=0 if ok else 1)
 
 
 # ---------------------------------------------------------------- verify
-
-def _verify_plain(report: VerifyReport) -> str:
-    lines = []
-    for section in report.sections:
-        lines.append(f"{'ok  ' if section.ok else 'FAIL'} {section.scope}")
-    lines.append("all sections match" if report.all_match else "MISMATCH found")
-    return "\n".join(lines)
-
-
-def _verify_csv(report: VerifyReport) -> tuple[list[str], list[list[str]]]:
-    rows = []
-    for section in report.sections:
-        for r in section.rows:
-            rows.append(
-                [
-                    section.scope,
-                    "class",
-                    ",".join(map(str, r.key)),
-                    f"formula={r.formula} oracle={r.oracle}",
-                    str(r.match).lower(),
-                ]
-            )
-        for c in section.checks:
-            rows.append([section.scope, "check", c.name, c.detail, str(c.ok).lower()])
-    return ["section", "kind", "name", "detail", "ok"], rows
-
 
 def _cmd_verify(args) -> int:
     # the oracle loads NumPy; no other command needs it
     from .oracle import VerifyReport, verify_index, verify_prime_powers, verify_suite
 
+    t0 = time.perf_counter()
     if args.mode == "suite":
         if any(flag is not None for flag in (args.n, args.m, args.prime, args.max_r)):
             raise ValueError("'verify suite' takes no scope flags")
-        command, params = "verify suite", {}
-        report = verify_suite(jobs=args.jobs, budget=args.budget)
+        command, params, scope = "verify suite", {}, "suite"
+        sections = verify_suite(jobs=args.jobs, budget=args.budget).sections
     elif args.m is not None and (args.prime is not None or args.max_r is not None):
         raise ValueError("give either --m or --prime/--max-r, not both")
     elif args.n is not None and args.m is not None:
         command, params = "verify index", {"n": args.n, "m": args.m}
-        t0 = time.perf_counter()
-        section = verify_index(args.n, args.m, jobs=args.jobs, budget=args.budget)
-        report = VerifyReport(
-            f"n={args.n} m={args.m}", [section], elapsed=time.perf_counter() - t0
-        )
+        scope = f"n={args.n} m={args.m}"
+        sections = [verify_index(args.n, args.m, jobs=args.jobs, budget=args.budget)]
     elif args.n is not None and args.prime is not None and args.max_r is not None:
         command = "verify prime-powers"
         params = {"n": args.n, "prime": args.prime, "max_r": args.max_r}
-        t0 = time.perf_counter()
+        scope = f"n={args.n} p={args.prime} r=1..{args.max_r}"
         sections = verify_prime_powers(
             args.n, args.prime, args.max_r, jobs=args.jobs, budget=args.budget
         )
-        report = VerifyReport(
-            f"n={args.n} p={args.prime} r=1..{args.max_r}",
-            sections,
-            elapsed=time.perf_counter() - t0,
-        )
     else:
         raise ValueError("verify needs 'suite', or --n with --m, or --n with --prime and --max-r")
+    report = VerifyReport(scope, sections, elapsed=time.perf_counter() - t0)
     print(f"elapsed {report.elapsed:.2f}s", file=sys.stderr)
-    if args.format == "plain":
-        print(_verify_plain(report))
-    elif args.format == "csv":
-        header, rows = _verify_csv(report)
-        _print_csv(header, rows)
-    else:
-        _print_json(command, params, report.to_payload())
-    return 0 if report.all_match else 1
+    plain = [f"{'ok  ' if s.ok else 'FAIL'} {s.scope}" for s in sections]
+    plain.append("all sections match" if report.all_match else "MISMATCH found")
+    table = [["section", "kind", "name", "detail", "ok"]]
+    for s in sections:
+        table += [
+            [s.scope, "class", ",".join(map(str, r.key)),
+             f"formula={r.formula} oracle={r.oracle}", str(r.match).lower()]
+            for r in s.rows
+        ]
+        table += [[s.scope, "check", c.name, c.detail, str(c.ok).lower()] for c in s.checks]
+    code = 0 if report.all_match else 1
+    return _emit(args, command, params, report.to_payload(), plain, table, code=code)
 
 
 # ---------------------------------------------------------------- parser
+
+def _budget(text: str) -> int:
+    """--budget of enumerate, verify and count cocyclic-cumulative: zero or more units."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
 
 def _add_format(parser) -> None:
     parser.add_argument(
@@ -477,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="most indices to sieve")
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET, help="most indices to sieve")
     _add_format(p)
     p.set_defaults(func=_cmd_count_cumulative)
 
@@ -486,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--with-snf", action="store_true", help="attach the invariant factor chain")
     p.add_argument("--limit", type=int, default=None, help="stop after this many matrices")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_enumerate)
 
     poly = sub.add_parser("poly", help="answers as polynomials in the prime")
@@ -531,7 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1,
         help="accepted and checked (an integer >= 1); the oracle runs in one process",
     )
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     _add_format(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -205,6 +205,12 @@ def test_poly_fn_and_cocyclic(capsys):
     assert out.strip().splitlines()[0] == "degree,coefficient"
     code, out, _ = run_cli(capsys, "poly", "class", "--n", "2", "--partition", "junk")
     assert code == 2
+    # with --eval, csv prints the table and then the value as a bare line
+    fn_eval = ("poly", "fn", "--n", "2", "--r", "2", "--eval", "2", "--format")
+    code, out, _ = run_cli(capsys, *fn_eval, "csv")
+    assert code == 0 and out == "degree,coefficient\r\n0,1\r\n1,1\r\n2,1\r\n7\n"
+    code, out, _ = run_cli(capsys, *fn_eval, "plain")
+    assert code == 0 and out == "T^2 + T + 1\n7\n"
 
 
 def test_poly_roundtrip_matches_count(capsys):
@@ -228,6 +234,11 @@ def test_poly_leading_check(capsys):
     doc = json.loads(out)
     assert doc["payload"]["match"] is True
     assert doc["payload"]["degree"] == 8
+    check = ("poly", "leading-check", "--n", "2", "--r", "2", "--format")
+    code, out, _ = run_cli(capsys, *check, "plain")
+    assert code == 0 and out == "ok degree 2, top coefficients [1, 1] vs [1, 1]\n"
+    code, out, _ = run_cli(capsys, *check, "csv")
+    assert code == 0 and out == "n,r,degree,difference_degree,match\r\n2,2,2,0,true\r\n"
 
 
 def test_poly_cache_roundtrip(tmp_path, capsys):
@@ -480,6 +491,10 @@ def test_verify_prime_powers_cli(capsys):
     )
     assert code == 0
     assert "all sections match" in out
+    code, out, _ = run_cli(
+        capsys, "verify", "--n", "2", "--prime", "2", "--max-r", "2", "--format", "plain"
+    )
+    assert code == 0 and out == "ok   n=2 m=2\nok   n=2 m=4\nall sections match\n"
 
 
 def test_verify_argument_validation(capsys):
@@ -496,6 +511,33 @@ def test_verify_argument_validation(capsys):
     assert code == 2 and out == "" and "--max-r" in err
     code, out, err = run_cli(capsys, "verify", "suite", "--max-r", "3")
     assert code == 2 and out == "" and "scope" in err
+
+
+def test_mismatch_exits_one_in_every_format(capsys, monkeypatch):
+    # a disagreeing oracle row must reach stdout and the exit code alike
+    def wrong(n, m, **kwargs):
+        return oracle.SectionReport(f"n={n} m={m}", [oracle.ClassRow((1, m), 3, 2)])
+
+    monkeypatch.setattr(oracle, "verify_index", wrong)
+    scope = ("verify", "--n", "2", "--m", "4", "--format")
+    code, out, _ = run_cli(capsys, *scope, "plain")
+    assert code == 1 and out == "FAIL n=2 m=4\nMISMATCH found\n"
+    code, out, _ = run_cli(capsys, *scope, "csv")
+    assert code == 1
+    assert out == (
+        'section,kind,name,detail,ok\r\nn=2 m=4,class,"1,4",formula=3 oracle=2,false\r\n'
+    )
+    code, out, _ = run_cli(capsys, *scope, "json")
+    assert code == 1 and json.loads(out)["payload"]["all_match"] is False
+    report = {"degree": 2, "full_top": [1, 1], "cocyclic_top": [1, 2], "difference_degree": 1}
+    monkeypatch.setattr("sublattices.cli.leading_terms_check", lambda n, r: (False, report))
+    check = ("poly", "leading-check", "--n", "2", "--r", "2", "--format")
+    code, out, _ = run_cli(capsys, *check, "plain")
+    assert code == 1 and out == "FAIL degree 2, top coefficients [1, 1] vs [1, 2]\n"
+    code, out, _ = run_cli(capsys, *check, "csv")
+    assert code == 1 and out.endswith("\r\n2,2,2,1,false\r\n")
+    code, out, _ = run_cli(capsys, *check, "json")
+    assert code == 1 and json.loads(out)["payload"]["match"] is False
 
 
 def test_verify_csv(capsys):
@@ -545,6 +587,25 @@ def test_count_cumulative_refused_over_budget(capsys):
         "--format", "plain",
     )
     assert code == 0 and out.strip() == "14"
+
+
+@pytest.mark.parametrize(
+    "argv, code_at_zero",
+    [
+        (("enumerate", "--n", "2", "--m", "4", "--limit", "0"), 0),
+        (("verify", "--n", "2", "--m", "4"), 3),
+        (("count", "cocyclic-cumulative", "--n", "2", "--max", "1"), 3),
+    ],
+)
+def test_negative_budget_is_invalid_input(capsys, argv, code_at_zero):
+    # a budget below zero is a malformed option, not a refusal of the work
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--budget", "-1"])
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == "" and "--budget" in captured.err
+    # zero stays a valid budget: it admits only work predicted at zero units
+    assert run_cli(capsys, *argv, "--budget", "0")[0] == code_at_zero
 
 
 HEAVY_MODULES = ("numpy", "concurrent.futures", "sublattices.oracle")
