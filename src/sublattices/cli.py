@@ -371,6 +371,14 @@ def _budget(text: str) -> int:
     return value
 
 
+def _max_index(text: str) -> int:
+    """--max of count cocyclic-cumulative: the largest index, at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_format(parser) -> None:
     parser.add_argument(
         "--format",
@@ -432,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "cocyclic-cumulative", help="cyclic-quotient sublattices over all indices up to a bound"
     )
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=_max_index, required=True)
     p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET, help="most indices to sieve")
     _add_format(p)
     p.set_defaults(func=_cmd_count_cumulative)

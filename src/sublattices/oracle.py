@@ -2,18 +2,23 @@
 
 The brute-force census enumerates all index-m Hermite forms and tallies them by
 invariant factor chain; the co-cyclic count tallies them by whether the minors
-of order n-1 have gcd 1.  Both run on one batched int64 kernel.  A diagonal's
-unit pattern, the set of positions where it equals 1, fixes one symbolic plan
-of the needed minors with the diagonal entries as variables: a unit column
-holds nothing but its diagonal 1.  The forms of one diagonal, a block, are cut
-into boxes of at most _CHUNK matrices, contiguous in hnf_stream order: a box
-fixes the leading slots, ranges one slot and runs the trailing slots in full.
-Each slot that varies is an arange along its own axis, so every minor
-broadcasts over only the slots it reads.  Census chains are tallied by the
-index of each gcd among the divisors of m, on the un-broadcast gcd arrays.  A
-bound on every minor, with entries bounded by m, says whether int64 is exact;
-a scope where any pattern's bound reaches _INT64_SAFE is refused up front,
-like one over the matrix budget, so no answer leaves the kernel.
+of order n-1 have gcd 1.  Both run on one batched int64 kernel.  A diagonal
+entry of 1 has column e_j, so column operations clear its row: a form's chain
+is (1, ..., 1) followed by the chain of its essential submatrix, the e x e
+matrix on the diagonal entries above 1.  One symbolic plan of the minors of
+the generic e x e upper-triangular matrix serves every diagonal with e such
+entries, from a bounded cache keyed by (e, orders).  The slots of unit rows
+are read by no plan, so they are counted, not ranged: a box's count is
+multiplied by the diagonal entry of each such slot's column.  The essential
+forms of one diagonal, a block, are cut into boxes of at most _CHUNK
+matrices: a box fixes the leading slots, ranges one slot and runs the
+trailing slots in full.  Each slot that varies is an arange along its own
+axis, so every minor broadcasts over only the slots it reads.  Census chains
+are tallied by the index of each gcd among the divisors of m, on the
+un-broadcast gcd arrays.  A bound on every minor, with entries bounded by m,
+says whether int64 is exact; a scope where any essential plan's bound reaches
+_INT64_SAFE is refused up front, like one over the matrix budget, so no
+answer leaves the kernel.
 Everything runs in one process: inside the default budget a worker pool
 gained at most 1.2x and nearly doubled peak memory, so jobs is checked and
 selects nothing.
@@ -72,23 +77,23 @@ def _slots(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-@lru_cache(maxsize=None)
-def _pattern_plans(n, units, orders):
-    """Symbolic minors shared by every diagonal that equals 1 exactly where units is True.
+# a scope asks for at most two keys per e, and e <= log2(m)
+@lru_cache(maxsize=64)
+def _pattern_plans(e, orders):
+    """Symbolic minors of the generic e x e upper-triangular matrix, per order in orders.
 
-    Variable v < n stands for the diagonal entry d_v and variable n + s for the
-    entry of slot s of _slots(n).  A unit column holds nothing but its diagonal
-    1, so its slots are zero and drop out of every minor.  Returns
-    (per_order, weight, degree): per_order[i] is a tuple of the nonzero
-    orders[i] x orders[i] minors, each a plan of (variables, coeff) monomials,
-    sorted by the number of slot entries they read, so the principal minors,
-    which read none, come first.  Every plan has at most weight in absolute
-    coefficients and degree variables per monomial, so entries bounded by m
-    bound every minor by weight * m**degree.
+    Variable v < e stands for the diagonal entry d_v and variable e + s for the
+    entry of slot s of _slots(e).  Returns (per_order, weight, degree):
+    per_order[i] is a tuple of the nonzero orders[i] x orders[i] minors, each
+    a plan of (variables, coeff) monomials, sorted by the number of slot
+    entries they read, so the principal minors, which read none, come first.
+    Every plan has at most weight in absolute coefficients and degree
+    variables per monomial, so entries bounded by m bound every minor by
+    weight * m**degree.
     """
     if not orders:
         return (), 1, 0
-    slot_var = {pos: n + s for s, pos in enumerate(_slots(n))}
+    slot_var = {pos: e + s for s, pos in enumerate(_slots(e))}
     low, high = min(orders), max(orders)
     minors: dict[tuple, dict] = {}
 
@@ -96,9 +101,9 @@ def _pattern_plans(n, units, orders):
         # one nonzero term of one minor per leaf: rows join in increasing
         # order, and a column placed left of columns already taken flips the
         # sign once per such column
-        if len(rows) + n - i < low:
+        if len(rows) + e - i < low:
             return
-        if i == n:
+        if i == e:
             if len(rows) in orders:
                 monos = minors.setdefault((rows, tuple(sorted(cols))), {})
                 key = tuple(sorted(used))
@@ -107,15 +112,12 @@ def _pattern_plans(n, units, orders):
         walk(i + 1, rows, cols, used, odd)
         if len(rows) == high:
             return
-        for c in range(i, n):
-            if c in cols or (c > i and units[c]):
+        for c in range(i, e):
+            if c in cols:
                 continue
-            if c > i:
-                var = (slot_var[(i, c)],)
-            else:
-                var = () if units[i] else (i,)
+            var = slot_var[(i, c)] if c > i else i
             flips = sum(1 for x in cols if x > c)
-            walk(i + 1, rows + (i,), cols + (c,), used + var, odd ^ (flips & 1))
+            walk(i + 1, rows + (i,), cols + (c,), used + (var,), odd ^ (flips & 1))
 
     walk(0, (), (), (), False)
     weight = degree = 0
@@ -134,7 +136,7 @@ def _pattern_plans(n, units, orders):
             degree = max(degree, max(len(s) for s, _ in plan))
         # minors that read fewer slots broadcast over smaller arrays: fold them first
         per_order.append(
-            tuple(sorted(plans, key=lambda plan: len({v for s, _ in plan for v in s if v >= n})))
+            tuple(sorted(plans, key=lambda plan: len({v for s, _ in plan for v in s if v >= e})))
         )
     return tuple(per_order), weight, degree
 
@@ -192,37 +194,39 @@ def _boxes(sizes, chunk):
             yield fixed, start, (min(step, sizes[t] - start), *sizes[t + 1 :])
 
 
-def _box_gcds(diag, axes, per_order, box):
+def _box_gcds(diag, per_order, box):
     """gvals of one box: per order, the gcd of its minors, an int or an int64 array.
 
-    axes lists the variables of the block's varying slots.  A fixed slot is
-    an int; a ranged or trailing slot is an arange along its own axis of the
-    box, so a minor broadcasts over only the slots it reads, and an array gval
-    has length 1 on every axis that none of its minors reads.  The principal
-    minors fold first, as ints, so an order where one of them is 1 builds no
-    array.
+    diag is the block's essential diagonal, and the variables after it are the
+    slots of _slots(len(diag)), all varying.  A fixed slot is an int; a ranged
+    or trailing slot is an arange along its own axis of the box, so a minor
+    broadcasts over only the slots it reads, and an array gval has length 1 on
+    every axis that none of its minors reads.  The principal minors fold
+    first, as ints, so an order where one of them is 1 builds no array.
     """
     fixed, start, shape = box
-    values = dict(enumerate(diag))
-    for q, v in enumerate(axes):
-        axis = q - len(fixed)
-        if axis < 0:
-            values[v] = fixed[q]
-        else:
-            first = start if axis == 0 else 0
-            values[v] = np.arange(first, first + shape[axis], dtype=np.int64).reshape(
+    values = [*diag, *fixed]
+    e = len(diag)
+    for axis in range(e * (e - 1) // 2 - len(fixed)):
+        first = start if axis == 0 else 0
+        values.append(
+            np.arange(first, first + shape[axis], dtype=np.int64).reshape(
                 (-1,) + (1,) * (len(shape) - 1 - axis)
             )
+        )
     return [_fold(plans, values) for plans in per_order]
 
 
-def _block_gcds(n, diag, per_order):
-    """(count, gvals) per box of one block, boxes of at most _CHUNK matrices."""
-    axes = [n + s for s, (_, j) in enumerate(_slots(n)) if diag[j] > 1]
-    # a block without varying slots holds one matrix: one box on a dummy slot
-    sizes = [diag[j] for _, j in _slots(n) if diag[j] > 1] or [1]
+def _block_gcds(diag, dropped, ones, per_order):
+    """(count, gvals) per box of one block, boxes of at most _CHUNK essential matrices.
+
+    Each box stands for dropped matrices per essential one, and its gvals open
+    with ones orders whose gcd is 1.
+    """
+    # a block without essential slots holds one essential matrix: one box on a dummy slot
+    sizes = [diag[j] for _, j in _slots(len(diag))] or [1]
     for box in _boxes(sizes, _CHUNK):
-        yield prod(box[2]), _box_gcds(diag, axes, per_order, box)
+        yield dropped * prod(box[2]), [1] * ones + _box_gcds(diag, per_order, box)
 
 
 def _tally_chains(n, m, parts):
@@ -274,25 +278,30 @@ def _tally_cocyclic(parts):
 def _bruteforce(n, m, scope, jobs, budget, orders):
     """Shared entry: validate, refuse up front, then (count, gvals) per box.
 
-    Refuses with BudgetExceededError before any box runs: over budget matrices,
-    or where the minor bound weight * m**degree of a unit pattern, the
-    positions where a diagonal equals 1, reaches _INT64_SAFE.  The boxes of
-    every block follow in hnf_stream order, in this process.  jobs must be an
-    integer of at least 1 and selects nothing.
+    With u unit diagonal entries, the order-k gcd is 1 for k <= u and the
+    essential order-(k - u) gcd above that.  Refuses with BudgetExceededError
+    before any box runs: over budget matrices, or where the minor bound
+    weight * m**degree of an essential plan reaches _INT64_SAFE.  The blocks
+    follow in hnf_stream order of the diagonals, in this process.  jobs must
+    be an integer of at least 1 and selects nothing.
     """
     _check_nm(n, m)
     if not isinstance(jobs, int) or jobs < 1:
         raise ValueError(f"need an integer jobs >= 1, got {jobs!r}")
     where = f"{scope} n={n} m={m}"
     _check_budget(n, m, budget, where)
-    plans = []
+    blocks = []
     for diag in divisor_compositions(m, n):
-        per_order, weight, degree = _pattern_plans(n, tuple(d == 1 for d in diag), orders)
+        ess = tuple(d for d in diag if d > 1)
+        u = n - len(ess)
+        per_order, weight, degree = _pattern_plans(len(ess), tuple(k - u for k in orders if k > u))
         bound = weight * m**degree
         if bound >= _INT64_SAFE:
             raise BudgetExceededError(bound, _INT64_SAFE, f"{where} on int64", unit="minor bound")
-        plans.append((diag, per_order))
-    return (part for diag, per_order in plans for part in _block_gcds(n, diag, per_order))
+        # a slot above a non-unit entry d ranges over d values in every unit row
+        dropped = prod(d ** diag[:j].count(1) for j, d in enumerate(diag) if d > 1)
+        blocks.append((ess, dropped, sum(k <= u for k in orders), per_order))
+    return (part for block in blocks for part in _block_gcds(*block))
 
 
 def census_bruteforce(

@@ -131,10 +131,14 @@ def test_count_validation_exit_code(capsys):
 
 
 def test_count_cumulative_names_its_bound(capsys):
-    # the command takes --max, not --m, and the refusal says which bound is wrong
-    code, out, err = run_cli(capsys, "count", "cocyclic-cumulative", "--n", "3", "--max", "0")
-    assert code == 2 and out == ""
-    assert err == "error: need n >= 1 and limit >= 1, got n=3 limit=0\n"
+    # the command takes --max, not --m, and the refusal names --max, the
+    # option the user gave, not the library's argument
+    for bound in ("0", "-5"):
+        with pytest.raises(SystemExit) as info:
+            main(["count", "cocyclic-cumulative", "--n", "3", "--max", bound])
+        captured = capsys.readouterr()
+        assert info.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(f"error: argument --max: must be at least 1, got {bound}\n")
 
 
 def test_enumerate_lines(capsys):

@@ -52,17 +52,26 @@ def test_bruteforce_methods_agree(monkeypatch):
         if n < 5 or m < 8:
             minors = Counter(invariant_factors_via_minors(h.rows) for h in hnf_stream(n, m))
             assert kernel == minors, (n, m)
-    # every chunk covers each block exactly once with boxes; small chunks cut a
-    # block in the middle of an axis, with a fixed leading slot and a ranged
-    # slot before the trailing ones
+    # every chunk covers each matrix exactly once, the slots that the
+    # essential submatrix drops included: the (count, gvals) pairs sum to the
+    # number of forms.  Small chunks cut a block in the middle of an axis, with
+    # a fixed leading slot and a ranged slot before the trailing ones
     boxes = []
+    counts = []
     real_box = oracle._box_gcds
+    real_block = oracle._block_gcds
 
-    def box_gcds(diag, axes, per_order, box):
+    def box_gcds(diag, per_order, box):
         boxes.append(box)
-        return real_box(diag, axes, per_order, box)
+        return real_box(diag, per_order, box)
+
+    def block_gcds(*block):
+        for count, gvals in real_block(*block):
+            counts.append(count)
+            yield count, gvals
 
     monkeypatch.setattr(oracle, "_box_gcds", box_gcds)
+    monkeypatch.setattr(oracle, "_block_gcds", block_gcds)
     default_chunk = oracle._CHUNK
     for n, m in ((3, 49), (3, 120), (4, 32), (5, 9)):
         want = class_census(n, m).counts
@@ -81,11 +90,13 @@ def test_bruteforce_methods_agree(monkeypatch):
             monkeypatch.setattr(oracle, "_CHUNK", chunk)
             for brute, expect in ((census_bruteforce, want), (cocyclic_bruteforce, want_cocyclic)):
                 boxes.clear()
+                counts.clear()
                 got = brute(n, m)
                 assert getattr(got, "counts", got) == expect, (n, m, chunk)
-                assert sum(prod(shape) for *_, shape in boxes) == sublattice_count(n, m)
+                assert sum(counts) == sublattice_count(n, m), (n, m, chunk)
                 assert max(prod(shape) for *_, shape in boxes) <= chunk
-                if chunk == 7:
+                # at (3, 49) and (5, 9) no block has two essential slots
+                if chunk == 7 and m in (120, 32):
                     assert any(fixed and len(shape) > 1 for fixed, _, shape in boxes), (n, m)
 
 
@@ -96,8 +107,8 @@ def test_boxes_do_not_list_the_leading_ranges():
 
 
 def test_prime_index_builds_no_minor_array(monkeypatch):
-    # at a prime index every block has a principal minor equal to 1 at every
-    # order below n, and principal minors fold first: no array is evaluated
+    # at a prime index every block has one entry above 1, so its essential
+    # submatrix is 1 x 1 and every order below n has gcd 1: no minor is evaluated
     values = []
     real = oracle._eval_plan
 
@@ -109,17 +120,19 @@ def test_prime_index_builds_no_minor_array(monkeypatch):
     monkeypatch.setattr(oracle, "_eval_plan", eval_plan)
     assert census_bruteforce(3, 101).counts == class_census(3, 101).counts
     assert cocyclic_bruteforce(3, 101) == cocyclic_count(3, 101)
-    assert values and all(isinstance(value, int) for value in values)
+    assert values == []
 
 
 def test_int64_gate_never_refuses_within_default_budget():
     # the diagonal (1, ..., 1, m) alone has m**(n-1) forms, so every scope the
     # default budget admits has m**(n-1) <= DEFAULT_BUDGET; prime m reach that
-    # far (n = 3 admits m = 3137), well past the first m over the budget
+    # far (n = 3 admits m = 3137), well past the first m over the budget.  A
+    # block with e entries above 1 runs on e x e plans, at the orders above
+    # its n - e unit entries
     for n in range(3, 7):
         bounds = [
-            oracle._pattern_plans(n, units, orders)[1:]
-            for units in iter_product((False, True), repeat=n)
+            oracle._pattern_plans(e, tuple(k - n + e for k in orders if k > n - e))[1:]
+            for e in range(n + 1)
             for orders in (tuple(range(1, n)), (n - 1,))
         ]
         m = 1
@@ -181,36 +194,74 @@ def test_bruteforce_starts_no_process(monkeypatch, capsys):
 
 
 def test_pattern_plans_are_the_minors_of_any_such_matrix():
-    # a plan holds for every upper-triangular matrix with its pattern's zeros,
-    # not only for Hermite forms, so random entries of both signs check every
-    # monomial and sign against direct determinants
+    # a plan holds for every upper-triangular matrix, not only for Hermite
+    # forms, so random entries of both signs check every monomial and sign
+    # against direct determinants
     rng = random.Random(7)
-    for n in range(1, 6):
-        orders = tuple(range(1, n + 1))
-        for units in iter_product((False, True), repeat=n):
-            per_order = oracle._pattern_plans(n, units, orders)[0]
-            assert len(per_order) == len(orders)
-            diag = [1 if u else rng.choice((-7, -3, 2, 5, 9)) for u in units]
-            entries = [0 if units[j] else rng.randint(-9, 9) for _, j in oracle._slots(n)]
-            rows = [[0] * n for _ in range(n)]
-            for i in range(n):
+    for e in range(1, 6):
+        orders = tuple(range(1, e + 1))
+        per_order = oracle._pattern_plans(e, orders)[0]
+        assert len(per_order) == len(orders)
+        for _ in range(2**e):
+            diag = [rng.choice((-7, -3, 1, 2, 5, 9)) for _ in range(e)]
+            entries = [rng.randint(-9, 9) for _ in oracle._slots(e)]
+            rows = [[0] * e for _ in range(e)]
+            for i in range(e):
                 rows[i][i] = diag[i]
-            for (i, j), v in zip(oracle._slots(n), entries):
+            for (i, j), v in zip(oracle._slots(e), entries):
                 rows[i][j] = v
             values = diag + entries
             for k, plans in zip(orders, per_order):
                 # each order's plans are flat and fold fewest slot entries first
                 assert isinstance(plans, tuple)
                 assert all(isinstance(c, int) for plan in plans for _, c in plan)
-                reads = [len({v for s, _ in plan for v in s if v >= n}) for plan in plans]
-                assert reads == sorted(reads), (n, units, k)
+                reads = [len({v for s, _ in plan for v in s if v >= e}) for plan in plans]
+                assert reads == sorted(reads), (e, k)
                 got = {abs(oracle._eval_plan(plan, values)) for plan in plans}
                 want = {
                     abs(integer_det([[rows[i][j] for j in cols] for i in picked]))
-                    for picked in combinations(range(n), k)
-                    for cols in combinations(range(n), k)
+                    for picked in combinations(range(e), k)
+                    for cols in combinations(range(e), k)
                 }
-                assert got - {0} == want - {0}, (n, units, k)
+                assert got - {0} == want - {0}, (e, k)
+
+
+def test_unit_rows_split_off_the_invariant_factors():
+    # the reduction the kernel runs on, checked by the xgcd route: a unit
+    # diagonal entry contributes a leading 1 and leaves the chain of the
+    # essential submatrix, the rows and columns of the entries above 1
+    checked = 0
+    for n, m in ((3, 36), (4, 12), (5, 6)):
+        for h in hnf_stream(n, m):
+            ess = [i for i in range(n) if h.rows[i][i] > 1]
+            u = n - len(ess)
+            if not u:
+                continue
+            essential = [[h.rows[i][j] for j in ess] for i in ess]
+            assert invariant_factors(h.rows) == (1,) * u + invariant_factors(essential), h.rows
+            checked += 1
+    assert checked > 1000
+
+
+def test_bruteforce_high_dimension_at_index_two(monkeypatch):
+    # at m = 2 every block has one entry above 1, so no plan reads a slot
+    built = []
+    real = oracle._pattern_plans
+
+    def pattern_plans(e, orders):
+        built.append(e)
+        return real(e, orders)
+
+    monkeypatch.setattr(oracle, "_pattern_plans", pattern_plans)
+    for n in (16, 20):
+        assert census_bruteforce(n, 2).counts == class_census(n, 2).counts, n
+        assert cocyclic_bruteforce(n, 2) == cocyclic_count(n, 2), n
+    assert built and set(built) <= {0, 1}
+
+
+def test_verify_high_dimension_at_index_two(capsys):
+    assert cli.main(["verify", "--n", "20", "--m", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["all_match"] is True
 
 
 def test_cocyclic_bruteforce():
