@@ -9,9 +9,8 @@ exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .arith import (
     distinct_prime_factors_upto,
@@ -176,8 +175,7 @@ def cocyclic_count_upto(n: int, limit: int) -> int:
     return total
 
 
-@dataclass
-class CensusTable:
+class CensusTable(NamedTuple):
     """Class-by-class table for one (n, m): invariant factor chain -> count."""
 
     n: int

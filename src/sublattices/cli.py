@@ -14,11 +14,9 @@ or a minor of a verify scope could leave int64 (only a raised --budget gets ther
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
-import tempfile
 import time
 from itertools import islice
 from math import comb, prod
@@ -36,7 +34,6 @@ from .census import (
     validate_chain,
 )
 from .enumeration import DEFAULT_BUDGET, BudgetExceededError, hnf_stream
-from .forms import invariant_factors
 from .polyalg import (
     class_size_poly,
     cocyclic_count_poly,
@@ -59,6 +56,8 @@ def _emit(args, command: str, params: dict, payload, plain, table, code: int = 0
     if args.format == "plain":
         print(*plain, sep="\n")
     elif args.format == "csv":
+        import csv
+
         csv.writer(sys.stdout).writerows(table)
     else:
         doc = {"schema_version": SCHEMA_VERSION, "command": command,
@@ -136,6 +135,8 @@ def _load_memo(path: str) -> dict:
 
 
 def _save_memo(path: str, memo: dict) -> None:
+    import tempfile
+
     payload = {f"{len(k)}:{sum(k)}:{','.join(map(str, k))}": v for k, v in sorted(memo.items())}
     target_dir = os.path.dirname(os.path.abspath(path)) or "."
     try:
@@ -234,6 +235,8 @@ def _cmd_count_cumulative(args) -> int:
 # ---------------------------------------------------------------- enumerate
 
 def _cmd_enumerate(args) -> int:
+    from .forms import invariant_factors
+
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be nonnegative, got {args.limit}")
     total = sublattice_count(args.n, args.m)
@@ -371,8 +374,8 @@ def _budget(text: str) -> int:
     return value
 
 
-def _max_index(text: str) -> int:
-    """--max of count cocyclic-cumulative: the largest index, at least 1."""
+def _positive(text: str) -> int:
+    """--n and --max of count cocyclic-cumulative: the dimension and the largest index, at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -439,8 +442,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = csub.add_parser(
         "cocyclic-cumulative", help="cyclic-quotient sublattices over all indices up to a bound"
     )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max", type=_max_index, required=True)
+    p.add_argument("--n", type=_positive, required=True)
+    p.add_argument("--max", type=_positive, required=True)
     p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET, help="most indices to sieve")
     _add_format(p)
     p.set_defaults(func=_cmd_count_cumulative)

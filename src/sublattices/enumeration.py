@@ -4,10 +4,12 @@ from __future__ import annotations
 
 from itertools import chain, product, repeat
 from math import prod
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .arith import divisor_compositions
-from .forms import HnfMatrix
+
+if TYPE_CHECKING:
+    from .forms import HnfMatrix
 
 DEFAULT_BUDGET = 10_000_000
 _LISTED = 1 << 12  # most values of one Hermite row that block_rows lists
@@ -75,6 +77,9 @@ def hnf_stream(n: int, m: int) -> Iterator[HnfMatrix]:
     Memory is bounded whatever m: a row with more than _LISTED values is
     iterated lazily instead of listed.
     """
+    # imported here, so that the CLI's count and poly commands never load forms
+    from .forms import HnfMatrix
+
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n} m={m}")
     for diag in divisor_compositions(m, n):

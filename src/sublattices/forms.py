@@ -9,28 +9,33 @@ Three routes to the invariant factors, none calling another:
 - invariant_factors_via_minors: successive quotients of the gcds of k x k
   minors.
 - hnf2_smith_exponent / hnf3_smith_exponents: closed forms in the p-adic
-  valuations of the entries of a prime-power Hermite form.  The (p, exponents)
-  of each diagonal come from a memo of at most _DIAG_MEMO diagonals, so the
-  index is factored once per diagonal, not once per form.
+  valuations of the entries of a prime-power Hermite form.  The prime,
+  exponents and powers of each diagonal come from a memo of at most
+  _DIAG_MEMO diagonals, so the index is factored once per diagonal, not once
+  per form, and a valuation capped at the index's exponent is one gcd with
+  the index.  The closed form itself, _smith_closed_form, takes ints or
+  arrays: the oracle's verify evaluates it on whole boxes of forms, against
+  minor gcds.
+
+The module imports neither NumPy nor dataclasses: every enumerate process
+loads it, and count and poly never do.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .arith import _valuation, factorize
+from .arith import factorize
 
 
 class HnfError(ValueError):
     """A matrix failed Hermite normal form validation."""
 
 
-@dataclass(frozen=True)
-class HnfMatrix:
+class HnfMatrix(NamedTuple):
     """Upper-triangular integer matrix, positive diagonal, 0 <= h[i][j] < h[j][j] above it."""
 
     rows: tuple[tuple[int, ...], ...]
@@ -213,19 +218,24 @@ def invariant_factors_via_minors(rows: Sequence[Sequence[int]]) -> tuple[int, ..
     return tuple(out)
 
 
-_DIAG_MEMO = 4096  # most diagonals whose (p, exponents) the shortcuts keep
+_DIAG_MEMO = 4096  # most diagonals whose exponents and powers the shortcuts keep
 
 
 @lru_cache(maxsize=_DIAG_MEMO)
-def _prime_power_diag(diag: tuple[int, ...]) -> tuple[int | None, tuple[int, ...]]:
-    """(p, exponents) for a diagonal of powers of one prime; p is None when all ones."""
-    p = None
+def _prime_power_diag(diag: tuple[int, ...]) -> tuple[tuple[int, ...], int, dict[int, int]]:
+    """(exponents, index, logs) for a diagonal of powers of one prime p.
+
+    logs maps p**k to k for k up to the exponent r of the index, so the
+    valuation of an entry x, capped at r, is logs[gcd(x, index)].  A diagonal
+    of ones has index 1 and logs {1: 0}.
+    """
+    p = 1
     exps = []
     for v in diag:
         if v == 1:
             exps.append(0)
             continue
-        if p is None:
+        if p == 1:
             p = factorize(v)[0][0]
         e = 0
         w = v
@@ -235,7 +245,28 @@ def _prime_power_diag(diag: tuple[int, ...]) -> tuple[int | None, tuple[int, ...
         if w != 1:
             raise ValueError(f"diagonal entry {v} is not a power of a single common prime")
         exps.append(e)
-    return p, tuple(exps)
+    r = sum(exps)
+    return tuple(exps), p**r, {p**k: k for k in range(r + 1)}
+
+
+def _smith_closed_form(least, r, o):
+    """Smith exponents of a prime-power Hermite form from its diagonal exponents and valuations.
+
+    n = 2: r = (r1, r2) and o = (o12,); the result t gives the invariant
+    factors (p**t, p**(r1+r2-t)).  n = 3: r = (r1, r2, r3) and o = (o12, o13,
+    o23, u), with u the valuation of h12*h23 - d2*h13, which carries the one
+    interaction the pairwise valuations miss; the result (s, t) gives
+    (p**s, p**(t-s), p**(r1+r2+r3-t)).  least is min for ints, or an
+    elementwise minimum of its arguments for arrays.  Both minima stay at or
+    below r1+r2+r3, so valuations capped there give the same result.
+    """
+    if len(r) == 2:
+        return least(r[0], r[1], o[0])
+    r1, r2, r3 = r
+    o12, o13, o23, u = o
+    s = least(r1, r2, r3, o12, o13, o23)
+    t = least(r1 + r2, r2 + r3, r1 + r3, r1 + o23, r3 + o12, u)
+    return s, t
 
 
 def hnf2_smith_exponent(h: HnfMatrix) -> int:
@@ -244,27 +275,18 @@ def hnf2_smith_exponent(h: HnfMatrix) -> int:
     if len(rows) != 2:
         raise ValueError(f"need a 2 x 2 matrix, got n={h.n}")
     (d1, h12), (_, d2) = rows
-    p, (r1, r2) = _prime_power_diag((d1, d2))
-    if p is None:
-        return 0
-    return min(r1, r2, _valuation(p, h12))
+    exps, m, logs = _prime_power_diag((d1, d2))
+    return _smith_closed_form(min, exps, (logs[gcd(h12, m)],))
 
 
 def hnf3_smith_exponents(h: HnfMatrix) -> tuple[int, int]:
-    """Exponents (s, t) with invariant factors (p**s, p**(t-s), p**(r-t)) for n = 3.
-
-    Closed form from the entry valuations; the combination h12*h23 - p**r2 * h13
-    carries the one interaction the pairwise valuations miss.
-    """
+    """Exponents (s, t) with invariant factors (p**s, p**(t-s), p**(r-t)) for n = 3."""
     rows = h.rows
     if len(rows) != 3:
         raise ValueError(f"need a 3 x 3 matrix, got n={h.n}")
     (d1, h12, h13), (_, d2, h23), (_, _, d3) = rows
-    p, (r1, r2, r3) = _prime_power_diag((d1, d2, d3))
-    if p is None:
-        return 0, 0
-    o12, o13, o23 = _valuation(p, h12), _valuation(p, h13), _valuation(p, h23)
-    s = min(r1, r2, r3, o12, o13, o23)
-    u = _valuation(p, h12 * h23 - d2 * h13)
-    t = min(r1 + r2, r2 + r3, r1 + r3, r1 + o23, r3 + o12, u)
-    return s, t
+    exps, m, logs = _prime_power_diag((d1, d2, d3))
+    u = h12 * h23 - d2 * h13
+    return _smith_closed_form(
+        min, exps, (logs[gcd(h12, m)], logs[gcd(h13, m)], logs[gcd(h23, m)], logs[gcd(u, m)])
+    )

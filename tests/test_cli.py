@@ -139,6 +139,14 @@ def test_count_cumulative_names_its_bound(capsys):
         captured = capsys.readouterr()
         assert info.value.code == 2 and captured.out == ""
         assert captured.err.endswith(f"error: argument --max: must be at least 1, got {bound}\n")
+    # the dimension is checked by the CLI too, under its own option name,
+    # not the library's "need n >= 1 and limit >= 1"
+    for n in ("0", "-2"):
+        with pytest.raises(SystemExit) as info:
+            main(["count", "cocyclic-cumulative", "--n", n, "--max", "5"])
+        captured = capsys.readouterr()
+        assert info.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(f"error: argument --n: must be at least 1, got {n}\n")
 
 
 def test_enumerate_lines(capsys):
@@ -672,3 +680,54 @@ def test_only_the_oracle_loads_numpy():
     assert code == 0 and out == VERIFY_2_6
     # one worker never builds a process pool
     assert loaded == ["numpy", "sublattices.oracle"]
+
+
+LEAN_GUARD = """\
+import contextlib, io, json, sys
+before = set(sys.modules)
+import sublattices.cli
+from sublattices.cli import main
+
+report = {{}}
+for fmt in ("json", "plain", "csv"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in {commands!r}:
+            assert main([*argv, "--format", fmt]) == 0, argv
+    report[fmt] = sorted(set(sys.modules) - before)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert main(["enumerate", "--n", "2", "--m", "2", "--with-snf"]) == 0
+    assert main(["verify", "--n", "2", "--m", "6"]) == 0
+report["heavy"] = out.getvalue().splitlines()
+print(json.dumps(report))
+"""
+LEAN_COMMANDS = (
+    ("count", "fn", "--n", "3", "--m", "36"),
+    ("count", "class", "--divisors", "2,4,8"),
+    ("poly", "fn", "--n", "4", "--r", "4"),
+    ("poly", "class", "--n", "4", "--partition", "0,1,2,3"),
+)
+
+
+def test_count_and_poly_load_no_unused_module():
+    # modules are diffed against the interpreter's own start-up, so whatever
+    # site or .pth files import does not count
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", LEAN_GUARD.format(commands=LEAN_COMMANDS)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    unused = ("dataclasses", "csv", "tempfile", "numpy", "sublattices.forms", "sublattices.oracle")
+    assert "sublattices.census" in report["json"]
+    assert [name for name in unused if name in report["plain"]] == []
+    # csv output loads csv, and nothing else of the list
+    assert [name for name in unused if name in report["csv"]] == ["csv"]
+    # the commands that do need forms and the oracle still run in that process
+    enumerated, verified = report["heavy"][:3], report["heavy"][3:]
+    assert [json.loads(line)["snf"] for line in enumerated] == ["1,2", "1,2", "1,2"]
+    assert "\n".join(verified) + "\n" == VERIFY_2_6

@@ -5,12 +5,20 @@ from collections import Counter
 from itertools import combinations, product as iter_product
 from math import prod
 
+import numpy as np
 import pytest
 
-from sublattices import arith, census, cli, oracle
+from sublattices import arith, census, cli, forms, oracle
 from sublattices.census import class_census, cocyclic_count, sublattice_count
 from sublattices.enumeration import hnf_stream
-from sublattices.forms import integer_det, invariant_factors, invariant_factors_via_minors, minor_gcd
+from sublattices.forms import (
+    hnf2_smith_exponent,
+    hnf3_smith_exponents,
+    integer_det,
+    invariant_factors,
+    invariant_factors_via_minors,
+    minor_gcd,
+)
 from sublattices.oracle import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -310,6 +318,82 @@ def test_verify_index_tests_primality_a_bounded_number_of_times(monkeypatch):
     assert section.ok
     assert "smith_shortcut_agreement" in [c.name for c in section.checks]
     assert len(calls) < 50
+
+
+def _per_form_shortcut_detail(n, m):
+    """The detail of the per-form loop verify_index once ran: the scalar
+    shortcut chain of each form against invariant_factors, in hnf_stream order."""
+    fac = arith.factorize(m)
+    p, r = fac[0] if fac else (2, 0)
+    for h in hnf_stream(n, m):
+        if n == 2:
+            t = hnf2_smith_exponent(h)
+            chain = (p**t, p ** (r - t))
+        else:
+            s, t = hnf3_smith_exponents(h)
+            chain = (p**s, p ** (t - s), p ** (r - t))
+        if chain != invariant_factors(h.rows):
+            return f"disagreement at {h.rows}"
+    return ""
+
+
+def _shortcut_check(n, m):
+    (check,) = [c for c in verify_index(n, m).checks if c.name == "smith_shortcut_agreement"]
+    return check
+
+
+def test_shortcut_check_agrees_with_the_per_form_loop():
+    # every prime power, and 1, up to 3**6 at n = 2 and 3**4 at n = 3
+    for n, top in ((2, 3**6), (3, 3**4)):
+        for m in range(1, top + 1):
+            if len(arith.factorize(m)) > 1:
+                continue
+            check = _shortcut_check(n, m)
+            assert check.ok and check.detail == "", (n, m)
+            assert _per_form_shortcut_detail(n, m) == "", (n, m)
+
+
+def test_shortcut_check_names_the_first_disagreement_of_the_per_form_loop(monkeypatch):
+    # the same mutant on both routes: every valuation, capped at r, one short
+    # down to 0; the array check must name the form the per-form loop names
+    real_valuations = oracle._valuations
+    monkeypatch.setattr(
+        oracle, "_valuations", lambda p, x, cap: np.maximum(real_valuations(p, x, cap) - 1, 0)
+    )
+    real_diag = forms._prime_power_diag
+
+    def short_diag(diag):
+        exps, m, logs = real_diag(diag)
+        return exps, m, {q: max(k - 1, 0) for q, k in logs.items()}
+
+    monkeypatch.setattr(forms, "_prime_power_diag", short_diag)
+    for n, m, first in (
+        (2, 27, "disagreement at ((3, 3), (0, 9))"),
+        (3, 8, "disagreement at ((1, 0, 0), (0, 2, 2), (0, 0, 4))"),
+    ):
+        check = _shortcut_check(n, m)
+        assert not check.ok
+        assert check.detail == _per_form_shortcut_detail(n, m) == first, (n, m)
+
+
+def test_verify_index_runs_no_per_form_reduction(monkeypatch):
+    # the shortcut check compares against minor gcds: invariant_factors stays
+    # with the tests and enumerate --with-snf
+    def refuse(rows):
+        raise AssertionError(f"invariant_factors({rows})")
+
+    monkeypatch.setattr(forms, "invariant_factors", refuse)
+    assert not hasattr(oracle, "invariant_factors")
+    for n, m in ((2, 27), (3, 8), (3, 64), (2, 1)):
+        assert _shortcut_check(n, m).ok, (n, m)
+
+
+def test_shortcut_check_has_no_form_cap():
+    # 200004 forms, past the 200000 that once skipped the check
+    assert sublattice_count(2, 200003) > 200_000
+    section = verify_index(2, 200003)
+    assert section.ok
+    assert _shortcut_check(2, 200003).detail == ""
 
 
 def test_verify_index_composite_skips_shortcut():
