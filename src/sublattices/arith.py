@@ -157,7 +157,7 @@ def partitions(n: int, k: int) -> Iterator[tuple[int, ...]]:
         parts[-1] = rest - grown * (n - 1 - i)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)  # one entry per (n, k), bounded like the other memos
 def partition_count(n: int, k: int) -> int:
     """len(list(partitions(n, k))) without enumerating.
 

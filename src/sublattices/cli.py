@@ -350,18 +350,24 @@ def _cmd_verify(args) -> int:
         raise ValueError("verify needs 'suite', or --n with --m, or --n with --prime and --max-r")
     report = VerifyReport(scope, sections, elapsed=time.perf_counter() - t0)
     print(f"elapsed {report.elapsed:.2f}s", file=sys.stderr)
-    plain = [f"{'ok  ' if s.ok else 'FAIL'} {s.scope}" for s in sections]
-    plain.append("all sections match" if report.all_match else "MISMATCH found")
-    table = [["section", "kind", "name", "detail", "ok"]]
+    # one pass renders every section three ways; elapsed stays out of stdout
+    plain, table, docs = [], [["section", "kind", "name", "detail", "ok"]], []
     for s in sections:
-        table += [
-            [s.scope, "class", ",".join(map(str, r.key)),
-             f"formula={r.formula} oracle={r.oracle}", str(r.match).lower()]
-            for r in s.rows
-        ]
+        plain.append(f"{'ok  ' if s.ok else 'FAIL'} {s.scope}")
+        rows = []
+        for r in s.rows:
+            key = ",".join(map(str, r.key))
+            rows.append({"class": key, "formula": str(r.formula), "oracle": str(r.oracle),
+                         "match": r.match})
+            table.append([s.scope, "class", key, f"formula={r.formula} oracle={r.oracle}",
+                          str(r.match).lower()])
         table += [[s.scope, "check", c.name, c.detail, str(c.ok).lower()] for c in s.checks]
+        docs.append({"scope": s.scope, "ok": s.ok, "rows": rows,
+                     "checks": [c._asdict() for c in s.checks]})
+    plain.append("all sections match" if report.all_match else "MISMATCH found")
+    payload = {"kind": "report", "scope": scope, "all_match": report.all_match, "sections": docs}
     code = 0 if report.all_match else 1
-    return _emit(args, command, params, report.to_payload(), plain, table, code=code)
+    return _emit(args, command, params, payload, plain, table, code=code)
 
 
 # ---------------------------------------------------------------- parser

@@ -27,16 +27,18 @@ verify_index also checks the 2x2/3x3 Smith shortcuts at every prime-power
 index, on the same boxes with every slot ranged: NumPy valuations (repeated
 % p, capped at the index's exponent) go through forms._smith_closed_form,
 and the exponents must match the kernel's minor gcds.  No per-form loop and
-no reduction (forms.invariant_factors) runs in verify.
+no reduction (forms.invariant_factors) runs in verify.  A verify run returns
+plain records (VerifyReport, SectionReport, ClassRow, Check); the CLI renders
+them as JSON, plain lines or csv.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import product as iter_product
 from math import gcd, prod
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,13 +66,6 @@ from .polyalg import (
 
 _CHUNK = 1 << 16  # most matrices in one box of the int64 kernel
 _INT64_SAFE = 1 << 62
-
-
-def _check_budget(n: int, m: int, budget: int, scope: str) -> int:
-    predicted = sublattice_count(n, m)
-    if predicted > budget:
-        raise BudgetExceededError(predicted, budget, scope)
-    return predicted
 
 
 def _slots(n: int) -> list[tuple[int, int]]:
@@ -214,28 +209,21 @@ def _box_values(diag, box):
     return values
 
 
-def _box_gcds(diag, per_order, box):
-    """gvals of one box: per order, the gcd of its minors, an int or an int64 array.
-
-    diag is the block's essential diagonal, and the variables after it are the
-    slots of _slots(len(diag)), all varying.  An array gval has length 1 on
-    every axis that none of its minors reads.  The principal minors fold
-    first, as ints, so an order where one of them is 1 builds no array.
-    """
-    values = _box_values(diag, box)
-    return [_fold(plans, values) for plans in per_order]
-
-
 def _block_gcds(diag, dropped, ones, per_order):
     """(count, gvals) per box of one block, boxes of at most _CHUNK essential matrices.
 
-    Each box stands for dropped matrices per essential one, and its gvals open
-    with ones orders whose gcd is 1.
+    diag is the block's essential diagonal, and each box stands for dropped
+    matrices per essential one.  Its gvals open with ones orders whose gcd is
+    1, then hold per order of per_order the gcd of the minors, an int or an
+    int64 array with length 1 on every axis that none of its minors reads.
+    The principal minors fold first, as ints, so an order where one of them
+    is 1 builds no array.
     """
     # a block without essential slots holds one essential matrix: one box on a dummy slot
     sizes = [diag[j] for _, j in _slots(len(diag))] or [1]
     for box in _boxes(sizes, _CHUNK):
-        yield dropped * prod(box[2]), [1] * ones + _box_gcds(diag, per_order, box)
+        values = _box_values(diag, box)
+        yield dropped * prod(box[2]), [1] * ones + [_fold(plans, values) for plans in per_order]
 
 
 def _tally_chains(n, m, parts):
@@ -288,7 +276,8 @@ def _bruteforce(n, m, scope, jobs, budget, orders):
     """Shared entry: validate, refuse up front, then (count, gvals) per box.
 
     With u unit diagonal entries, the order-k gcd is 1 for k <= u and the
-    essential order-(k - u) gcd above that.  Refuses with BudgetExceededError
+    essential order-(k - u) gcd above that.  The checks run at the call and
+    the boxes only as the result is consumed, so BudgetExceededError comes
     before any box runs: over budget matrices, or where the minor bound
     weight * m**degree of an essential plan reaches _INT64_SAFE.  The blocks
     follow in hnf_stream order of the diagonals, in this process.  jobs must
@@ -298,7 +287,9 @@ def _bruteforce(n, m, scope, jobs, budget, orders):
     if not isinstance(jobs, int) or jobs < 1:
         raise ValueError(f"need an integer jobs >= 1, got {jobs!r}")
     where = f"{scope} n={n} m={m}"
-    _check_budget(n, m, budget, where)
+    predicted = sublattice_count(n, m)
+    if predicted > budget:
+        raise BudgetExceededError(predicted, budget, where)
     blocks = []
     for diag in divisor_compositions(m, n):
         ess = tuple(d for d in diag if d > 1)
@@ -337,15 +328,13 @@ def cocyclic_bruteforce(n: int, m: int, *, jobs: int = 1, budget: int = DEFAULT_
     return _tally_cocyclic(_bruteforce(n, m, "cocyclic", jobs, budget, (n - 1,)))
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass
-class ClassRow:
+class ClassRow(NamedTuple):
     key: tuple[int, ...]
     formula: int
     oracle: int
@@ -355,58 +344,30 @@ class ClassRow:
         return self.formula == self.oracle
 
 
-@dataclass
-class SectionReport:
+class SectionReport(NamedTuple):
     scope: str
-    rows: list[ClassRow] = field(default_factory=list)
-    checks: list[Check] = field(default_factory=list)
+    rows: Sequence[ClassRow] = ()
+    checks: Sequence[Check] = ()
 
     @property
     def ok(self) -> bool:
         return all(r.match for r in self.rows) and all(c.ok for c in self.checks)
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Outcome of one verification run.
 
-    elapsed is measured but deliberately kept out of to_payload() so that equal
-    scopes serialize byte-identically regardless of timing or jobs.
+    elapsed is measured for stderr; the CLI keeps it out of stdout, so that
+    equal scopes render byte-identically regardless of timing or jobs.
     """
 
     scope: str
-    sections: list[SectionReport]
+    sections: Sequence[SectionReport]
     elapsed: float = 0.0
 
     @property
     def all_match(self) -> bool:
         return all(s.ok for s in self.sections)
-
-    def to_payload(self) -> dict:
-        return {
-            "kind": "report",
-            "scope": self.scope,
-            "all_match": self.all_match,
-            "sections": [
-                {
-                    "scope": s.scope,
-                    "ok": s.ok,
-                    "rows": [
-                        {
-                            "class": ",".join(map(str, r.key)),
-                            "formula": str(r.formula),
-                            "oracle": str(r.oracle),
-                            "match": r.match,
-                        }
-                        for r in s.rows
-                    ],
-                    "checks": [
-                        {"name": c.name, "ok": c.ok, "detail": c.detail} for c in s.checks
-                    ],
-                }
-                for s in self.sections
-            ],
-        }
 
 
 def _valuations(p, x, cap):
@@ -508,16 +469,9 @@ def verify_index(n: int, m: int, *, jobs: int = 1, budget: int = DEFAULT_BUDGET)
     fac = factorize(m)
     if len(fac) >= 2:
         # at a composite index, every answer must split over the prime powers
-        split_ok = closed == prod(sublattice_count(n, p**r) for p, r in fac)
-        split_ok = split_ok and gk == prod(class_count(n, p**r) for p, r in fac)
-        parts = [class_census(n, p**r).counts for p, r in fac]
-        merged: dict = {}
-        for combo in iter_product(*(list(c.items()) for c in parts)):
-            key = tuple(prod(vals) for vals in zip(*(k for k, _ in combo)))
-            merged[key] = prod(size for _, size in combo)
-        split_ok = split_ok and merged == formula.counts
+        detail = _split_failure(n, [p**r for p, r in fac])
         checks.append(
-            Check("multiplicative_split", split_ok, f"{len(fac)} prime power factors")
+            Check("multiplicative_split", not detail, detail or f"{len(fac)} prime power factors")
         )
     if n in (2, 3) and len(fac) <= 1:
         detail = _shortcut_disagreement(n, m, fac)
@@ -525,15 +479,27 @@ def verify_index(n: int, m: int, *, jobs: int = 1, budget: int = DEFAULT_BUDGET)
     return SectionReport(f"n={n} m={m}", rows, checks)
 
 
+def _verify_scopes(scopes, jobs: int, budget: int) -> list[SectionReport]:
+    """verify_index over each distinct (n, m) of scopes, in order.
+
+    The scope with the most matrices passes the oracle's checks first, so an
+    over-budget run is refused before any scope runs.
+    """
+    scopes = list(dict.fromkeys(scopes))
+    largest = max(scopes, key=lambda scope: sublattice_count(*scope))
+    _bruteforce(*largest, "census", jobs, budget, ())  # checks only: no box is consumed
+    return [verify_index(n, m, jobs=jobs, budget=budget) for n, m in scopes]
+
+
 def verify_prime_powers(
     n: int, p: int, max_r: int, *, jobs: int = 1, budget: int = DEFAULT_BUDGET
 ) -> list[SectionReport]:
-    """verify_index over p, p**2, ..., p**max_r."""
+    """verify_index over p, p**2, ..., p**max_r, refused up front over budget."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if max_r < 1:
         raise ValueError(f"need max_r >= 1, got {max_r}")
-    return [verify_index(n, p**r, jobs=jobs, budget=budget) for r in range(1, max_r + 1)]
+    return _verify_scopes([(n, p**r) for r in range(1, max_r + 1)], jobs, budget)
 
 
 def _leading_terms_section(max_n: int = 4, max_r: int = 5) -> SectionReport:
@@ -552,28 +518,37 @@ def _leading_terms_section(max_n: int = 4, max_r: int = 5) -> SectionReport:
     return SectionReport("polynomial leading terms", checks=checks)
 
 
-def _first_split_failure(n: int, limit: int) -> str:
-    """Where the answers at the first coprime m1 * m2 <= limit fail to split, or ''."""
-    for m1 in range(2, limit + 1):
-        for m2 in range(2, limit // m1 + 1):
-            if gcd(m1, m2) != 1:
-                continue
-            if sublattice_count(n, m1 * m2) != sublattice_count(n, m1) * sublattice_count(n, m2):
-                return f"count split fails at {m1} * {m2}"
-            if class_count(n, m1 * m2) != class_count(n, m1) * class_count(n, m2):
-                return f"class count split fails at {m1} * {m2}"
-            for k1, s1 in class_census(n, m1).counts.items():
-                for k2, s2 in class_census(n, m2).counts.items():
-                    merged = tuple(a * b for a, b in zip(k1, k2))
-                    if class_size(merged) != s1 * s2:
-                        return f"class size split fails at {merged}"
+def _split_failure(n: int, factors) -> str:
+    """Where the answers at the product of pairwise coprime factors fail to split over them, or ''.
+
+    The count and the class count must be the products of the factors' own,
+    and each class, a chain merged from one class per factor entrywise, must
+    have class_size the product of theirs.
+    """
+    m = prod(factors)
+    at = " * ".join(map(str, factors))
+    if sublattice_count(n, m) != prod(sublattice_count(n, f) for f in factors):
+        return f"count split fails at {at}"
+    if class_count(n, m) != prod(class_count(n, f) for f in factors):
+        return f"class count split fails at {at}"
+    for combo in iter_product(*(class_census(n, f).counts.items() for f in factors)):
+        merged = tuple(map(prod, zip(*(key for key, _ in combo))))
+        if class_size(merged) != prod(size for _, size in combo):
+            return f"class size split fails at {merged}"
     return ""
 
 
 def _multiplicativity_section(limit: int = 120, max_n: int = 3) -> SectionReport:
+    """Per n, the first coprime m1 * m2 <= limit whose answers fail to split."""
     checks = []
     for n in range(1, max_n + 1):
-        detail = _first_split_failure(n, limit)
+        pairs = (
+            (m1, m2)
+            for m1 in range(2, limit + 1)
+            for m2 in range(2, limit // m1 + 1)
+            if gcd(m1, m2) == 1
+        )
+        detail = next(filter(None, (_split_failure(n, pair) for pair in pairs)), "")
         checks.append(Check(f"multiplicative up to {limit}, n={n}", not detail, detail))
     return SectionReport("multiplicativity across coprime factors", checks=checks)
 
@@ -612,7 +587,8 @@ def verify_suite(*, jobs: int = 1, budget: int = DEFAULT_BUDGET) -> VerifyReport
     Index sweeps at n = 2 and 3 including composite indices, small n = 4 powers
     of two, prime-power ladders that exercise the dimension-2 and dimension-3
     closed forms, the polynomial leading-term checks, multiplicativity, and
-    the closed-form class sizes against the glue recursion.
+    the closed-form class sizes against the glue recursion.  A budget below
+    the largest scope's matrix count is refused before any scope runs.
     """
     t0 = time.perf_counter()
     planned: list[tuple[int, int]] = []
@@ -624,14 +600,6 @@ def verify_suite(*, jobs: int = 1, budget: int = DEFAULT_BUDGET) -> VerifyReport
     for p in (2, 3):
         planned += [(3, p**r) for r in range(1, 5)]
     planned += [(4, 2**r) for r in range(1, 6)]
-    sections: list[SectionReport] = []
-    seen: set[tuple[int, int]] = set()
-    for n, m in planned:
-        if (n, m) in seen:
-            continue
-        seen.add((n, m))
-        sections.append(verify_index(n, m, jobs=jobs, budget=budget))
-    sections.append(_leading_terms_section())
-    sections.append(_multiplicativity_section())
-    sections.append(_closed_vs_glue_section())
+    sections = _verify_scopes(planned, jobs, budget)
+    sections += [_leading_terms_section(), _multiplicativity_section(), _closed_vs_glue_section()]
     return VerifyReport("suite", sections, elapsed=time.perf_counter() - t0)

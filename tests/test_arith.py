@@ -181,6 +181,21 @@ def test_partition_count_matches_enumeration():
             assert partition_count(n, k) == len(list(partitions(n, k)))
 
 
+
+def test_partition_count_memo_is_bounded():
+    # 5000 distinct (n, k): the memo keeps at most 4096 of them, and every
+    # value follows p(n, k) = p(n - 1, k) + p(n, k - n), into at most n parts
+    partition_count.cache_clear()
+    table = {}
+    for n in range(0, 100):
+        for k in range(0, 50):
+            table[n, k] = 1 if k == 0 else 0 if n == 0 else table[n - 1, k] + table.get((n, k - n), 0)
+    for n in range(0, 100):
+        for k in range(0, 50):
+            assert partition_count(n, k) == table[n, k], (n, k)
+    assert partition_count.cache_info().currsize <= 4096
+
+
 def test_ord_p():
     assert ord_p(2, 8) == 3
     assert ord_p(2, 12) == 2

@@ -30,6 +30,7 @@ from sublattices.oracle import (
     _closed_vs_glue_section,
     _leading_terms_section,
     _multiplicativity_section,
+    _split_failure,
 )
 
 
@@ -66,19 +67,19 @@ def test_bruteforce_methods_agree(monkeypatch):
     # a fixed leading slot and a ranged slot before the trailing ones
     boxes = []
     counts = []
-    real_box = oracle._box_gcds
+    real_box = oracle._box_values
     real_block = oracle._block_gcds
 
-    def box_gcds(diag, per_order, box):
+    def box_values(diag, box):
         boxes.append(box)
-        return real_box(diag, per_order, box)
+        return real_box(diag, box)
 
     def block_gcds(*block):
         for count, gvals in real_block(*block):
             counts.append(count)
             yield count, gvals
 
-    monkeypatch.setattr(oracle, "_box_gcds", box_gcds)
+    monkeypatch.setattr(oracle, "_box_values", box_values)
     monkeypatch.setattr(oracle, "_block_gcds", block_gcds)
     default_chunk = oracle._CHUNK
     for n, m in ((3, 49), (3, 120), (4, 32), (5, 9)):
@@ -429,14 +430,57 @@ def test_aggregate_sections(monkeypatch):
     ]
 
 
-def test_verify_suite_payload_deterministic():
+def test_one_split_check_serves_index_and_suite(monkeypatch):
+    # a class size off by one at index 6 fails the split of verify_index at a
+    # composite index and the suite's multiplicativity section alike
+    assert _split_failure(2, (4, 9, 5)) == ""
+    real = oracle.class_size
+    monkeypatch.setattr(oracle, "class_size", lambda chain: real(chain) + (prod(chain) == 6))
+    split = [c for c in verify_index(2, 6).checks if c.name == "multiplicative_split"]
+    assert split == [oracle.Check("multiplicative_split", False, "class size split fails at (1, 6)")]
+    section = _multiplicativity_section(limit=6, max_n=2)
+    assert [c.detail for c in section.checks] == [
+        "class size split fails at (6,)",
+        "class size split fails at (1, 6)",
+    ]
+
+
+def test_suite_and_ladder_refuse_before_any_scope_runs(monkeypatch, capsys):
+    # the largest planned scope is priced first: no census runs, no stdout
+    calls = []
+    real = oracle.census_bruteforce
+    monkeypatch.setattr(oracle, "census_bruteforce", lambda *a, **k: calls.append(a) or real(*a, **k))
+    with pytest.raises(BudgetExceededError, match="^census n=4 m=32: predicted 97155 matrices "):
+        verify_suite(budget=50)
+    with pytest.raises(BudgetExceededError, match=f"^census n=2 m={2**30}: "):
+        verify_prime_powers(2, 2, 30, budget=1000)
+    for argv in (["verify", "suite", "--budget", "50"],
+                 ["verify", "--n", "2", "--prime", "2", "--max-r", "30", "--budget", "1000"]):
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exceeds the budget" in captured.err
+    assert calls == []
+    # invalid input still comes before the budget
+    with pytest.raises(ValueError, match="jobs"):
+        verify_prime_powers(2, 2, 30, jobs=0, budget=1000)
+    # a budget that admits the largest scope runs every scope
+    assert len(verify_prime_powers(2, 2, 3, budget=sublattice_count(2, 8))) == 3
+    assert len(calls) == 3
+
+
+def test_verify_suite_payload_deterministic(monkeypatch, capsys):
     a = verify_suite()
     b = verify_suite()
     assert a.all_match and b.all_match
-    # elapsed differs between runs, payloads must not
+    # elapsed differs between runs, payloads must not: the CLI renders each report
     assert a.elapsed != b.elapsed or a.elapsed > 0
-    assert json.dumps(a.to_payload(), sort_keys=True) == json.dumps(b.to_payload(), sort_keys=True)
-    payload = a.to_payload()
+    payloads = []
+    for report in (a, b):
+        monkeypatch.setattr(oracle, "verify_suite", lambda **kwargs: report)
+        assert cli.main(["verify", "suite"]) == 0
+        payloads.append(json.loads(capsys.readouterr().out)["payload"])
+    assert json.dumps(payloads[0], sort_keys=True) == json.dumps(payloads[1], sort_keys=True)
+    payload = payloads[0]
     assert payload["kind"] == "report"
     assert payload["all_match"] is True
     assert "elapsed" not in json.dumps(payload)
