@@ -7,29 +7,35 @@ entry of 1 has column e_j, so column operations clear its row: a form's chain
 is (1, ..., 1) followed by the chain of its essential submatrix, the e x e
 matrix on the diagonal entries above 1.  One symbolic plan of the minors of
 the generic e x e upper-triangular matrix serves every diagonal with e such
-entries, from a bounded cache keyed by (e, orders).  The slots of unit rows
-are read by no plan, so they are counted, not ranged: a box's count is
-multiplied by the diagonal entry of each such slot's column.  The essential
-forms of one diagonal, a block, are cut into boxes of at most _CHUNK
-matrices: a box fixes the leading slots, ranges one slot and runs the
-trailing slots in full.  Each slot that varies is an arange along its own
-axis, so every minor broadcasts over only the slots it reads.  Census chains
-are tallied by the index of each gcd among the divisors of m, on the
-un-broadcast gcd arrays.  A bound on every minor, with entries bounded by m,
-says whether int64 is exact; a scope where any essential plan's bound reaches
-_INT64_SAFE is refused up front, like one over the matrix budget, so no
-answer leaves the kernel.
+entries, from a bounded cache keyed by (e, orders); a call resolves the plan
+and its int64 bound once per essential length e.  The slots of unit rows are
+read by no plan, so they are counted, not ranged: each essential matrix
+stands for the product of the diagonal entries of such slots' columns.
+Diagonals with the same essential diagonal range the same essential
+matrices, so they share one block, whose count is the sum of theirs.  A
+block is cut into boxes of at most _CHUNK matrices: a box fixes the leading
+slots, ranges one slot and runs the trailing slots in full, so a block that
+fits in _CHUNK is a single box.  Each slot that varies is an arange
+along its own axis, so every minor broadcasts over only the slots it reads,
+and a monomial multiplies its diagonal entries, ints, before its first
+array, with no type test.  Census chains are tallied by the index of each
+gcd among the divisors of m, on the un-broadcast gcd arrays.  A bound on
+every minor, with entries bounded by m, says whether int64 is exact; a scope
+where any essential plan's bound reaches _INT64_SAFE is refused up front,
+like one over the matrix budget, so no answer leaves the kernel.
 Everything runs in one process: inside the default budget a worker pool
 gained at most 1.2x and nearly doubled peak memory, so jobs is checked and
 selects nothing.
 
 verify_index also checks the 2x2/3x3 Smith shortcuts at every prime-power
-index, on the same boxes with every slot ranged: NumPy valuations (repeated
-% p, capped at the index's exponent) go through forms._smith_closed_form,
-and the exponents must match the kernel's minor gcds.  No per-form loop and
-no reduction (forms.invariant_factors) runs in verify.  A verify run returns
-plain records (VerifyReport, SectionReport, ClassRow, Check); the CLI renders
-them as JSON, plain lines or csv.
+index, per diagonal on the same boxes with every slot ranged.  NumPy
+valuations, capped at the index's exponent, go through
+forms._smith_closed_form: strided increments along a slot's range, and
+repeated % p only on h12*h23 - d2*h13.  The exponents must match the
+kernel's minor gcds.  No per-form loop and no reduction
+(forms.invariant_factors) runs in verify.  A verify run returns plain
+records (VerifyReport, SectionReport, ClassRow, Check); the CLI renders them
+as JSON, plain lines or csv.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ import time
 from functools import lru_cache, reduce
 from itertools import product as iter_product
 from math import gcd, prod
+from operator import add
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -137,25 +144,13 @@ def _pattern_plans(e, orders):
 
 
 def _eval_plan(plan, values):
-    """One minor from its monomials; values[v] is an int or an int64 array."""
-    const = 0
-    acc = None
-    for s, c in plan:
-        arr = None
-        for v in s:
-            x = values[v]
-            if isinstance(x, int):
-                c *= x
-            else:
-                arr = x if arr is None else arr * x
-        if arr is None:
-            const += c
-            continue
-        term = arr if c == 1 else arr * c
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return const
-    return acc + const if const else acc
+    """One minor from its monomials; values[v] is an int or an int64 array.
+
+    A monomial's variables are sorted, and the diagonal entries, always ints,
+    come first: its product multiplies ints until it meets the first array, so
+    no factor's type is tested.
+    """
+    return reduce(add, [prod([values[v] for v in s], start=c) for s, c in plan])
 
 
 def _fold(plans, values):
@@ -189,23 +184,30 @@ def _boxes(sizes, chunk):
             yield fixed, start, (min(step, sizes[t] - start), *sizes[t + 1 :])
 
 
+def _box_axes(diag, box):
+    """(range, shape) per ranged or trailing slot of one box, in slot order.
+
+    Each slot's values are a range of step 1 laid along its own axis of the
+    box: reshaped to shape, they broadcast against every other slot.  A block
+    without slots ranges a dummy one, which gets no axis here.
+    """
+    fixed, start, shape = box
+    e = len(diag)
+    for axis in range(e * (e - 1) // 2 - len(fixed)):
+        first = start if axis == 0 else 0
+        yield range(first, first + shape[axis]), (-1,) + (1,) * (len(shape) - 1 - axis)
+
+
 def _box_values(diag, box):
     """The variables of one box: the diagonal diag, then each slot of _slots(len(diag)).
 
     A fixed slot is an int; a ranged or trailing slot is an arange along its
-    own axis of the box, so an expression broadcasts over only the slots it
-    reads.  A block without slots ranges a dummy one, which gets no variable.
+    own axis of the box (_box_axes), so an expression broadcasts over only
+    the slots it reads.
     """
-    fixed, start, shape = box
-    values = [*diag, *fixed]
-    e = len(diag)
-    for axis in range(e * (e - 1) // 2 - len(fixed)):
-        first = start if axis == 0 else 0
-        values.append(
-            np.arange(first, first + shape[axis], dtype=np.int64).reshape(
-                (-1,) + (1,) * (len(shape) - 1 - axis)
-            )
-        )
+    values = [*diag, *box[0]]
+    for rng, shape in _box_axes(diag, box):
+        values.append(np.arange(rng.start, rng.stop, dtype=np.int64).reshape(shape))
     return values
 
 
@@ -213,11 +215,11 @@ def _block_gcds(diag, dropped, ones, per_order):
     """(count, gvals) per box of one block, boxes of at most _CHUNK essential matrices.
 
     diag is the block's essential diagonal, and each box stands for dropped
-    matrices per essential one.  Its gvals open with ones orders whose gcd is
-    1, then hold per order of per_order the gcd of the minors, an int or an
-    int64 array with length 1 on every axis that none of its minors reads.
-    The principal minors fold first, as ints, so an order where one of them
-    is 1 builds no array.
+    forms per essential matrix, over every diagonal with that essential one.
+    Its gvals open with ones orders whose gcd is 1, then hold per order of
+    per_order the gcd of the minors, an int or an int64 array with length 1
+    on every axis that none of its minors reads.  The principal minors fold
+    first, as ints, so an order where one of them is 1 builds no array.
     """
     # a block without essential slots holds one essential matrix: one box on a dummy slot
     sizes = [diag[j] for _, j in _slots(len(diag))] or [1]
@@ -279,9 +281,9 @@ def _bruteforce(n, m, scope, jobs, budget, orders):
     essential order-(k - u) gcd above that.  The checks run at the call and
     the boxes only as the result is consumed, so BudgetExceededError comes
     before any box runs: over budget matrices, or where the minor bound
-    weight * m**degree of an essential plan reaches _INT64_SAFE.  The blocks
-    follow in hnf_stream order of the diagonals, in this process.  jobs must
-    be an integer of at least 1 and selects nothing.
+    weight * m**degree of an essential plan reaches _INT64_SAFE.  One block
+    per essential diagonal, in hnf_stream order of its first diagonal, in
+    this process.  jobs must be an integer of at least 1 and selects nothing.
     """
     _check_nm(n, m)
     if not isinstance(jobs, int) or jobs < 1:
@@ -290,17 +292,30 @@ def _bruteforce(n, m, scope, jobs, budget, orders):
     predicted = sublattice_count(n, m)
     if predicted > budget:
         raise BudgetExceededError(predicted, budget, where)
-    blocks = []
+    # (ones, per_order) per essential length e: plans and bound depend on e and m only
+    resolved: dict[int, tuple] = {}
+    # forms per essential matrix, summed over the diagonals with that essential diagonal
+    shared: dict[tuple[int, ...], int] = {}
     for diag in divisor_compositions(m, n):
-        ess = tuple(d for d in diag if d > 1)
-        u = n - len(ess)
-        per_order, weight, degree = _pattern_plans(len(ess), tuple(k - u for k in orders if k > u))
-        bound = weight * m**degree
-        if bound >= _INT64_SAFE:
-            raise BudgetExceededError(bound, _INT64_SAFE, f"{where} on int64", unit="minor bound")
-        # a slot above a non-unit entry d ranges over d values in every unit row
-        dropped = prod(d ** diag[:j].count(1) for j, d in enumerate(diag) if d > 1)
-        blocks.append((ess, dropped, sum(k <= u for k in orders), per_order))
+        ess = []
+        dropped = 1
+        for j, d in enumerate(diag):
+            if d > 1:
+                # a slot above a non-unit entry d ranges over d values in each of
+                # the j - len(ess) unit rows above it
+                dropped *= d ** (j - len(ess))
+                ess.append(d)
+        ess = tuple(ess)
+        shared[ess] = shared.get(ess, 0) + dropped
+        e = len(ess)
+        if e not in resolved:
+            u = n - e
+            per_order, weight, degree = _pattern_plans(e, tuple(k - u for k in orders if k > u))
+            bound = weight * m**degree
+            if bound >= _INT64_SAFE:
+                raise BudgetExceededError(bound, _INT64_SAFE, f"{where} on int64", unit="minor bound")
+            resolved[e] = (sum(k <= u for k in orders), per_order)
+    blocks = [(ess, dropped, *resolved[len(ess)]) for ess, dropped in shared.items()]
     return (part for block in blocks for part in _block_gcds(*block))
 
 
@@ -371,11 +386,23 @@ class VerifyReport(NamedTuple):
 
 
 def _valuations(p, x, cap):
-    """p-adic valuation of an int or of each entry of an int64 array, capped at cap.
+    """p-adic valuation, capped at cap, of an int, of each entry of an int64 array or of a range.
 
-    Repeated % p: after the first pass over every entry, each pass reads only
-    the quotients that p divided in the last.
+    A range of step 1 needs no division: p**k divides every p**k-th value from
+    the first one it divides, so each k adds 1 along one strided slice.
+    Anything else takes repeated % p: after the first pass over every entry,
+    each pass reads only the quotients that p divided in the last.
     """
+    if isinstance(x, range):
+        v = np.zeros(len(x), dtype=np.int64)
+        q = p
+        for _ in range(cap):
+            first = -x.start % q
+            if first >= len(x):
+                break
+            v[first::q] += 1
+            q *= p
+        return v
     x = np.asarray(x, dtype=np.int64)
     v = np.zeros(x.size, dtype=np.int64)
     live = np.arange(x.size)
@@ -411,18 +438,18 @@ def _shortcut_disagreement(n: int, m: int, fac) -> str:
         exps = tuple(_valuation(p, d) for d in diag)
         for box in _boxes([diag[j] for _, j in slots], _CHUNK):
             values = _box_values(diag, box)
-            entries = values[n:]
-            o = [_valuations(p, x, r) for x in entries]
+            fixed, start, shape = box
+            o = [_valuations(p, x, r) for x in fixed]
+            o += [_valuations(p, rng, r).reshape(ax) for rng, ax in _box_axes(diag, box)]
             if n == 3:
-                h12, h13, h23 = entries
+                h12, h13, h23 = values[n:]
                 o.append(_valuations(p, h12 * h23 - diag[1] * h13, r))
             got = _smith_closed_form(_least, exps, o)
-            bad = np.zeros(box[2], dtype=bool)
+            bad = np.zeros(shape, dtype=bool)
             for e, plans in zip(got if n == 3 else (got,), per_order):
                 bad |= p**e != _fold(plans, values)
             if bad.any():
                 # the first hit in box order is the first in hnf_stream order
-                fixed, start, _ = box
                 pos = np.unravel_index(int(np.argmax(bad)), bad.shape)
                 at = dict(zip(slots, (*fixed, start + int(pos[0]), *map(int, pos[1:]))))
                 rows = tuple(

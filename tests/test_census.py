@@ -2,7 +2,7 @@ from math import gcd, prod
 
 import pytest
 
-from sublattices import arith
+from sublattices import arith, census
 from sublattices.arith import INFINITY, factorize, partitions
 from sublattices.census import (
     CensusTable,
@@ -283,6 +283,32 @@ def test_class_census_keys_share_divisor_objects():
         for three in partitions(4, 2)
     ]
     assert list(table.counts) == want
+
+
+def test_class_census_sizes_each_partition_once(monkeypatch):
+    # one class size per (prime, partition): 6 + 5 + 3 partitions of 5, 4 and
+    # 3 into 4 parts, not one per key they extend (6 + 30 + 90)
+    m = 2**5 * 3**4 * 5**3
+    calls = []
+    real = census.class_size_prime
+
+    def counting(exps, p):
+        calls.append((exps, p))
+        return real(exps, p)
+
+    monkeypatch.setattr(census, "class_size_prime", counting)
+    table = class_census(4, m)
+    assert len(calls) == 14
+    assert len(set(calls)) == 14
+    # the per-key loop: the same keys in the same order, the same sizes
+    want = {(1,) * 4: 1}
+    for p, r in factorize(m):
+        want = {
+            tuple(d * p**e for d, e in zip(key, exps)): size * real(exps, p)
+            for key, size in want.items()
+            for exps in partitions(4, r)
+        }
+    assert list(table.counts.items()) == list(want.items())
 
 
 def test_class_census_matches_class_size():

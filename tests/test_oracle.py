@@ -94,8 +94,7 @@ def test_bruteforce_methods_agree(monkeypatch):
                 with pytest.raises(BudgetExceededError, match="int64"):
                     brute(n, m, jobs=2)
         assert boxes == []
-        # one-matrix boxes cost seconds at (4, 32); (5, 9) takes chunk 1 higher up
-        for chunk in (7, 1000, default_chunk) if n == 4 else (1, 7, 1000, default_chunk):
+        for chunk in (1, 7, 1000, default_chunk):
             monkeypatch.setattr(oracle, "_CHUNK", chunk)
             for brute, expect in ((census_bruteforce, want), (cocyclic_bruteforce, want_cocyclic)):
                 boxes.clear()
@@ -130,6 +129,43 @@ def test_prime_index_builds_no_minor_array(monkeypatch):
     assert census_bruteforce(3, 101).counts == class_census(3, 101).counts
     assert cocyclic_bruteforce(3, 101) == cocyclic_count(3, 101)
     assert values == []
+
+
+def test_bruteforce_resolves_plans_per_essential_length(monkeypatch):
+    # plans and the int64 bound depend only on e and m: one lookup per distinct
+    # essential length, not one per diagonal (80 at (4, 104)).  Diagonals with
+    # the same essential diagonal share one block, and a block that fits in
+    # one box is built once, as that whole box
+    n, m = 4, 104
+    diags = list(arith.divisor_compositions(m, n))
+    essentials = {tuple(d for d in diag if d > 1) for diag in diags}
+    assert len(diags) == 80 and len(essentials) == 20
+    lookups = []
+    boxes = []
+    real_plans = oracle._pattern_plans
+    real_box = oracle._box_values
+
+    def pattern_plans(e, orders):
+        lookups.append(e)
+        return real_plans(e, orders)
+
+    def box_values(diag, box):
+        boxes.append((diag, box))
+        return real_box(diag, box)
+
+    monkeypatch.setattr(oracle, "_pattern_plans", pattern_plans)
+    monkeypatch.setattr(oracle, "_box_values", box_values)
+    for brute, want in (
+        (census_bruteforce, class_census(n, m).counts),
+        (cocyclic_bruteforce, cocyclic_count(n, m)),
+    ):
+        lookups.clear()
+        boxes.clear()
+        got = brute(n, m)
+        assert getattr(got, "counts", got) == want
+        assert sorted(lookups) == sorted({len(ess) for ess in essentials})
+        assert sorted(diag for diag, _ in boxes) == sorted(essentials)
+        assert all(fixed == () and start == 0 for _, (fixed, start, _) in boxes)
 
 
 def test_int64_gate_never_refuses_within_default_budget():
@@ -387,6 +423,17 @@ def test_verify_index_runs_no_per_form_reduction(monkeypatch):
     assert not hasattr(oracle, "invariant_factors")
     for n, m in ((2, 27), (3, 8), (3, 64), (2, 1)):
         assert _shortcut_check(n, m).ok, (n, m)
+
+
+def test_range_valuations_match_the_elementwise_pass():
+    # the strided increments of a range against repeated % p on its arange,
+    # 0 included (capped like any multiple of every power)
+    for p in (2, 3, 5, 7):
+        for start, stop in ((0, 1), (0, 200), (5, 6), (17, 400), (p**3, p**3 + 2)):
+            for cap in (0, 1, 3, 9):
+                got = oracle._valuations(p, range(start, stop), cap)
+                want = oracle._valuations(p, np.arange(start, stop, dtype=np.int64), cap)
+                assert got.tolist() == want.tolist(), (p, start, stop, cap)
 
 
 def test_shortcut_check_has_no_form_cap():
