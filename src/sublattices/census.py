@@ -14,11 +14,11 @@ from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .arith import (
+    _valuation,
     distinct_prime_factors_upto,
     divisor_compositions,
     factorize,
     is_prime,
-    ord_p,
     partition_count,
     partitions,
 )
@@ -124,12 +124,14 @@ def class_size_2x2(t: int, r: int, p: int) -> int:
 
 
 def class_size(divisors: Iterable[int]) -> int:
-    """Number of sublattices whose invariant factor chain equals the given one."""
+    """Number of sublattices whose invariant factor chain equals the given one.
+
+    The primes come from factorize, so none is tested for primality again.
+    """
     chain = validate_chain(divisors)
     out = 1
     for p, _ in factorize(chain[-1]):
-        exps = tuple(ord_p(p, d) for d in chain)
-        out *= class_size_prime(exps, p)
+        out *= poly_eval(class_size_poly(tuple(_valuation(p, d) for d in chain)), p)
     return out
 
 

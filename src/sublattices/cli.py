@@ -18,10 +18,9 @@ import json
 import os
 import sys
 import time
-from itertools import islice
 from math import comb, prod
 
-from .arith import factorize, ord_p, partitions
+from .arith import _valuation, factorize, partitions
 from .census import (
     class_count,
     class_size,
@@ -29,7 +28,6 @@ from .census import (
     cocyclic_count,
     cocyclic_count_upto,
     sublattice_count,
-    sublattice_count_prime_power,
     sublattice_count_recursion,
     validate_chain,
 )
@@ -81,66 +79,25 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------- cache
 
-def _cache_path(args) -> str | None:
-    if getattr(args, "cache", None):
-        return args.cache
-    return os.environ.get(CACHE_ENV) or None
+def _write_cache(args, levels) -> None:
+    """Write every class of the levels (n, k) a command touched to its --cache file.
 
-
-def _load_memo(path: str) -> dict:
-    """Read a coefficient cache, dropping it with a warning if anything is off.
-
-    Keys look like "n:k:a1,...,aN" for a nondecreasing exponent tuple of length
-    n summing to k; values are constant-first integer coefficient lists.  The
-    program stores whole levels (n, k), so each level must hold every partition
-    of k into n parts, and its class sizes must sum to the sublattice count of
-    index T**k at T = 2 and T = 3, from the prime-power formula, whose cost
-    does not grow with k beyond the size of the count.
+    The file maps "n:k:a1,...,aN" to constant-first coefficients and replaces
+    any previous one atomically, unread: one class from the closed form costs
+    less than checking a file.  levels is read only when a file is named.
     """
-    if not os.path.exists(path):
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError("cache root must be an object")
-        levels: dict = {}
-        for key, val in raw.items():
-            n_text, k_text, exps_text = key.split(":")
-            exps = tuple(int(x) for x in exps_text.split(","))
-            if int(n_text) != len(exps) or int(k_text) != sum(exps):
-                raise ValueError(f"key {key!r} disagrees with its exponents")
-            if any(a < 0 for a in exps) or list(exps) != sorted(exps):
-                raise ValueError(f"bad exponent key {key!r}")
-            if not isinstance(val, list) or not all(
-                isinstance(c, int) and not isinstance(c, bool) for c in val
-            ):
-                raise ValueError(f"bad coefficient list under {key!r}")
-            if val and val[-1] == 0:
-                raise ValueError(f"coefficient list under {key!r} has trailing zeros")
-            levels.setdefault((len(exps), sum(exps)), {})[exps] = val
-        for (n, k), level in levels.items():
-            # every key is a partition of k into n parts, so the level is whole
-            # when no partition is left over; the walk stops one past the level
-            if set(level) != set(islice(partitions(n, k), len(level) + 1)):
-                raise ValueError(f"level {n}:{k} lacks a partition")
-            for t in (2, 3):
-                want = sublattice_count_prime_power(n, t, k)
-                if sum(poly_eval(c, t) for c in level.values()) != want:
-                    raise ValueError(f"level {n}:{k} does not sum to the count at T={t}")
-        return {exps: val for level in levels.values() for exps, val in level.items()}
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"warning: ignoring unusable cache {path}: {exc}", file=sys.stderr)
-        return {}
-
-
-def _save_memo(path: str, memo: dict) -> None:
+    path = args.cache or os.environ.get(CACHE_ENV)
+    if not path:
+        return
     import tempfile
 
-    payload = {f"{len(k)}:{sum(k)}:{','.join(map(str, k))}": v for k, v in sorted(memo.items())}
-    target_dir = os.path.dirname(os.path.abspath(path)) or "."
+    payload = {
+        f"{n}:{k}:{','.join(map(str, exps))}": class_size_poly(exps)
+        for n, k in levels
+        for exps in partitions(n, k)
+    }
     try:
-        fd, tmp = tempfile.mkstemp(dir=target_dir, suffix=".cache")
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".cache")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(payload, fh, sort_keys=True)
@@ -153,18 +110,10 @@ def _save_memo(path: str, memo: dict) -> None:
         print(f"warning: could not write cache {path}: {exc}", file=sys.stderr)
 
 
-def _cache_levels(args, levels) -> None:
-    """Add every class of the levels (n, k) a command touched to the named cache file.
-
-    Nothing reads a class size back: one closed-form tuple costs less than the load check.
-    """
-    path = _cache_path(args)
-    if not path:
-        return
-    memo = _load_memo(path)
-    for n, k in levels:
-        memo.update({t: class_size_poly(t) for t in partitions(n, k) if t not in memo})
-    _save_memo(path, memo)
+def _chain_levels(chain: tuple[int, ...]):
+    """The level (n, e) of each prime power p**e of the chain's index, factored lazily."""
+    for p, _ in factorize(chain[-1]):
+        yield len(chain), sum(_valuation(p, d) for d in chain)
 
 
 # ---------------------------------------------------------------- count
@@ -198,9 +147,8 @@ def _cmd_count_class(args) -> int:
         chain = validate_chain(_parse_int_list(args.divisors, "--divisors"))
         value = class_size(chain)
         params = {"divisors": ",".join(map(str, chain))}
-        # the index is factored a second time only for a cache file
-        primes = [p for p, _ in factorize(chain[-1])] if _cache_path(args) else []
-        levels = [(len(chain), sum(ord_p(p, d) for d in chain)) for p in primes]
+        # a generator: the index is factored a second time only for a cache file
+        levels = _chain_levels(chain)
     else:
         if args.n is None or args.prime is None or args.partition is None:
             raise ValueError("the partition form needs --n, --prime, and --partition together")
@@ -210,7 +158,7 @@ def _cmd_count_class(args) -> int:
         value = class_size_prime(exps, args.prime)
         params = {"n": args.n, "prime": args.prime, "partition": ",".join(map(str, exps))}
         levels = [(args.n, sum(exps))]
-    _cache_levels(args, levels)
+    _write_cache(args, levels)
     return _emit_value(args, "count class", params, value)
 
 
@@ -284,14 +232,14 @@ def _cmd_poly_class(args) -> int:
     if len(exps) != args.n:
         raise ValueError(f"--partition must have exactly n={args.n} parts, got {len(exps)}")
     coeffs = class_size_poly(exps)
-    _cache_levels(args, [(args.n, sum(exps))])
+    _write_cache(args, [(args.n, sum(exps))])
     params = {"n": args.n, "partition": ",".join(map(str, exps))}
     return _emit_poly(args, "poly class", params, coeffs)
 
 
 def _cmd_poly_fn(args) -> int:
     coeffs = sublattice_count_poly(args.n, args.r)
-    _cache_levels(args, [(args.n, args.r)])
+    _write_cache(args, [(args.n, args.r)])
     return _emit_poly(args, "poly fn", {"n": args.n, "r": args.r}, coeffs)
 
 
@@ -401,7 +349,7 @@ def _add_cache(parser) -> None:
     parser.add_argument(
         "--cache",
         default=None,
-        help=f"JSON coefficient cache file (default from ${CACHE_ENV})",
+        help=f"JSON coefficient file to write, never read (default from ${CACHE_ENV})",
     )
 
 

@@ -285,6 +285,23 @@ def test_class_census_keys_share_divisor_objects():
     assert list(table.counts) == want
 
 
+def test_class_size_tests_no_prime_again(monkeypatch):
+    # factorize found the prime, so class_size tests nothing for primality again
+    calls = []
+    real = arith.is_prime
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(arith, "is_prime", counting)
+    monkeypatch.setattr(census, "is_prime", counting)
+    p = 10**12 + 39
+    # the chain (1, 1, p) is every sublattice of prime index p
+    assert class_size((1, 1, p)) == p**2 + p + 1
+    assert calls == []
+
+
 def test_class_census_sizes_each_partition_once(monkeypatch):
     # one class size per (prime, partition): 6 + 5 + 3 partitions of 5, 4 and
     # 3 into 4 parts, not one per key they extend (6 + 30 + 90)
