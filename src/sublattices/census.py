@@ -5,6 +5,9 @@ one onto the other, which happens exactly when they share the same invariant
 factor chain d1 | d2 | ... | dn.  Class sizes at a prime power are the
 class-size polynomials of polyalg, evaluated at the prime.  Everything here is
 exact integer arithmetic.
+
+polyalg is imported inside class_size_prime, class_size and class_census, the
+functions that build a class size, so the counts that need none never load it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .arith import (
     partition_count,
     partitions,
 )
-from .polyalg import class_size_poly, poly_eval
 
 
 def _check_nm(n: int, m: int) -> None:
@@ -107,6 +109,8 @@ def class_size_prime(exponents: Sequence[int], p: int) -> int:
     The class-size polynomial of class_size_poly evaluated at p, so every prime
     shares one memoized polynomial per exponent tuple.
     """
+    from .polyalg import class_size_poly, poly_eval
+
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return poly_eval(class_size_poly(exponents), p)
@@ -128,6 +132,8 @@ def class_size(divisors: Iterable[int]) -> int:
 
     The primes come from factorize, so none is tested for primality again.
     """
+    from .polyalg import class_size_poly, poly_eval
+
     chain = validate_chain(divisors)
     out = 1
     for p, _ in factorize(chain[-1]):
@@ -200,18 +206,22 @@ def class_census(n: int, m: int) -> CensusTable:
     Key count equals class_count(n, m) and the counts sum to
     sublattice_count(n, m).  Each partition's class size and prime powers are
     evaluated once, not once per key it extends: a prime costs one
-    class_size_prime per partition.  Its partitions are listed only when more
-    than one key reuses them, so the first prime streams them: listing the
-    first prime's too raises class_census(8, 2**64)'s peak from about 41 to
-    70 MB above the interpreter's.  The keys share one int object per divisor
-    value, so memory is the table's own.
+    class-size polynomial per partition, evaluated at the prime, and the
+    primes come from factorize, so none is tested for primality again.  Its
+    partitions are listed only when more than one key reuses them, so the
+    first prime streams them: listing the first prime's too raises
+    class_census(8, 2**64)'s peak from about 41 to 70 MB above the
+    interpreter's.  The keys share one int object per divisor value, so
+    memory is the table's own.
     """
+    from .polyalg import class_size_poly, poly_eval
+
     _check_nm(n, m)
     counts: dict[tuple[int, ...], int] = {(1,) * n: 1}
     for p, r in factorize(m):
         powers = [p**e for e in range(r + 1)]
         parts: Iterable = (
-            (tuple(map(powers.__getitem__, exps)), class_size_prime(exps, p))
+            (tuple(map(powers.__getitem__, exps)), poly_eval(class_size_poly(exps), p))
             for exps in partitions(n, r)
         )
         if len(counts) > 1:

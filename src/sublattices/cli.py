@@ -18,28 +18,13 @@ import json
 import os
 import sys
 import time
+from itertools import islice
 from math import comb, prod
 
+# enumeration loads arith; each handler imports the rest of the library code
+# it runs, so no command compiles a module that only another one runs
 from .arith import _valuation, factorize, partitions
-from .census import (
-    class_count,
-    class_size,
-    class_size_prime,
-    cocyclic_count,
-    cocyclic_count_upto,
-    sublattice_count,
-    sublattice_count_recursion,
-    validate_chain,
-)
 from .enumeration import DEFAULT_BUDGET, BudgetExceededError, hnf_stream
-from .polyalg import (
-    class_size_poly,
-    cocyclic_count_poly,
-    leading_terms_check,
-    poly_eval,
-    poly_render,
-    sublattice_count_poly,
-)
 
 SCHEMA_VERSION = "1"
 CACHE_ENV = "SUBLATTICE_CACHE"
@@ -91,6 +76,8 @@ def _write_cache(args, levels) -> None:
         return
     import tempfile
 
+    from .polyalg import class_size_poly
+
     payload = {
         f"{n}:{k}:{','.join(map(str, exps))}": class_size_poly(exps)
         for n, k in levels
@@ -119,6 +106,8 @@ def _chain_levels(chain: tuple[int, ...]):
 # ---------------------------------------------------------------- count
 
 def _cmd_count_fn(args) -> int:
+    from .census import sublattice_count, sublattice_count_recursion
+
     if args.method == "recursion":
         if args.n > 0 and args.m > 0:
             # the recursion visits every ordered n-tuple of divisors with product m
@@ -134,11 +123,15 @@ def _cmd_count_fn(args) -> int:
 
 
 def _cmd_count_gn(args) -> int:
+    from .census import class_count
+
     value = class_count(args.n, args.m)
     return _emit_value(args, "count gn", {"n": args.n, "m": args.m}, value)
 
 
 def _cmd_count_class(args) -> int:
+    from .census import class_size, class_size_prime, validate_chain
+
     by_chain = args.divisors is not None
     by_partition = args.partition is not None or args.prime is not None or args.n is not None
     if by_chain == by_partition:
@@ -163,11 +156,15 @@ def _cmd_count_class(args) -> int:
 
 
 def _cmd_count_cocyclic(args) -> int:
+    from .census import cocyclic_count
+
     value = cocyclic_count(args.n, args.m)
     return _emit_value(args, "count cocyclic", {"n": args.n, "m": args.m}, value)
 
 
 def _cmd_count_cumulative(args) -> int:
+    from .census import cocyclic_count_upto
+
     # the sieve visits every index up to --max
     if args.max > args.budget:
         raise BudgetExceededError(
@@ -182,8 +179,39 @@ def _cmd_count_cumulative(args) -> int:
 
 # ---------------------------------------------------------------- enumerate
 
+_BATCH = 256  # enumerate lines per write
+
+
+def _snf_renderer(n: int, m: int):
+    """The function giving a form's invariant factor chain as enumerate's "snf" string.
+
+    At n = 2, 3 and a prime power m > 1, m is factored once here and each
+    chain comes from the closed forms in the valuations of the entries;
+    everywhere else from elimination.
+    """
+    from .forms import hnf2_smith_exponent, hnf3_smith_exponents, invariant_factors
+
+    primes = factorize(m)
+    if n not in (2, 3) or len(primes) != 1:
+        return lambda h: ",".join(map(str, invariant_factors(h.rows)))
+    (p, r), = primes
+    power = [str(p**k) for k in range(r + 1)]
+    if n == 2:
+        def snf2(h) -> str:
+            t = hnf2_smith_exponent(h)
+            return f"{power[t]},{power[r - t]}"
+
+        return snf2
+
+    def snf3(h) -> str:
+        s, t = hnf3_smith_exponents(h)
+        return f"{power[s]},{power[t - s]},{power[r - t]}"
+
+    return snf3
+
+
 def _cmd_enumerate(args) -> int:
-    from .forms import invariant_factors
+    from .census import sublattice_count
 
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be nonnegative, got {args.limit}")
@@ -191,27 +219,29 @@ def _cmd_enumerate(args) -> int:
     effective = total if args.limit is None else min(total, args.limit)
     if effective > args.budget:
         raise BudgetExceededError(effective, args.budget, f"enumerate n={args.n} m={args.m}")
-    emitted = 0
-    for h in hnf_stream(args.n, args.m):
-        if args.limit is not None and emitted >= args.limit:
-            break
-        line = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "hnf",
-            "n": args.n,
-            "m": args.m,
-            "rows": [list(r) for r in h.rows],
-        }
-        if args.with_snf:
-            line["snf"] = ",".join(map(str, invariant_factors(h.rows)))
-        print(json.dumps(line, sort_keys=True, separators=(",", ":")))
-        emitted += 1
+    forms = islice(hnf_stream(args.n, args.m), effective)
+    # each line is json.dumps(sort_keys=True, separators=(",", ":")) of its
+    # dict, whose keys are fixed: kind, m, n, rows, schema_version[, snf]
+    head = f'{{"kind":"hnf","m":{args.m},"n":{args.n},"rows":'
+    tail = f',"schema_version":"{SCHEMA_VERSION}"'
+    if args.with_snf:
+        snf = _snf_renderer(args.n, args.m)
+        lines = (
+            f'{head}{str([*map(list, h.rows)]).replace(" ", "")}{tail},"snf":"{snf(h)}"}}\n'
+            for h in forms
+        )
+    else:
+        lines = (f'{head}{str([*map(list, h.rows)]).replace(" ", "")}{tail}}}\n' for h in forms)
+    while batch := list(islice(lines, _BATCH)):
+        sys.stdout.write("".join(batch))
     return 0
 
 
 # ---------------------------------------------------------------- poly
 
 def _emit_poly(args, command: str, params: dict, coeffs: list[int]) -> int:
+    from .polyalg import poly_eval, poly_render
+
     rendered = poly_render(coeffs)
     payload = {"coefficients": [str(c) for c in coeffs], "rendered": rendered}
     plain = [rendered]
@@ -228,6 +258,8 @@ def _emit_poly(args, command: str, params: dict, coeffs: list[int]) -> int:
 
 
 def _cmd_poly_class(args) -> int:
+    from .polyalg import class_size_poly
+
     exps = _parse_int_list(args.partition, "--partition")
     if len(exps) != args.n:
         raise ValueError(f"--partition must have exactly n={args.n} parts, got {len(exps)}")
@@ -238,17 +270,23 @@ def _cmd_poly_class(args) -> int:
 
 
 def _cmd_poly_fn(args) -> int:
+    from .polyalg import sublattice_count_poly
+
     coeffs = sublattice_count_poly(args.n, args.r)
     _write_cache(args, [(args.n, args.r)])
     return _emit_poly(args, "poly fn", {"n": args.n, "r": args.r}, coeffs)
 
 
 def _cmd_poly_cocyclic(args) -> int:
+    from .polyalg import cocyclic_count_poly
+
     coeffs = cocyclic_count_poly(args.n, args.r)
     return _emit_poly(args, "poly cocyclic", {"n": args.n, "r": args.r}, coeffs)
 
 
 def _cmd_poly_leading(args) -> int:
+    from .polyalg import leading_terms_check
+
     ok, report = leading_terms_check(args.n, args.r)
     payload = {
         "degree": report["degree"],

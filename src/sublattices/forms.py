@@ -13,9 +13,10 @@ Three routes to the invariant factors, none calling another:
   exponents and powers of each diagonal come from a memo of at most
   _DIAG_MEMO diagonals, so the index is factored once per diagonal, not once
   per form, and a valuation capped at the index's exponent is one gcd with
-  the index.  The closed form itself, _smith_closed_form, takes ints or
-  arrays: the oracle's verify evaluates it on whole boxes of forms, against
-  minor gcds.
+  the index.  enumerate --with-snf takes its chains from them at n = 2, 3
+  and a prime-power index.  The closed form itself, _smith_closed_form,
+  takes ints or arrays: the oracle's verify evaluates it on whole boxes of
+  forms, against minor gcds.
 
 The module imports neither NumPy nor dataclasses: every enumerate process
 loads it, and count and poly never do.

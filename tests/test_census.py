@@ -2,7 +2,7 @@ from math import gcd, prod
 
 import pytest
 
-from sublattices import arith, census
+from sublattices import arith, census, polyalg
 from sublattices.arith import INFINITY, factorize, partitions
 from sublattices.census import (
     CensusTable,
@@ -286,7 +286,8 @@ def test_class_census_keys_share_divisor_objects():
 
 
 def test_class_size_tests_no_prime_again(monkeypatch):
-    # factorize found the prime, so class_size tests nothing for primality again
+    # factorize found the prime, so class_size and class_census test nothing
+    # for primality again
     calls = []
     real = arith.is_prime
 
@@ -299,6 +300,7 @@ def test_class_size_tests_no_prime_again(monkeypatch):
     p = 10**12 + 39
     # the chain (1, 1, p) is every sublattice of prime index p
     assert class_size((1, 1, p)) == p**2 + p + 1
+    assert class_census(3, 4 * p).counts[(1, 2, 2 * p)] == 7 * (p**2 + p + 1)
     assert calls == []
 
 
@@ -307,13 +309,13 @@ def test_class_census_sizes_each_partition_once(monkeypatch):
     # 3 into 4 parts, not one per key they extend (6 + 30 + 90)
     m = 2**5 * 3**4 * 5**3
     calls = []
-    real = census.class_size_prime
+    real = polyalg.class_size_poly
 
-    def counting(exps, p):
-        calls.append((exps, p))
-        return real(exps, p)
+    def counting(exps):
+        calls.append(exps)
+        return real(exps)
 
-    monkeypatch.setattr(census, "class_size_prime", counting)
+    monkeypatch.setattr(polyalg, "class_size_poly", counting)
     table = class_census(4, m)
     assert len(calls) == 14
     assert len(set(calls)) == 14
@@ -321,7 +323,7 @@ def test_class_census_sizes_each_partition_once(monkeypatch):
     want = {(1,) * 4: 1}
     for p, r in factorize(m):
         want = {
-            tuple(d * p**e for d, e in zip(key, exps)): size * real(exps, p)
+            tuple(d * p**e for d, e in zip(key, exps)): size * class_size_prime(exps, p)
             for key, size in want.items()
             for exps in partitions(4, r)
         }

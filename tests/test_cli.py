@@ -11,6 +11,8 @@ from sublattices import oracle
 from sublattices.arith import partitions
 from sublattices.census import cocyclic_count_prime_power, sublattice_count_prime_power
 from sublattices.cli import main
+from sublattices.enumeration import hnf_stream
+from sublattices.forms import invariant_factors
 from sublattices.polyalg import class_size_poly, poly_eval
 
 
@@ -186,6 +188,43 @@ def test_enumerate_limit_and_budget(capsys):
     code, out, err = run_cli(capsys, "enumerate", "--n", "2", "--m", "4", "--limit", "-1")
     assert code == 2
     assert out == "" and "--limit" in err
+
+
+@pytest.mark.parametrize(
+    "n, m", [(1, 1), (1, 12), (2, 12), (2, 16), (3, 12), (3, 27), (4, 6), (4, 8), (5, 4), (5, 6)]
+)
+def test_enumerate_lines_equal_json_dumps(capsys, n, m):
+    # each line is the sorted-key json.dumps of its dict, whatever the Smith
+    # route, and --limit cuts the same stream at any point, across write batches
+    for with_snf in (False, True):
+        expected = []
+        for h in hnf_stream(n, m):
+            line = {"schema_version": "1", "kind": "hnf", "n": n, "m": m,
+                    "rows": [list(r) for r in h.rows]}
+            if with_snf:
+                line["snf"] = ",".join(map(str, invariant_factors(h.rows)))
+            expected.append(json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n")
+        argv = ["enumerate", "--n", str(n), "--m", str(m)] + ["--with-snf"] * with_snf
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (0, "".join(expected), "")
+        for limit in (0, 1, 255, 257, len(expected), len(expected) + 1):
+            code, out, _ = run_cli(capsys, *argv, "--limit", str(limit))
+            assert (code, out) == (0, "".join(expected[:limit]))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_enumerate_smith_shortcut_matches_elimination(capsys, n):
+    # at a prime-power index, enumerate --with-snf takes each chain from the
+    # closed forms in the entries' valuations; elimination is the check.
+    # (3, 5**4) has 508 431 forms and takes seconds, so n = 3 stops at 5**3.
+    for p in (2, 3, 5):
+        for r in range(5 if n == 2 or p < 5 else 4):
+            argv = ("enumerate", "--n", str(n), "--m", str(p**r), "--with-snf")
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            got = [json.loads(line)["snf"] for line in out.splitlines()]
+            want = [",".join(map(str, invariant_factors(h.rows))) for h in hnf_stream(n, p**r)]
+            assert got == want, (n, p, r)
 
 
 def test_poly_class(capsys):
@@ -512,7 +551,7 @@ def test_mismatch_exits_one_in_every_format(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, *scope, "json")
     assert code == 1 and json.loads(out)["payload"]["all_match"] is False
     report = {"degree": 2, "full_top": [1, 1], "cocyclic_top": [1, 2], "difference_degree": 1}
-    monkeypatch.setattr("sublattices.cli.leading_terms_check", lambda n, r: (False, report))
+    monkeypatch.setattr("sublattices.polyalg.leading_terms_check", lambda n, r: (False, report))
     check = ("poly", "leading-check", "--n", "2", "--r", "2", "--format")
     code, out, _ = run_cli(capsys, *check, "plain")
     assert code == 1 and out == "FAIL degree 2, top coefficients [1, 1] vs [1, 2]\n"
@@ -701,3 +740,51 @@ def test_count_and_poly_load_no_unused_module():
     enumerated, verified = report["heavy"][:3], report["heavy"][3:]
     assert [json.loads(line)["snf"] for line in enumerated] == ["1,2", "1,2", "1,2"]
     assert "\n".join(verified) + "\n" == VERIFY_2_6
+
+
+COMMAND_GUARD = """\
+import contextlib, io, json, sys
+before = set(sys.modules)
+import sublattices.cli
+imported = sorted(set(sys.modules) - before)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = sublattices.cli.main(sys.argv[1:])
+print(json.dumps([code, imported, sorted(set(sys.modules) - before)]))
+"""
+COMPUTING_MODULES = (
+    "numpy", "sublattices.census", "sublattices.forms", "sublattices.oracle", "sublattices.polyalg"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (("count", "fn", "--n", "3", "--m", "36"), "sublattices.polyalg"),
+        (("count", "gn", "--n", "3", "--m", "36"), "sublattices.polyalg"),
+        (("count", "cocyclic", "--n", "3", "--m", "36"), "sublattices.polyalg"),
+        (("count", "cocyclic-cumulative", "--n", "3", "--max", "100"), "sublattices.polyalg"),
+        (("enumerate", "--n", "3", "--m", "12", "--with-snf"), "sublattices.polyalg"),
+        (("poly", "class", "--n", "4", "--partition", "0,1,2,3", "--eval", "2"),
+         "sublattices.census"),
+        (("poly", "fn", "--n", "4", "--r", "4"), "sublattices.census"),
+        (("poly", "cocyclic", "--n", "4", "--r", "4"), "sublattices.census"),
+        (("poly", "leading-check", "--n", "4", "--r", "4"), "sublattices.census"),
+    ],
+)
+def test_each_command_loads_only_what_it_runs(argv, unused):
+    # a fresh process per command: importing the CLI loads no computing
+    # module, and each command then loads only the modules its answer runs
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", COMMAND_GUARD, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, imported, loaded = json.loads(proc.stdout)
+    assert code == 0
+    assert [name for name in COMPUTING_MODULES if name in imported] == []
+    assert unused not in loaded
+    assert "numpy" not in loaded and "sublattices.oracle" not in loaded
