@@ -7,28 +7,44 @@ entry of 1 has column e_j, so column operations clear its row: a form's chain
 is (1, ..., 1) followed by the chain of its essential submatrix, the e x e
 matrix on the diagonal entries above 1.  One symbolic plan of the minors of
 the generic e x e upper-triangular matrix serves every diagonal with e such
-entries, from a bounded cache keyed by (e, orders); a call resolves the plan
-and its int64 bound once per essential length e.  The slots of unit rows are
-read by no plan, so they are counted, not ranged: each essential matrix
-stands for the product of the diagonal entries of such slots' columns.
-Diagonals with the same essential diagonal range the same essential
-matrices, so they share one block, whose count is the sum of theirs.  A
-block is cut into boxes of at most _CHUNK matrices: a box fixes the leading
-slots, ranges one slot and runs the trailing slots in full, so a block that
-fits in _CHUNK is a single box.  Each slot that varies is an arange
-along its own axis, so every minor broadcasts over only the slots it reads,
-and a monomial multiplies its diagonal entries, ints, before its first
-array, with no type test.  Census chains are tallied by the index of each
-gcd among the divisors of m, on the un-broadcast gcd arrays.  A bound on
-every minor, with entries bounded by m, says whether int64 is exact; a scope
-where any essential plan's bound reaches _INT64_SAFE is refused up front,
-like one over the matrix budget, so no answer leaves the kernel.
-Everything runs in one process: inside the default budget a worker pool
-gained at most 1.2x and nearly doubled peak memory, so jobs is checked and
-selects nothing.
+entries, from a bounded cache; a call resolves the plans and their int64
+bound once per essential length e.  The slots of unit rows are read by no
+plan, so they are counted, not ranged: the kernel walks the essential
+diagonals, each with its forms per essential matrix summed over the
+diagonals that hold it.
+
+The kernel ranges residues, not entries.  The gcd D_k of the k x k minors
+divides g_k, the gcd of the principal k x k minors, which are products of
+diagonal entries, and g_k divides g, that gcd at the highest order asked.
+So D_k is fixed by the entries modulo g (the modulo-determinant idea of
+Domich, Kannan and Trotter, 1987): a slot over d entries ranges min(d, g)
+residues, and residue r stands for the ceil((d - r) / g) entries congruent
+to it.  The co-cyclic count asks only whether a gcd is 1, so it runs modulo
+the product of the primes dividing g.  The top order's principal minors
+have gcd g, so its other minors fold from the modulus.  Essential diagonals
+of one length whose reduced slot ranges agree share a block, along a leading
+member axis that holds their diagonal entries, moduli and counts as
+(B, 1, ...) arrays; a block of modulus 1 answers with ints and builds no
+array.  At (4, 104) the 80 diagonals hold 20 essential diagonals, which run
+in 8 boxes for the census and 3 for the co-cyclic count.  A block is cut
+into boxes of at most _CHUNK residue tuples over (members, *slots): a box
+fixes the leading axes, ranges one axis and runs the trailing axes in full,
+so a block that fits in _CHUNK is a single box.  Each slot that varies is an
+arange along its own axis, so every minor broadcasts over only the slots it
+reads.  Census chains are tallied by the index of each gcd among the
+divisors of m, on the un-broadcast gcd arrays: with np.bincount where every
+residue tuple of a box stands for as many forms, else with np.add.at and
+exact int64 weights.  A bound on every minor, with entries bounded by m,
+says whether int64 is exact; a scope where any essential plan's bound
+reaches _INT64_SAFE, or with 2**63 forms or more, which the int64 tally
+cannot hold, is refused up front, like one over the matrix budget, so no
+answer leaves the kernel.  Everything runs in one process: inside the
+default budget a worker pool gained at most 1.2x and nearly doubled peak
+memory, so jobs is checked and selects nothing.
 
 verify_index also checks the 2x2/3x3 Smith shortcuts at every prime-power
-index, per diagonal on the same boxes with every slot ranged.  NumPy
+index, per diagonal, on boxes that range every slot's entries, not
+residues.  NumPy
 valuations, capped at the index's exponent, go through
 forms._smith_closed_form: strided increments along a slot's range, and
 repeated % p only on h12*h23 - d2*h13.  The exponents must match the
@@ -42,14 +58,22 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache, reduce
-from itertools import product as iter_product
-from math import gcd, prod
-from operator import add
+from itertools import accumulate, combinations, product as iter_product
+from math import comb, gcd, prod
+from operator import add, mul
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import _valuation, divisor_compositions, divisors, factorize, is_prime, partitions
+from .arith import (
+    _divisor_tuple,
+    _valuation,
+    divisor_compositions,
+    divisors,
+    factorize,
+    is_prime,
+    partitions,
+)
 from .census import (
     CensusTable,
     _check_nm,
@@ -71,8 +95,9 @@ from .polyalg import (
     sublattice_count_poly,
 )
 
-_CHUNK = 1 << 16  # most matrices in one box of the int64 kernel
+_CHUNK = 1 << 16  # most residue tuples in one box of the int64 kernel
 _INT64_SAFE = 1 << 62
+_INT64_TALLY = 1 << 63  # a scope with this many forms could overflow the tally
 
 
 def _slots(n: int) -> list[tuple[int, int]]:
@@ -146,35 +171,36 @@ def _pattern_plans(e, orders):
 def _eval_plan(plan, values):
     """One minor from its monomials; values[v] is an int or an int64 array.
 
-    A monomial's variables are sorted, and the diagonal entries, always ints,
-    come first: its product multiplies ints until it meets the first array, so
-    no factor's type is tested.
+    A monomial's variables are sorted, and the diagonal entries come first:
+    for one member of a block they are ints, so its product multiplies ints
+    until it meets the first array, and no factor's type is tested.
     """
     return reduce(add, [prod([values[v] for v in s], start=c) for s, c in plan])
 
 
-def _fold(plans, values):
+def _fold(plans, values, running=0):
     # determinants can be negative or zero; np.gcd folds them through their
     # absolute values, and the fold stops once every entry is exactly 1; a
-    # plan that reads only fixed slots is an int and folds with math.gcd
-    running = 0
+    # plan that reads only fixed slots is an int and folds with math.gcd.
+    # An array's first entry is read before the whole array: in a box that
+    # holds the diagonal matrix itself, it stays the principal minors' gcd
     for plan in plans:
         value = _eval_plan(plan, values)
         both = isinstance(running, int) and isinstance(value, int)
         running = gcd(running, value) if both else np.gcd(running, value)
-        if (running == 1) if both else (running == 1).all():
+        if (running == 1) if both else (running.flat[0] == 1 and (running == 1).all()):
             return 1
     return running
 
 
 def _boxes(sizes, chunk):
-    """Cut a block into boxes of at most chunk matrices, in block order.
+    """Cut a block into boxes of at most chunk positions, in block order.
 
-    sizes are the ranges of the block's slots, the last moving fastest as in
-    hnf_stream.  A box (fixed, start, shape) fixes the leading slots to the
-    digits in fixed, ranges the next slot over shape[0] values from start, and
-    runs every later slot in full; its matrices are contiguous in block order.
-    The ranged slot is the shallowest one whose trailing slots fit in chunk.
+    sizes are the ranges of the block's axes, the last moving fastest as in
+    hnf_stream.  A box (fixed, start, shape) fixes the leading axes to the
+    digits in fixed, ranges the next axis over shape[0] values from start, and
+    runs every later axis in full; its positions are contiguous in block order.
+    The ranged axis is the shallowest one whose trailing axes fit in chunk.
     """
     spans = [prod(sizes[t + 1 :]) for t in range(len(sizes))]
     t = next(t for t, span in enumerate(spans) if span <= chunk)
@@ -188,14 +214,15 @@ def _box_axes(diag, box):
     """(range, shape) per ranged or trailing slot of one box, in slot order.
 
     Each slot's values are a range of step 1 laid along its own axis of the
-    box: reshaped to shape, they broadcast against every other slot.  A block
-    without slots ranges a dummy one, which gets no axis here.
+    box: reshaped to shape, of the box's rank, they broadcast against every
+    other slot, and so does every expression in them.
     """
     fixed, start, shape = box
     e = len(diag)
     for axis in range(e * (e - 1) // 2 - len(fixed)):
         first = start if axis == 0 else 0
-        yield range(first, first + shape[axis]), (-1,) + (1,) * (len(shape) - 1 - axis)
+        axes = (1,) * axis + (-1,) + (1,) * (len(shape) - 1 - axis)
+        yield range(first, first + shape[axis]), axes
 
 
 def _box_values(diag, box):
@@ -211,45 +238,122 @@ def _box_values(diag, box):
     return values
 
 
-def _block_gcds(diag, dropped, ones, per_order):
-    """(count, gvals) per box of one block, boxes of at most _CHUNK essential matrices.
+def _modulus(diag, top, primes):
+    """The modulus the slots of an essential diagonal run under.
 
-    diag is the block's essential diagonal, and each box stands for dropped
-    forms per essential matrix, over every diagonal with that essential one.
-    Its gvals open with ones orders whose gcd is 1, then hold per order of
-    per_order the gcd of the minors, an int or an int64 array with length 1
-    on every axis that none of its minors reads.  The principal minors fold
-    first, as ints, so an order where one of them is 1 builds no array.
+    g is the gcd of the principal minors of order top, products of top
+    diagonal entries.  Every minor gcd D_k up to that order divides g_k,
+    and g_k divides g, so D_k = gcd(g_k, minors) is fixed by the minors
+    modulo g, hence by the entries modulo g.  With primes, the primes of m,
+    only whether a gcd is 1 is asked: the entries modulo the product of the
+    primes dividing g fix that.
     """
-    # a block without essential slots holds one essential matrix: one box on a dummy slot
-    sizes = [diag[j] for _, j in _slots(len(diag))] or [1]
-    for box in _boxes(sizes, _CHUNK):
+    g = gcd(*map(prod, combinations(diag, top)))
+    return g if primes is None else prod(p for p in primes if g % p == 0)
+
+
+def _member_box(picked, box, cut):
+    """The variables of one box of a block, and the forms each residue tuple stands for.
+
+    picked are the (diag, dropped, modulus) the box covers and box is its
+    (fixed, start, shape) over their slots.  One member takes _box_values:
+    diagonal entries as ints, residues as int64 aranges.  Several members
+    range every slot in full behind a leading member axis, along which their
+    diagonal entries, dropped counts and moduli are (B, 1, ...) arrays.  A
+    residue r of a slot over d entries stands for the ceil((d - r) / modulus)
+    entries congruent to it.  Only the slots that cut flags, those some
+    member's modulus shrinks, add a factor, so the weights stay an int where
+    every residue tuple of the box stands for as many forms.
+    """
+    diag = picked[0][0]
+    e = len(diag)
+    if len(picked) == 1:
+        _, weights, modulus = picked[0]
         values = _box_values(diag, box)
-        yield dropped * prod(box[2]), [1] * ones + [_fold(plans, values) for plans in per_order]
+    else:
+        lead = (len(picked),) + (1,) * len(box[2])
+        columns = np.array([(*d, *rest) for d, *rest in picked], dtype=np.int64)
+        *values, weights, modulus = columns.T.reshape((e + 2, *lead))
+        for rng, shape in _box_axes(diag, box):
+            values.append(np.arange(rng.start, rng.stop, dtype=np.int64).reshape((1, *shape)))
+    for (_, j), r, shrunk in zip(_slots(e), values[e:], cut):
+        if shrunk:
+            weights = weights * ((values[j] + modulus - 1 - r) // modulus)
+    return values, modulus, weights
+
+
+def _block_gcds(members, shape, ones, lower, top):
+    """(count, weights, gvals) per box of one block, boxes of at most _CHUNK residue tuples.
+
+    members are the (diag, dropped, modulus) of the block's essential
+    diagonals, of one length: each slot over d entries ranges min(d, modulus)
+    residues, and shape, those ranges, is the same for every member.  The
+    boxes cut (members, *shape).  gvals open with ones orders whose gcd is 1,
+    then hold the minors' gcd per order of lower, then at the top order
+    (top is None without one): an int or an int64 array of the box's rank,
+    with length 1 on every axis that none of its minors reads.  A lower
+    order folds its principal minors first, as ints for one member, so an
+    order where one of them is 1 builds no array.  The top order's principal
+    minors have gcd g, so its other plans, top, fold from the modulus.  count
+    is the box's forms.  weights is None where every residue tuple of the
+    box stands for as many forms, else the int64 forms per entry of the gcd
+    arrays' broadcast, in its shape.  A block of modulus 1 has gcd 1 at
+    every order: one part, of ints.
+    """
+    slots = _slots(len(members[0][0]))
+    if prod(shape) == 1:
+        count = sum(dropped * prod(diag[j] for _, j in slots) for diag, dropped, _ in members)
+        yield count, None, [1] * (ones + len(lower) + (top is not None))
+        return
+    cut = [any(diag[j] > modulus for diag, _, modulus in members) for _, j in slots]
+    for fixed, start, size in _boxes([len(members), *shape], _CHUNK):
+        if fixed:
+            picked, box = members[fixed[0] : fixed[0] + 1], (fixed[1:], start, size)
+        else:
+            picked, box = members[start : start + size[0]], ((), 0, size[1:])
+        values, modulus, weights = _member_box(picked, box, cut)
+        gvals = [1] * ones + [_fold(plans, values) for plans in lower]
+        gvals.append(_fold(top, values, modulus))
+        full = box[2] if len(picked) == 1 else (len(picked), *box[2])
+        if not isinstance(weights, np.ndarray):
+            yield weights * prod(full), None, gvals
+            continue
+        # summed over the axes no gcd reads, each weight stands for one gcd entry
+        shapes = [g.shape for g in gvals if isinstance(g, np.ndarray)]
+        weights = np.broadcast_to(weights, full)
+        if shapes:
+            reads = [max(k) for k in zip(*shapes)]
+            unread = tuple(a for a, k in enumerate(reads) if k == 1)
+            weights = weights.sum(axis=unread, keepdims=True)
+        yield int(weights.sum()), weights if shapes else None, gvals
 
 
 def _tally_chains(n, m, parts):
     """Tally invariant factor chains from the minor gcds of orders 1..n-1.
 
     Every gcd g_k divides m, so a chain is keyed by the indices of g_1..g_{n-1}
-    among the divisors of m and counted with np.bincount.  A key array stands
-    for count matrices through its broadcast, which repeats each entry equally.
+    among the divisors of m.  A box without weights is counted with
+    np.bincount: its key array stands for count forms through its broadcast,
+    which repeats each entry equally.  A weighted box adds its int64 weights
+    with np.add.at, exactly: a float-weighted bincount rounds past 2**53.
     """
     divs = divisors(m)
     where = {d: i for i, d in enumerate(divs)}
     sorted_divs = np.array(divs, dtype=np.int64)
     base = len(divs)
     hist = np.zeros(base ** (n - 1), dtype=np.int64)
-    for count, gvals in parts:
+    for count, weights, gvals in parts:
         key = 0
         for g in gvals:
             pos = np.searchsorted(sorted_divs, g) if isinstance(g, np.ndarray) else where[g]
             key = key * base + pos
-        if isinstance(key, np.ndarray):
+        if not isinstance(key, np.ndarray):
+            hist[key] += count
+        elif weights is None:
             got = np.bincount(key.ravel()) * (count // key.size)
             hist[: len(got)] += got
         else:
-            hist[key] += count
+            np.add.at(hist, key.ravel(), weights.ravel())
     counts: dict[tuple[int, ...], int] = {}
     for key in np.flatnonzero(hist).tolist():
         factors = []
@@ -264,26 +368,80 @@ def _tally_chains(n, m, parts):
 
 
 def _tally_cocyclic(parts):
-    """Count the matrices whose minors of order n-1 have gcd 1."""
+    """Count the forms whose minors of order n-1 have gcd 1."""
     hits = 0
-    for count, (g,) in parts:
-        if isinstance(g, np.ndarray):
+    for count, weights, (g,) in parts:
+        if not isinstance(g, np.ndarray):
+            hits += count if g == 1 else 0
+        elif weights is None:
             hits += int(np.count_nonzero(g == 1)) * (count // g.size)
-        elif g == 1:
-            hits += count
+        else:
+            hits += int(weights[g == 1].sum())
     return hits
 
 
-def _bruteforce(n, m, scope, jobs, budget, orders):
-    """Shared entry: validate, refuse up front, then (count, gvals) per box.
+# per (n, e) the census and the co-cyclic count ask one key each, and e <= log2(m)
+@lru_cache(maxsize=64)
+def _essential_plans(e, u, orders):
+    """What the kernel runs at essential length e with u unit entries, for the minor orders orders.
+
+    Returns (ones, lower, plans, top, cols, weight, degree): the ones orders
+    up to u have gcd 1; lower holds the plans of each essential order below
+    the top one, top; plans, those of the top order without its comb(e, top)
+    principal minors, which open it, or None without an essential order;
+    cols, the column of each slot; weight and degree bound the minors as in
+    _pattern_plans.
+    """
+    essential = tuple(k - u for k in orders if k > u)
+    per_order, weight, degree = _pattern_plans(e, essential)
+    top = max(essential, default=0)
+    plans = per_order[-1][comb(e, top) :] if per_order else None
+    cols = tuple(j for _, j in _slots(e))
+    return sum(k <= u for k in orders), per_order[:-1], plans, top, cols, weight, degree
+
+
+def _essential_diagonals(m, n):
+    """(ess, dropped) per essential diagonal of the index-m forms of dimension n.
+
+    ess runs over the ordered factorizations of m into at most n entries
+    above 1.  Its diagonals place u = n - len(ess) unit entries around it,
+    and an entry d with k unit entries before it has a slot in each of those
+    k unit rows, read by no plan, over d values.  dropped sums the product
+    of d**k over the placements: with the gaps between entries as the
+    summation variables, it is the complete homogeneous sum of degree u in
+    1 and the suffix products of ess.
+    """
+    partial = [((), m)]
+    for room in range(n, 0, -1):
+        grown = []
+        for ess, rest in partial:
+            if rest > 1 and room > 1:
+                grown += [((*ess, d), rest // d) for d in _divisor_tuple(rest)[1:]]
+                continue
+            ess += (rest,) * (rest > 1)
+            u = n - len(ess)
+            h = [1] + [0] * u
+            for x in (1, *accumulate(reversed(ess), mul)) if u else ():
+                for k in range(1, u + 1):
+                    h[k] += x * h[k - 1]
+            yield ess, h[u]
+        partial = grown
+
+
+def _bruteforce(n, m, scope, jobs, budget, orders, radical=False):
+    """Shared entry: validate, refuse up front, then (count, weights, gvals) per box.
 
     With u unit diagonal entries, the order-k gcd is 1 for k <= u and the
     essential order-(k - u) gcd above that.  The checks run at the call and
     the boxes only as the result is consumed, so BudgetExceededError comes
-    before any box runs: over budget matrices, or where the minor bound
-    weight * m**degree of an essential plan reaches _INT64_SAFE.  One block
-    per essential diagonal, in hnf_stream order of its first diagonal, in
-    this process.  jobs must be an integer of at least 1 and selects nothing.
+    before any box runs: over budget matrices, at 2**63 forms or more, which
+    the int64 tally cannot hold, or where the minor bound weight * m**degree
+    of an essential plan reaches _INT64_SAFE.  Each essential diagonal runs
+    its slots modulo _modulus at the highest essential order asked, or
+    modulo its radical where radical (only gcd 1 is asked).  Essential
+    diagonals of one length whose slots reduce to the same ranges share a
+    block, in the order of their first member, in this process.
+    jobs must be an integer of at least 1 and selects nothing.
     """
     _check_nm(n, m)
     if not isinstance(jobs, int) or jobs < 1:
@@ -292,31 +450,30 @@ def _bruteforce(n, m, scope, jobs, budget, orders):
     predicted = sublattice_count(n, m)
     if predicted > budget:
         raise BudgetExceededError(predicted, budget, where)
-    # (ones, per_order) per essential length e: plans and bound depend on e and m only
+    if predicted >= _INT64_TALLY:
+        raise BudgetExceededError(
+            predicted, _INT64_TALLY - 1, f"{where} on int64", unit="forms in the int64 tally"
+        )
+    primes = [p for p, _ in factorize(m)] if radical else None
     resolved: dict[int, tuple] = {}
-    # forms per essential matrix, summed over the diagonals with that essential diagonal
-    shared: dict[tuple[int, ...], int] = {}
-    for diag in divisor_compositions(m, n):
-        ess = []
-        dropped = 1
-        for j, d in enumerate(diag):
-            if d > 1:
-                # a slot above a non-unit entry d ranges over d values in each of
-                # the j - len(ess) unit rows above it
-                dropped *= d ** (j - len(ess))
-                ess.append(d)
-        ess = tuple(ess)
-        shared[ess] = shared.get(ess, 0) + dropped
+    blocks: dict[tuple, list] = {}
+    for ess, dropped in _essential_diagonals(m, n):
         e = len(ess)
         if e not in resolved:
-            u = n - e
-            per_order, weight, degree = _pattern_plans(e, tuple(k - u for k in orders if k > u))
+            resolved[e] = _essential_plans(e, n - e, orders)
+            weight, degree = resolved[e][-2:]
             bound = weight * m**degree
             if bound >= _INT64_SAFE:
                 raise BudgetExceededError(bound, _INT64_SAFE, f"{where} on int64", unit="minor bound")
-            resolved[e] = (sum(k <= u for k in orders), per_order)
-    blocks = [(ess, dropped, *resolved[len(ess)]) for ess, dropped in shared.items()]
-    return (part for block in blocks for part in _block_gcds(*block))
+        top, cols = resolved[e][3:5]
+        modulus = _modulus(ess, top, primes)
+        shape = tuple([min(ess[j], modulus) for j in cols])
+        blocks.setdefault((e, shape), []).append((ess, dropped, modulus))
+    return (
+        part
+        for (e, shape), members in blocks.items()
+        for part in _block_gcds(members, shape, *resolved[e][:3])
+    )
 
 
 def census_bruteforce(
@@ -326,8 +483,8 @@ def census_bruteforce(
 
     The minor gcds of the int64 kernel give the chain.  jobs is checked and
     selects nothing: the oracle runs in one process.  Raises
-    BudgetExceededError, before any work, over budget matrices or where a
-    minor could leave int64.
+    BudgetExceededError, before any work, over budget matrices, at 2**63
+    forms or more, or where a minor could leave int64.
     """
     parts = _bruteforce(n, m, "census", jobs, budget, tuple(range(1, n)))
     return CensusTable(n, m, _tally_chains(n, m, parts))
@@ -337,10 +494,10 @@ def cocyclic_bruteforce(n: int, m: int, *, jobs: int = 1, budget: int = DEFAULT_
     """Count index-m Hermite forms whose minors of order n-1 have gcd 1.
 
     That gcd condition says the quotient group is cyclic, i.e. the invariant
-    factor chain is (1, ..., 1, m).  Refused like census_bruteforce, over
-    budget matrices or where a minor could leave int64.
+    factor chain is (1, ..., 1, m), so the slots run modulo a radical.
+    Refused like census_bruteforce.
     """
-    return _tally_cocyclic(_bruteforce(n, m, "cocyclic", jobs, budget, (n - 1,)))
+    return _tally_cocyclic(_bruteforce(n, m, "cocyclic", jobs, budget, (n - 1,), radical=True))
 
 
 class Check(NamedTuple):

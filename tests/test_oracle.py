@@ -3,7 +3,7 @@ import json
 import random
 from collections import Counter
 from itertools import combinations, product as iter_product
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -61,28 +61,36 @@ def test_bruteforce_methods_agree(monkeypatch):
         if n < 5 or m < 8:
             minors = Counter(invariant_factors_via_minors(h.rows) for h in hnf_stream(n, m))
             assert kernel == minors, (n, m)
-    # every chunk covers each matrix exactly once, the slots that the
-    # essential submatrix drops included: the (count, gvals) pairs sum to the
-    # number of forms.  Small chunks cut a block in the middle of an axis, with
-    # a fixed leading slot and a ranged slot before the trailing ones
+    # every chunk covers each form exactly once, the slots that the
+    # essential submatrix drops and the entries a residue stands for
+    # included: the counts sum to the number of forms, and a weighted box's
+    # weights sum to its count.  Small chunks cut a block in the middle of an
+    # axis: a box fixes a member, and for the census a slot too, then ranges
+    # one slot before the trailing ones.  At (4, 104) and (3, 52) a modulus
+    # divides no slot range it shrinks: the block (2, 2, 26) runs modulo 4,
+    # and (2, 2, 13) modulo 2
     boxes = []
     counts = []
-    real_box = oracle._box_values
+    real_boxes = oracle._boxes
     real_block = oracle._block_gcds
 
-    def box_values(diag, box):
-        boxes.append(box)
-        return real_box(diag, box)
+    def cut(sizes, chunk):
+        for box in real_boxes(sizes, chunk):
+            boxes.append(box)
+            yield box
 
     def block_gcds(*block):
-        for count, gvals in real_block(*block):
+        for count, weights, gvals in real_block(*block):
             counts.append(count)
-            yield count, gvals
+            if weights is not None:
+                reads = np.broadcast_shapes(*(np.shape(g) for g in gvals))
+                assert int(np.broadcast_to(weights, reads).sum()) == count
+            yield count, weights, gvals
 
-    monkeypatch.setattr(oracle, "_box_values", box_values)
+    monkeypatch.setattr(oracle, "_boxes", cut)
     monkeypatch.setattr(oracle, "_block_gcds", block_gcds)
     default_chunk = oracle._CHUNK
-    for n, m in ((3, 49), (3, 120), (4, 32), (5, 9)):
+    for n, m in ((3, 49), (3, 120), (4, 32), (5, 9), (4, 104), (3, 52)):
         want = class_census(n, m).counts
         want_cocyclic = cocyclic_count(n, m)
         # with no pattern inside the int64 bound both brute forces refuse the
@@ -106,6 +114,8 @@ def test_bruteforce_methods_agree(monkeypatch):
                 # at (3, 49) and (5, 9) no block has two essential slots
                 if chunk == 7 and m in (120, 32):
                     assert any(fixed and len(shape) > 1 for fixed, _, shape in boxes), (n, m)
+                    if brute is census_bruteforce:
+                        assert any(len(fixed) > 1 and len(shape) > 1 for fixed, _, shape in boxes)
 
 
 def test_boxes_do_not_list_the_leading_ranges():
@@ -133,38 +143,56 @@ def test_prime_index_builds_no_minor_array(monkeypatch):
 
 def test_bruteforce_resolves_plans_per_essential_length(monkeypatch):
     # plans and the int64 bound depend only on e and m: one lookup per distinct
-    # essential length, not one per diagonal (80 at (4, 104)).  Diagonals with
-    # the same essential diagonal share one block, and a block that fits in
-    # one box is built once, as that whole box
+    # essential length, not one per diagonal (80 at (4, 104)).  Each essential
+    # diagonal runs its slots modulo g, the gcd of its principal minors of
+    # order e - 1, or modulo the product of the primes dividing g for the
+    # co-cyclic count.  Diagonals whose reduced slot ranges agree share one
+    # block, a block of modulus 1 runs no box, and every other block fits in
+    # one box: 8 boxes for the census (20 essential diagonals), 3 for the
+    # co-cyclic count
     n, m = 4, 104
     diags = list(arith.divisor_compositions(m, n))
     essentials = {tuple(d for d in diag if d > 1) for diag in diags}
     assert len(diags) == 80 and len(essentials) == 20
+
+    def blocks(radical):
+        grouped = set()
+        for ess in essentials:
+            e = len(ess)
+            g = gcd(*(prod(ess) // d for d in ess)) if e > 1 else 1
+            if radical:
+                g = prod(p for p, _ in arith.factorize(m) if g % p == 0)
+            if g > 1:
+                grouped.add((e, tuple(min(ess[j], g) for _, j in oracle._slots(e))))
+        return grouped
+
     lookups = []
     boxes = []
-    real_plans = oracle._pattern_plans
-    real_box = oracle._box_values
+    real_plans = oracle._essential_plans
+    real_boxes = oracle._boxes
 
-    def pattern_plans(e, orders):
+    def essential_plans(e, u, orders):
         lookups.append(e)
-        return real_plans(e, orders)
+        return real_plans(e, u, orders)
 
-    def box_values(diag, box):
-        boxes.append((diag, box))
-        return real_box(diag, box)
+    def cut(sizes, chunk):
+        for box in real_boxes(sizes, chunk):
+            boxes.append((tuple(sizes[1:]), box))
+            yield box
 
-    monkeypatch.setattr(oracle, "_pattern_plans", pattern_plans)
-    monkeypatch.setattr(oracle, "_box_values", box_values)
-    for brute, want in (
-        (census_bruteforce, class_census(n, m).counts),
-        (cocyclic_bruteforce, cocyclic_count(n, m)),
+    monkeypatch.setattr(oracle, "_essential_plans", essential_plans)
+    monkeypatch.setattr(oracle, "_boxes", cut)
+    for brute, want, radical, expect_boxes in (
+        (census_bruteforce, class_census(n, m).counts, False, 8),
+        (cocyclic_bruteforce, cocyclic_count(n, m), True, 3),
     ):
         lookups.clear()
         boxes.clear()
         got = brute(n, m)
         assert getattr(got, "counts", got) == want
         assert sorted(lookups) == sorted({len(ess) for ess in essentials})
-        assert sorted(diag for diag, _ in boxes) == sorted(essentials)
+        assert len(boxes) == len(blocks(radical)) == expect_boxes
+        assert sorted(shape for shape, _ in boxes) == sorted(shape for _, shape in blocks(radical))
         assert all(fixed == () and start == 0 for _, (fixed, start, _) in boxes)
 
 
@@ -208,6 +236,41 @@ def test_bruteforce_budget():
     assert "n=4 m=32" in str(info.value)
     # raised before any work: a generous budget succeeds
     assert census_bruteforce(4, 32, budget=DEFAULT_BUDGET).total() == 97155
+
+
+def test_bruteforce_exact_past_two_to_the_53():
+    # q is the first prime above 2**25.  At 4q the block (2, 2, q) runs
+    # modulo 2, which divides no slot range q, so its residues carry unequal
+    # weights, and the largest class holds more than 2**53 forms.  At 9q a
+    # class past 2**53 equals no float, so a tally through float weights, per
+    # box or overall, rounds it.  Ranging entries instead would take about
+    # 2 * 10**15 essential matrices at 4q
+    q = 33554467
+    assert arith.is_prime(q) and not any(arith.is_prime(p) for p in range(2**25 + 1, q, 2))
+    for n, m in ((3, 4 * q), (3, 9 * q)):
+        want = class_census(n, m).counts
+        assert max(want.values()) > 2**53
+        assert census_bruteforce(n, m, budget=10**18).counts == want, m
+        assert cocyclic_bruteforce(n, m, budget=10**18) == cocyclic_count(n, m), m
+    assert any(float(size) != size for size in class_census(3, 9 * q).counts.values())
+
+
+def test_bruteforce_refuses_tallies_past_int64(monkeypatch):
+    # (3, 1275595776) passes the minor bound but holds more than 2**63 forms,
+    # more than the int64 tally can count: refused before any box, whatever
+    # the budget
+    n, m = 3, 1275595776
+    assert sublattice_count(n, m) >= 2**63
+    for orders in ((1, 2), (2,)):
+        weight, degree = oracle._pattern_plans(n, orders)[1:]
+        assert weight * m**degree < oracle._INT64_SAFE
+    boxes = []
+    monkeypatch.setattr(oracle, "_boxes", lambda *args: boxes.append(args) or iter(()))
+    for brute in (census_bruteforce, cocyclic_bruteforce):
+        with pytest.raises(BudgetExceededError, match="int64 tally") as info:
+            brute(n, m, budget=10**30)
+        assert info.value.predicted == sublattice_count(n, m)
+    assert boxes == []
 
 
 def test_bruteforce_errors():
