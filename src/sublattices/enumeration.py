@@ -67,7 +67,7 @@ def block_rows(diag: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
 
 
 def hnf_stream(n: int, m: int) -> Iterator[HnfMatrix]:
-    """Yield every n x n Hermite-form matrix with determinant m exactly once.
+    """An iterator over every n x n Hermite-form matrix with determinant m, each once.
 
     The order is part of the contract: diagonals follow divisor_compositions(m, n)
     lexicographically, and for each diagonal the above-diagonal entries
@@ -82,8 +82,10 @@ def hnf_stream(n: int, m: int) -> Iterator[HnfMatrix]:
 
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n} m={m}")
-    for diag in divisor_compositions(m, n):
-        yield from map(HnfMatrix, block_rows(diag))
+    # tuple.__new__(HnfMatrix, (rows,)) builds each form in C: no Python frame
+    # runs per form, neither the class's __new__ nor a generator's
+    rows = chain.from_iterable(map(block_rows, divisor_compositions(m, n)))
+    return map(tuple.__new__, repeat(HnfMatrix), zip(rows))
 
 
 def hnf_stream_count(n: int, m: int) -> int:

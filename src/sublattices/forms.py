@@ -5,7 +5,11 @@ Three routes to the invariant factors, none calling another:
 - invariant_factors: extended-gcd elimination to a diagonal, then a pairwise
   gcd/lcm pass over it (Kannan & Bachem 1979; Cohen, *A Course in
   Computational Algebraic Number Theory*, 2.4.4).  Reads neither minors nor
-  valuations.
+  valuations.  It steps in place on one copy of the rows, as plain ints:
+  each step rewrites only the entries it changes and sets an entry it
+  clears to 0, and a row (column) whose entry in the pivot's column (row)
+  is already 0 is skipped, so a triangular form costs few multiplications.
+  xgcd is math.gcd plus a modular inverse by pow, with no Python loop.
 - invariant_factors_via_minors: successive quotients of the gcds of k x k
   minors.
 - hnf2_smith_exponent / hnf3_smith_exponents: closed forms in the p-adic
@@ -25,8 +29,9 @@ loads it, and count and poly never do.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, prod
+from operator import mod
 from typing import NamedTuple, Sequence
 
 from .arith import factorize
@@ -110,6 +115,9 @@ def minor_gcd(rows: Sequence[Sequence[int]], k: int) -> int:
         return 1
     if not 1 <= k <= min(nr, nc):
         raise ValueError(f"minor order {k} out of range for a {nr} x {nc} matrix")
+    if k == 1:
+        # the 1 x 1 minors are the entries themselves
+        return gcd(*chain.from_iterable(rows))
     g = 0
     for rsel in combinations(range(nr), k):
         for csel in combinations(range(nc), k):
@@ -121,14 +129,15 @@ def minor_gcd(rows: Sequence[Sequence[int]], k: int) -> int:
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with x*a + y*b == g == gcd(a, b) >= 0."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+    """(g, x, y) with x*a + y*b == g == gcd(a, b) >= 0.
+
+    x is the inverse of a/g modulo |b/g|, which pow takes as 0 when b/g = +-1.
+    """
+    g = gcd(a, b)
+    if not b:
+        return g, (a > 0) - (a < 0), 0
+    x = pow(a // g, -1, abs(b // g))
+    return g, x, (g - x * a) // b
 
 
 def invariant_factors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -138,17 +147,23 @@ def invariant_factors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     a nonzero pivot sits at (t, t); column steps clear row t right of it and
     row steps clear column t below it, each an exact subtraction when the
     pivot divides the entry and otherwise the 2x2 unimodular step built from
-    xgcd(pivot, entry), which makes the pivot the gcd.  Row steps of that
-    second kind refill row t, so the two sweeps repeat until both are clear;
-    the pivot shrinks each time.  The diagonal is then put in divisor order
-    pairwise, diag(a, b) ~ diag(gcd, lcm).  Reads no minors and no valuations.
+    xgcd(pivot, entry), which makes the pivot the gcd.  Row steps run first;
+    only a column step of that second kind refills column t, and then both
+    sweeps repeat; the pivot shrinks each time.  The pivots are then put in
+    divisor order pairwise, diag(a, b) ~ diag(gcd, lcm).  Reads no minors and
+    no valuations.  Entries that are not plain ints (NumPy scalars, say) are
+    made ints first, so the answer is exact whatever their width.
     """
-    a = [list(map(int, r)) for r in rows]
+    a = list(map(list, rows))
     n = len(a)
     if n == 0 or set(map(len, a)) != {n}:
         raise ValueError("need a nonempty square matrix")
+    # a sum of plain ints is a plain int; one NumPy scalar entry makes it a NumPy one
+    if type(sum(map(sum, a))) is not int:
+        a = [list(map(int, r)) for r in a]
+    d = []
     for t in range(n - 1):
-        if a[t][t] == 0:
+        if not a[t][t]:
             nonzero = next(((i, j) for i in range(t, n) for j in range(t, n) if a[i][j]), None)
             if nonzero is None:
                 raise ValueError("matrix is singular")
@@ -156,46 +171,56 @@ def invariant_factors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
             a[t], a[i] = a[i], a[t]
             for r in a:
                 r[t], r[j] = r[j], r[t]
+        rt = a[t]
+        p = rt[t]
+        below = a[t + 1 :]
+        cols = range(t + 1, n)
         while True:
-            rt = a[t]
-            p = rt[t]
-            for j in range(t + 1, n):
+            for r in below:
+                b = r[t]
+                if not b:
+                    continue
+                if b % p:
+                    g, x, y = _xgcd(p, b)
+                    u, v = p // g, b // g
+                    for j in cols:
+                        c, e = rt[j], r[j]
+                        rt[j], r[j] = x * c + y * e, u * e - v * c
+                    p = g
+                else:
+                    q = b // p
+                    for j in cols:
+                        r[j] -= q * rt[j]
+                r[t] = 0
+            filled = False
+            for j in cols:
                 b = rt[j]
                 if not b:
                     continue
-                if b % p == 0:
+                if b % p:
+                    g, x, y = _xgcd(p, b)
+                    u, v = p // g, b // g
+                    for r in below:
+                        c, e = r[t], r[j]
+                        r[t], r[j] = x * c + y * e, u * e - v * c
+                    p = g
+                    filled = True
+                elif filled:
                     q = b // p
-                    for r in a[t:]:
+                    for r in below:
                         r[j] -= q * r[t]
-                    continue
-                g, x, y = _xgcd(p, b)
-                u, v = p // g, b // g
-                for r in a[t:]:
-                    c, d = r[t], r[j]
-                    r[t], r[j] = x * c + y * d, u * d - v * c
-                p = g
-            for i in range(t + 1, n):
-                ri = a[i]
-                b = ri[t]
-                if not b:
-                    continue
-                if b % p == 0:
-                    q = b // p
-                    a[i] = [d - q * c for c, d in zip(rt, ri)]
-                    continue
-                g, x, y = _xgcd(p, b)
-                u, v = p // g, b // g
-                a[t] = [x * c + y * d for c, d in zip(rt, ri)]
-                a[i] = [u * d - v * c for c, d in zip(rt, ri)]
-                rt = a[t]
-                p = g
-            if not any(rt[t + 1 :]):
+                rt[j] = 0
+            if not filled:
                 break
-    if not a[n - 1][n - 1]:
+        d.append(abs(p))
+    p = a[n - 1][n - 1]
+    if not p:
         raise ValueError("matrix is singular")
-    d = [abs(a[t][t]) for t in range(n)]
-    for i in range(n - 1):
-        for j in range(i + 1, n):
+    d.append(abs(p))
+    if not any(map(mod, d[1:], d)):
+        return tuple(d)  # already a divisor chain
+    for i, j in combinations(range(n), 2):
+        if d[j] % d[i]:
             g = gcd(d[i], d[j])
             d[i], d[j] = g, d[i] // g * d[j]
     return tuple(d)
@@ -272,20 +297,20 @@ def _smith_closed_form(least, r, o):
 
 def hnf2_smith_exponent(h: HnfMatrix) -> int:
     """Exponent t with invariant factors (p**t, p**(r-t)) for a 2 x 2 prime-power HNF matrix."""
-    rows = h.rows
-    if len(rows) != 2:
-        raise ValueError(f"need a 2 x 2 matrix, got n={h.n}")
-    (d1, h12), (_, d2) = rows
+    try:
+        (d1, h12), (_, d2) = h.rows
+    except ValueError:
+        raise ValueError(f"need a 2 x 2 matrix, got n={h.n}") from None
     exps, m, logs = _prime_power_diag((d1, d2))
     return _smith_closed_form(min, exps, (logs[gcd(h12, m)],))
 
 
 def hnf3_smith_exponents(h: HnfMatrix) -> tuple[int, int]:
     """Exponents (s, t) with invariant factors (p**s, p**(t-s), p**(r-t)) for n = 3."""
-    rows = h.rows
-    if len(rows) != 3:
-        raise ValueError(f"need a 3 x 3 matrix, got n={h.n}")
-    (d1, h12, h13), (_, d2, h23), (_, _, d3) = rows
+    try:
+        (d1, h12, h13), (_, d2, h23), (_, _, d3) = h.rows
+    except ValueError:
+        raise ValueError(f"need a 3 x 3 matrix, got n={h.n}") from None
     exps, m, logs = _prime_power_diag((d1, d2, d3))
     u = h12 * h23 - d2 * h13
     return _smith_closed_form(

@@ -12,7 +12,7 @@ from sublattices.arith import partitions
 from sublattices.census import cocyclic_count_prime_power, sublattice_count_prime_power
 from sublattices.cli import main
 from sublattices.enumeration import hnf_stream
-from sublattices.forms import invariant_factors
+from sublattices.forms import invariant_factors, invariant_factors_via_minors
 from sublattices.polyalg import class_size_poly, poly_eval
 
 
@@ -225,6 +225,20 @@ def test_enumerate_smith_shortcut_matches_elimination(capsys, n):
             got = [json.loads(line)["snf"] for line in out.splitlines()]
             want = [",".join(map(str, invariant_factors(h.rows))) for h in hnf_stream(n, p**r)]
             assert got == want, (n, p, r)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_enumerate_composite_index_chains_match_minors(capsys, n):
+    # at a composite index enumerate --with-snf takes each chain from
+    # elimination; the minor gcds are the independent check, line by line
+    for m in (12, 36, 48):
+        argv = ("enumerate", "--n", str(n), "--m", str(m), "--with-snf")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert [line["rows"] for line in lines] == [list(map(list, h.rows)) for h in hnf_stream(n, m)]
+        for line in lines:
+            assert line["snf"] == ",".join(map(str, invariant_factors_via_minors(line["rows"]))), line
 
 
 def test_poly_class(capsys):

@@ -15,6 +15,7 @@ from sublattices.forms import (
     invariant_factors,
     invariant_factors_via_minors,
     _prime_power_diag,
+    _xgcd,
     minor_gcd,
     validate_hnf,
 )
@@ -107,6 +108,39 @@ def test_invariant_factors_singular():
         invariant_factors([[1, 1], [1, 1]])
     with pytest.raises(ValueError, match="singular"):
         invariant_factors_via_minors([[2, 4], [1, 2]])
+
+
+def test_invariant_factors_exact_on_numpy_int64_entries():
+    # elimination multiplies entries of this size past 2**63: NumPy entries
+    # are made plain ints first, so the chain is the one of the plain rows
+    np = pytest.importorskip("numpy")
+    for rows in ([[2**40, 3**25], [0, 2**41]], [[2**41, 0], [3**25, 2**40]],
+                 [[1, 2**40], [2**40, 2**41]],
+                 [[2**40, 3**25, 5**17], [0, 2**41, 7**14], [0, 0, 2**42]]):
+        want = invariant_factors(rows)
+        assert want == invariant_factors_via_minors(rows)
+        array = np.array(rows, dtype=np.int64)
+        for entries in (array, list(array), [[np.int64(v) for v in r] for r in rows]):
+            got = invariant_factors(entries)
+            assert got == want and set(map(type, got)) == {int}, rows
+        # one NumPy entry among plain ints
+        mixed = [list(r) for r in rows]
+        mixed[0][1] = np.int64(mixed[0][1])
+        assert invariant_factors(mixed) == want, rows
+
+
+def test_xgcd_contract():
+    # x*a + y*b == g == gcd(a, b) >= 0 over both signs, a = 0, b = 0,
+    # b/g = +-1 and entries near 10**12
+    rng = random.Random(2026)
+    big = 10**12
+    values = [0, 1, -1, 2, -2, 3, 6, -6, 12, -35, 35, 2**40, -(3**25)]
+    values += [big, -big, big + 39, -(big - 11), 2 * big, big // 4]
+    values += [rng.randrange(-big - 10**6, big + 10**6) for _ in range(20)]
+    for a in values:
+        for b in values + [a, -a, 2 * a, -3 * a]:
+            g, x, y = _xgcd(a, b)
+            assert x * a + y * b == g == gcd(a, b) >= 0, (a, b)
 
 
 def test_invariant_factors_chain_property():
