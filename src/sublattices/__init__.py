@@ -2,9 +2,9 @@
 
 Sublattices of index m correspond to Hermite-form matrices with determinant m,
 and unimodular equivalence classes correspond to invariant factor chains.  The
-package provides closed-form counts, per-class sizes (polynomials in the
-prime from a closed form that the paper's glue recursion verifies, and their
-values at a given prime), streaming enumeration, and a brute-force oracle for
+package provides closed-form counts, per-class sizes (one closed form that the
+paper's glue recursion verifies, evaluated at a given prime or expanded as a
+polynomial in the prime), streaming enumeration, and a brute-force oracle for
 diffing.
 
 Public names are resolved lazily (PEP 562): each is imported from its

@@ -1,10 +1,13 @@
-"""Exact integer helpers: factorization, divisors, partitions, p-adic valuations."""
+"""Exact integer helpers: factorization, divisors, partitions, p-adic valuations,
+and the closed form of a class size with the Gaussian binomials it is made of."""
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
-from typing import Iterator
+from operator import gt
+from typing import Iterator, Sequence
 
 # Extended-natural infinity: the valuation of 0, and the sentinel level past the
 # last finite one.  Compares above every int; min() against it is the identity.
@@ -201,3 +204,47 @@ def sigma1(k: int) -> int:
         out *= (p ** (e + 1) - 1) // (p - 1)
     return out
 
+
+def _class_size_form(exponents: Sequence[int]) -> tuple[int, list[tuple[int, int]]]:
+    """Class size at a nondecreasing exponent tuple as (a, pairs): T^a * prod [top; bottom]_T.
+
+    The closed form |Surj(Z^n, G)| / |Aut G| of the class's quotient group G
+    (Hillar & Rhea, Amer. Math. Monthly 114 (2007)).  With e_1 <= ... <= e_s
+    the nonzero parts, mu_g the multiplicities of their distinct values in
+    increasing order, and c_j, d_j the first and last 1-based index of a part
+    equal to e_j,
+        a = n |e| - n s - sum_j (e_j (s - d_j) + (e_j - 1) (s - c_j + 1)),
+    and pairs lists (n - s + mu_1 + ... + mu_g, mu_g) for each g, whose product
+    is the Gaussian multinomial [n; n-s, mu_1, ..., mu_g].
+    """
+    exps = tuple(map(int, exponents))
+    if not exps:
+        raise ValueError("exponent tuple must be nonempty")
+    if exps[0] < 0 or any(map(gt, exps, exps[1:])):
+        raise ValueError(f"exponents must be nondecreasing and nonnegative, got {exps}")
+    n = len(exps)
+    s = n - exps.count(0)
+    a = n * (sum(exps) - s)
+    # top is n - s + c_j - 1 before the value e_j and n - s + d_j after it
+    pairs = []
+    top = n - s
+    for e, mu in Counter(exps[top:]).items():
+        a -= mu * ((e - 1) * (n - top) + e * (n - top - mu))
+        top += mu
+        pairs.append((top, mu))
+    return a, pairs
+
+
+def _gauss(top: int, bottom: int, q: int) -> int:
+    """The Gaussian binomial [top; bottom] at the integer q, for 0 <= bottom <= top.
+
+    prod_{i=1..bottom} (q^(top-bottom+i) - 1) / (q^i - 1), multiplied out before
+    the one exact division, since single factors need not divide.
+    """
+    num = den = 1
+    for i in range(1, bottom + 1):
+        num *= q ** (top - bottom + i) - 1
+        den *= q**i - 1
+    if num % den:
+        raise ArithmeticError(f"Gaussian binomial [{top}; {bottom}] lost exactness at q={q}")
+    return num // den

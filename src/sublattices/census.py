@@ -2,12 +2,10 @@
 
 Two sublattices of Z^n count as equivalent when a unimodular change of basis maps
 one onto the other, which happens exactly when they share the same invariant
-factor chain d1 | d2 | ... | dn.  Class sizes at a prime power are the
-class-size polynomials of polyalg, evaluated at the prime.  Everything here is
-exact integer arithmetic.
-
-polyalg is imported inside class_size_prime, class_size and class_census, the
-functions that build a class size, so the counts that need none never load it.
+factor chain d1 | d2 | ... | dn.  Class sizes and counts at a prime power are
+the closed forms of arith (the ones polyalg expands as polynomials in the
+prime), evaluated at the prime in integers.  Everything here is exact integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -17,6 +15,8 @@ from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .arith import (
+    _class_size_form,
+    _gauss,
     _valuation,
     distinct_prime_factors_upto,
     divisor_compositions,
@@ -51,23 +51,13 @@ def sublattice_count_recursion(n: int, m: int) -> int:
 def sublattice_count_prime_power(n: int, p: int, r: int) -> int:
     """Number of index-p**r sublattices of Z^n: prod_{j=1..n-1} (p^(j+r)-1)/(p^j-1).
 
-    No factorization, so its cost does not grow with r beyond the size of the
-    answer.  The product is the Gaussian binomial [n-1+r choose r] at p, so it
-    runs over j up to min(n-1, r) with the two roles swapped.  The quotient of
-    the full products is exact even though individual factors need not divide,
-    so everything is multiplied out before the one division.
+    The Gaussian binomial [n-1+r; n-1] at p, with no factorization, so its cost
+    does not grow with r beyond the size of the answer.  p is not tested for
+    primality (sublattice_count passes the primes of factorize).
     """
-    if n < 1 or r < 0:
-        raise ValueError(f"need n >= 1 and r >= 0, got n={n} r={r}")
-    short, long = sorted((n - 1, r))
-    num = 1
-    den = 1
-    for j in range(1, short + 1):
-        num *= p ** (j + long) - 1
-        den *= p**j - 1
-    if num % den:
-        raise ArithmeticError(f"closed form lost exactness at p={p} r={r} n={n}")
-    return num // den
+    if n < 1 or r < 0 or p < 2:
+        raise ValueError(f"need n >= 1, r >= 0 and a prime p, got n={n} r={r} p={p}")
+    return _gauss(n - 1 + r, min(n - 1, r), p)
 
 
 def sublattice_count(n: int, m: int) -> int:
@@ -103,17 +93,20 @@ def validate_chain(divisors: Iterable[int]) -> tuple[int, ...]:
     return chain
 
 
+def _class_size_at(exponents: Sequence[int], p: int) -> int:
+    """The closed form of the class size at an exponent tuple, evaluated at p."""
+    a, pairs = _class_size_form(exponents)
+    return p**a * prod(_gauss(top, bottom, p) for top, bottom in pairs)
+
+
 def class_size_prime(exponents: Sequence[int], p: int) -> int:
     """Number of sublattices whose invariant factors are p**e along the exponent tuple.
 
-    The class-size polynomial of class_size_poly evaluated at p, so every prime
-    shares one memoized polynomial per exponent tuple.
+    The value at p of the class-size polynomial class_size_poly.
     """
-    from .polyalg import class_size_poly, poly_eval
-
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return poly_eval(class_size_poly(exponents), p)
+    return _class_size_at(exponents, p)
 
 
 def class_size_2x2(t: int, r: int, p: int) -> int:
@@ -132,12 +125,10 @@ def class_size(divisors: Iterable[int]) -> int:
 
     The primes come from factorize, so none is tested for primality again.
     """
-    from .polyalg import class_size_poly, poly_eval
-
     chain = validate_chain(divisors)
     out = 1
     for p, _ in factorize(chain[-1]):
-        out *= poly_eval(class_size_poly(tuple(_valuation(p, d) for d in chain)), p)
+        out *= _class_size_at([_valuation(p, d) for d in chain], p)
     return out
 
 
@@ -205,23 +196,21 @@ def class_census(n: int, m: int) -> CensusTable:
     varying fastest; the count is the product of the per-prime class sizes.
     Key count equals class_count(n, m) and the counts sum to
     sublattice_count(n, m).  Each partition's class size and prime powers are
-    evaluated once, not once per key it extends: a prime costs one
-    class-size polynomial per partition, evaluated at the prime, and the
-    primes come from factorize, so none is tested for primality again.  Its
+    evaluated once, not once per key it extends: a prime costs one closed
+    form per partition, evaluated at the prime in integers, and the primes
+    come from factorize, so none is tested for primality again.  Its
     partitions are listed only when more than one key reuses them, so the
     first prime streams them: listing the first prime's too raises
-    class_census(8, 2**64)'s peak from about 41 to 70 MB above the
+    class_census(8, 2**64)'s peak from about 27 to 57 MB above the
     interpreter's.  The keys share one int object per divisor value, so
     memory is the table's own.
     """
-    from .polyalg import class_size_poly, poly_eval
-
     _check_nm(n, m)
     counts: dict[tuple[int, ...], int] = {(1,) * n: 1}
     for p, r in factorize(m):
         powers = [p**e for e in range(r + 1)]
         parts: Iterable = (
-            (tuple(map(powers.__getitem__, exps)), poly_eval(class_size_poly(exps), p))
+            (tuple(map(powers.__getitem__, exps)), _class_size_at(exps, p))
             for exps in partitions(n, r)
         )
         if len(counts) > 1:

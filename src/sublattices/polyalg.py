@@ -2,15 +2,14 @@
 
 A polynomial is a plain list of int coefficients, constant term first, with no
 trailing zeros; the zero polynomial is the empty list.  Class sizes at a fixed
-exponent tuple are polynomials in the prime, and numeric class sizes are these
-polynomials evaluated at the prime.
+exponent tuple are polynomials in the prime.
 
-Production builds each fact from one closed form, by multiplications and exact
-divisions by T^i - 1: the class of quotient group G is |Surj(Z^n, G)| / |Aut G|
-(Hillar & Rhea, Amer. Math. Monthly 114 (2007)), one exponent tuple at a time,
-and the count at index T^r is the Gaussian binomial [n-1+r; n-1]_T (Lubotzky &
-Segal, "Subgroup Growth", ch. 15), which verify suite checks against the sum
-of its level's class sizes.
+Production expands the closed forms of arith, which census evaluates at the
+prime in integers, by multiplications and exact divisions by T^i - 1: the class
+of quotient group G is |Surj(Z^n, G)| / |Aut G| (Hillar & Rhea, Amer. Math.
+Monthly 114 (2007)), one exponent tuple at a time, and the count at index T^r
+is the Gaussian binomial [n-1+r; n-1]_T (Lubotzky & Segal, "Subgroup Growth",
+ch. 15), which verify suite checks against the sum of its level's class sizes.
 
 The paper's glue recursion stays as the independent route that verifies it,
 behind class_size_poly_glue, which recurses only into itself.  It runs
@@ -25,12 +24,11 @@ no division anywhere."""
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from itertools import product as iter_product
 from math import comb
 from typing import MutableMapping, Sequence
 
-from .arith import INFINITY, partitions
+from .arith import INFINITY, _class_size_form, partitions
 
 
 def poly_normalize(coeffs: Sequence[int]) -> list[int]:
@@ -216,36 +214,15 @@ def _over_cyclic(a: Sequence[int], i: int) -> list[int]:
     return q
 
 
-_CLOSED_MEMO = 4096  # most exponent tuples whose closed form stays cached
+def _form_poly(a: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """T^a * prod [top; bottom]_T, a closed form of arith, as a polynomial.
 
-
-@lru_cache(maxsize=_CLOSED_MEMO)
-def _class_size_closed(exps: tuple[int, ...]) -> list[int]:
-    """Class size at a nondecreasing exponent tuple, |Surj(Z^n, G)| / |Aut G|.
-
-    With parts e_1 <= ... <= e_s the nonzero exponents, mu_g the multiplicities
-    of their distinct values, and c_j, d_j the first and last 1-based index of a
-    part equal to e_j, the class size is T^a times the Gaussian multinomial
-    [n; n-s, mu_1, ..., mu_g], where
-    a = n |e| - n s - sum_j (e_j (s - d_j) + (e_j - 1) (s - c_j + 1)).
+    Multiplying and dividing in turn keeps every division exact.
     """
-    n = len(exps)
-    parts = [e for e in exps if e]
-    s = len(parts)
-    a = n * sum(parts) - n * s
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for j, e in enumerate(parts, start=1):
-        first.setdefault(e, j)
-        last[e] = j
-    for e in parts:
-        a -= e * (s - last[e]) + (e - 1) * (s - first[e] + 1)
     out = [1]
-    for i in range(n - s + 1, n + 1):
-        out = _times_cyclic(out, i)
-    for e in first:
-        for i in range(1, last[e] - first[e] + 2):
-            out = _over_cyclic(out, i)
+    for top, bottom in pairs:
+        for i in range(1, bottom + 1):
+            out = _over_cyclic(_times_cyclic(out, top - bottom + i), i)
     return [0] * a + out
 
 
@@ -294,33 +271,20 @@ def _fill_level(n: int, k: int, memo: MutableMapping) -> None:
 def class_size_poly(exponents: Sequence[int]) -> list[int]:
     """Class size at the given exponent tuple as a polynomial in the prime.
 
-    The closed form |Surj(Z^n, G)| / |Aut G| of the class's quotient group G,
-    built for this tuple alone and cached per tuple (at most _CLOSED_MEMO
-    tuples); the returned list is a fresh copy.  Evaluating the result at a
-    prime p gives class_size_prime(exponents, p).
+    The closed form arith._class_size_form, built for this tuple alone; its
+    value at a prime p is class_size_prime(exponents, p).
     """
-    exps = tuple(int(e) for e in exponents)
-    if not exps:
-        raise ValueError("exponent tuple must be nonempty")
-    if any(e < 0 for e in exps) or any(exps[i] > exps[i + 1] for i in range(len(exps) - 1)):
-        raise ValueError(f"exponents must be nondecreasing and nonnegative, got {exps}")
-    return list(_class_size_closed(exps))
+    return _form_poly(*_class_size_form(exponents))
 
 
 def sublattice_count_poly(n: int, r: int, memo: MutableMapping | None = None) -> list[int]:
     """Number of index-p**r sublattices of Z^n as a polynomial in the prime p.
 
-    The Gaussian binomial [n-1+r; n-1]_T, the product over i = 1..min(n-1, r) of
-    (T^(max(n-1, r)+i) - 1) / (T^i - 1); every partial product is a Gaussian
-    binomial, so each division is exact.  memo is accepted and never read.
+    The Gaussian binomial [n-1+r; n-1]_T.  memo is accepted and never read.
     """
     if n < 1 or r < 0:
         raise ValueError(f"need n >= 1 and r >= 0, got n={n} r={r}")
-    short, long = sorted((n - 1, r))
-    out = [1]
-    for i in range(1, short + 1):
-        out = _over_cyclic(_times_cyclic(out, long + i), i)
-    return out
+    return _form_poly(0, [(n - 1 + r, min(n - 1, r))])
 
 
 def cocyclic_count_poly(n: int, r: int) -> list[int]:

@@ -2,7 +2,7 @@ from math import gcd, prod
 
 import pytest
 
-from sublattices import arith, census, polyalg
+from sublattices import arith, census
 from sublattices.arith import INFINITY, factorize, partitions
 from sublattices.census import (
     CensusTable,
@@ -76,6 +76,11 @@ def test_sublattice_count_prime_power():
         sublattice_count_prime_power(0, 2, 1)
     with pytest.raises(ValueError):
         sublattice_count_prime_power(2, 2, -1)
+    # p is not tested for primality, but p < 2 is no prime power base
+    with pytest.raises(ValueError):
+        sublattice_count_prime_power(2, 1, 3)
+    with pytest.raises(ValueError):
+        sublattice_count_prime_power(3, 0, 2)
 
 
 def test_count_multiplicative():
@@ -309,13 +314,13 @@ def test_class_census_sizes_each_partition_once(monkeypatch):
     # 3 into 4 parts, not one per key they extend (6 + 30 + 90)
     m = 2**5 * 3**4 * 5**3
     calls = []
-    real = polyalg.class_size_poly
+    real = census._class_size_at
 
-    def counting(exps):
+    def counting(exps, p):
         calls.append(exps)
-        return real(exps)
+        return real(exps, p)
 
-    monkeypatch.setattr(polyalg, "class_size_poly", counting)
+    monkeypatch.setattr(census, "_class_size_at", counting)
     table = class_census(4, m)
     assert len(calls) == 14
     assert len(set(calls)) == 14

@@ -783,6 +783,9 @@ COMPUTING_MODULES = (
         (("poly", "fn", "--n", "4", "--r", "4"), "sublattices.census"),
         (("poly", "cocyclic", "--n", "4", "--r", "4"), "sublattices.census"),
         (("poly", "leading-check", "--n", "4", "--r", "4"), "sublattices.census"),
+        (("count", "class", "--divisors", "2,4,8"), "sublattices.polyalg"),
+        (("count", "class", "--n", "4", "--prime", "2", "--partition", "0,1,2,3"),
+         "sublattices.polyalg"),
     ],
 )
 def test_each_command_loads_only_what_it_runs(argv, unused):

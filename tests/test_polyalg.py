@@ -4,13 +4,14 @@ from math import prod
 import pytest
 
 from sublattices import polyalg
-from sublattices.arith import INFINITY, partitions
+from sublattices.arith import INFINITY, partition_count, partitions
 from sublattices.census import (
     class_census,
     class_size_2x2,
     class_size_prime,
     cocyclic_count_prime_power,
     sublattice_count,
+    sublattice_count_prime_power,
 )
 from sublattices.oracle import census_bruteforce
 from sublattices.polyalg import (
@@ -168,12 +169,11 @@ def test_class_size_poly_memo_reuse():
 
 
 def test_closed_form_memo_is_bounded():
-    # 7166 classes at index 2**60 in dimension 5, more than the memo holds
-    polyalg._class_size_closed.cache_clear()
+    # 7166 classes at index 2**60 in dimension 5, each evaluated in integers
+    # and kept nowhere but in the table
     table = class_census(5, 2**60)
     assert len(table.counts) == 7166
     assert table.total() == sublattice_count(5, 2**60)
-    assert polyalg._class_size_closed.cache_info().currsize <= polyalg._CLOSED_MEMO
 
 
 def test_count_poly_never_reads_its_memo():
@@ -270,6 +270,25 @@ def test_closed_form_matches_glue_route():
                 assert class_size_poly(exps) == class_size_poly_glue(exps, glue), exps
                 checked += 1
     assert checked == 183
+
+
+def test_integer_and_polynomial_closed_forms_agree_far_up():
+    # well past the glue route's n <= 5, k <= 6: the integer evaluation of the
+    # closed form against its polynomial, the level count and n = 2's formula
+    checked = 0
+    for n in range(1, 9):
+        for k in range(0, 13):
+            level = list(partitions(n, k))
+            assert len(level) == partition_count(n, k), (n, k)
+            polys = [class_size_poly(exps) for exps in level]
+            for p in (2, 3, 5, 7):
+                sizes = [class_size_prime(exps, p) for exps in level]
+                assert sizes == [poly_eval(poly, p) for poly in polys], (n, k, p)
+                assert sum(sizes) == sublattice_count_prime_power(n, p, k), (n, k, p)
+                if n == 2:
+                    assert sizes == [class_size_2x2(t, k, p) for t, _ in level], (k, p)
+            checked += len(level)
+    assert checked == 1247
 
 
 def test_production_routes_scan_no_glue_box(monkeypatch):
