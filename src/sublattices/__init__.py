@@ -45,6 +45,7 @@ _SOURCES = {
     "HnfMatrix": "forms",
     "hnf2_smith_exponent": "forms",
     "hnf3_smith_exponents": "forms",
+    "integer_det": "forms",
     "invariant_factors": "forms",
     "invariant_factors_via_minors": "forms",
     "minor_gcd": "forms",

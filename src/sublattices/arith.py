@@ -4,7 +4,6 @@ and the closed form of a class size with the Gaussian binomials it is made of.""
 from __future__ import annotations
 
 import math
-from collections import Counter
 from functools import lru_cache
 from operator import gt
 from typing import Iterator, Sequence
@@ -223,12 +222,13 @@ def _class_size_form(exponents: Sequence[int]) -> tuple[int, list[tuple[int, int
     if exps[0] < 0 or any(map(gt, exps, exps[1:])):
         raise ValueError(f"exponents must be nondecreasing and nonnegative, got {exps}")
     n = len(exps)
-    s = n - exps.count(0)
-    a = n * (sum(exps) - s)
-    # top is n - s + c_j - 1 before the value e_j and n - s + d_j after it
+    top = exps.count(0)  # n - s
+    a = n * (sum(exps) - n + top)
+    # top is n - s + c_j - 1 before the value e_j and n - s + d_j after it;
+    # the parts are sorted, so mu_g counts the value e_j in the whole tuple
     pairs = []
-    top = n - s
-    for e, mu in Counter(exps[top:]).items():
+    for e in dict.fromkeys(exps[top:]):
+        mu = exps.count(e)
         a -= mu * ((e - 1) * (n - top) + e * (n - top - mu))
         top += mu
         pairs.append((top, mu))

@@ -11,7 +11,7 @@ arithmetic.
 from __future__ import annotations
 
 from math import prod
-from operator import mul
+from operator import getitem
 from typing import Iterable, NamedTuple, Sequence
 
 from .arith import (
@@ -96,7 +96,7 @@ def validate_chain(divisors: Iterable[int]) -> tuple[int, ...]:
 def _class_size_at(exponents: Sequence[int], p: int) -> int:
     """The closed form of the class size at an exponent tuple, evaluated at p."""
     a, pairs = _class_size_form(exponents)
-    return p**a * prod(_gauss(top, bottom, p) for top, bottom in pairs)
+    return prod([_gauss(top, bottom, p) for top, bottom in pairs], start=p**a)
 
 
 def class_size_prime(exponents: Sequence[int], p: int) -> int:
@@ -195,31 +195,31 @@ def class_census(n: int, m: int) -> CensusTable:
     Keys combine one exponent partition per prime of m, the last prime's
     varying fastest; the count is the product of the per-prime class sizes.
     Key count equals class_count(n, m) and the counts sum to
-    sublattice_count(n, m).  Each partition's class size and prime powers are
-    evaluated once, not once per key it extends: a prime costs one closed
-    form per partition, evaluated at the prime in integers, and the primes
-    come from factorize, so none is tested for primality again.  Its
+    sublattice_count(n, m).  Each partition's class size is evaluated once,
+    not once per key it extends: a prime costs one closed form per
+    partition, evaluated at the prime in integers, and the primes come from
+    factorize, so none is tested for primality again.  Its
     partitions are listed only when more than one key reuses them, so the
     first prime streams them: listing the first prime's too raises
     class_census(8, 2**64)'s peak from about 27 to 57 MB above the
-    interpreter's.  The keys share one int object per divisor value, so
+    interpreter's.  A key's entries are read off per-prime rows of products,
+    each made once, so the keys share one int object per divisor value and
     memory is the table's own.
     """
     _check_nm(n, m)
     counts: dict[tuple[int, ...], int] = {(1,) * n: 1}
     for p, r in factorize(m):
         powers = [p**e for e in range(r + 1)]
-        parts: Iterable = (
-            (tuple(map(powers.__getitem__, exps)), _class_size_at(exps, p))
-            for exps in partitions(n, r)
-        )
+        parts: Iterable = ((exps, _class_size_at(exps, p)) for exps in partitions(n, r))
         if len(counts) > 1:
             parts = list(parts)
-        shared: dict[int, int] = {}
+        # each divisor value in the keys so far times each power of p, made
+        # once: p is prime to it, so no two products are equal
+        times = {d: [d * q for q in powers] for d in set().union(*counts)}
         grown: dict[tuple[int, ...], int] = {}
         for key, size in counts.items():
-            for factors, part_size in parts:
-                chain = tuple(shared.setdefault(d, d) for d in map(mul, key, factors))
-                grown[chain] = size * part_size
+            rows = [*map(times.__getitem__, key)]
+            for exps, part_size in parts:
+                grown[tuple(map(getitem, rows, exps))] = size * part_size
         counts = grown
     return CensusTable(n, m, counts)

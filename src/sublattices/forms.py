@@ -81,9 +81,14 @@ def validate_hnf(rows: Sequence[Sequence[int]]) -> HnfMatrix:
 def integer_det(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix (fraction-free elimination)."""
     a = [list(map(int, r)) for r in rows]
-    n = len(a)
-    if any(len(r) != n for r in a):
+    if any(len(r) != len(a) for r in a):
         raise ValueError("determinant needs a square matrix")
+    return _det(a)
+
+
+def _det(a: list[list[int]]) -> int:
+    """Determinant of a square list of int rows, by Bareiss elimination on a itself."""
+    n = len(a)
     if n == 0:
         return 1
     sign = 1
@@ -106,7 +111,12 @@ def integer_det(rows: Sequence[Sequence[int]]) -> int:
 
 
 def minor_gcd(rows: Sequence[Sequence[int]], k: int) -> int:
-    """Gcd of all k x k minors of a rectangular matrix; 1 for k = 0, 0 if all minors vanish."""
+    """Gcd of all k x k minors of a rectangular matrix; 1 for k = 0, 0 if all minors vanish.
+
+    The rows are made ints once, and the minors are read off that copy: a
+    2 x 2 minor as its cross product, a larger one by _det on a copy of its
+    entries, so integer_det's copy and checks run on none of them.
+    """
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     if any(len(r) != nc for r in rows):
@@ -115,16 +125,24 @@ def minor_gcd(rows: Sequence[Sequence[int]], k: int) -> int:
         return 1
     if not 1 <= k <= min(nr, nc):
         raise ValueError(f"minor order {k} out of range for a {nr} x {nc} matrix")
+    a = [list(map(int, r)) for r in rows]
     if k == 1:
         # the 1 x 1 minors are the entries themselves
-        return gcd(*chain.from_iterable(rows))
+        return gcd(*chain.from_iterable(a))
+    picks = list(combinations(range(nc), k))
+    if k == 2:
+        minors = (r[i] * s[j] - r[j] * s[i] for r, s in combinations(a, 2) for i, j in picks)
+    else:
+        minors = (
+            _det([[r[j] for j in cols] for r in picked])
+            for picked in combinations(a, k)
+            for cols in picks
+        )
     g = 0
-    for rsel in combinations(range(nr), k):
-        for csel in combinations(range(nc), k):
-            sub = [[rows[i][j] for j in csel] for i in rsel]
-            g = gcd(g, integer_det(sub))
-            if g == 1:
-                return 1
+    for minor in minors:
+        g = gcd(g, minor)
+        if g == 1:
+            return 1
     return g
 
 

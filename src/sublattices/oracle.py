@@ -15,32 +15,36 @@ diagonals that hold it.
 
 The kernel ranges residues, not entries.  The gcd D_k of the k x k minors
 divides g_k, the gcd of the principal k x k minors, which are products of
-diagonal entries, and g_k divides g, that gcd at the highest order asked.
-So D_k is fixed by the entries modulo g (the modulo-determinant idea of
-Domich, Kannan and Trotter, 1987): a slot over d entries ranges min(d, g)
-residues, and residue r stands for the ceil((d - r) / g) entries congruent
-to it.  The co-cyclic count asks only whether a gcd is 1, so it runs modulo
-the product of the primes dividing g.  The top order's principal minors
-have gcd g, so its other minors fold from the modulus.  Essential diagonals
-of one length whose reduced slot ranges agree share a block, along a leading
-member axis that holds their diagonal entries, moduli and counts as
-(B, 1, ...) arrays; a block of modulus 1 answers with ints and builds no
-array.  At (4, 104) the 80 diagonals hold 20 essential diagonals, which run
-in 8 boxes for the census and 3 for the co-cyclic count.  A block is cut
-into boxes of at most _CHUNK residue tuples over (members, *slots): a box
-fixes the leading axes, ranges one axis and runs the trailing axes in full,
-so a block that fits in _CHUNK is a single box.  Each slot that varies is an
-arange along its own axis, so every minor broadcasts over only the slots it
-reads.  Census chains are tallied by the index of each gcd among the
-divisors of m, on the un-broadcast gcd arrays: with np.bincount where every
-residue tuple of a box stands for as many forms, else with np.add.at and
-exact int64 weights.  A bound on every minor, with entries bounded by m,
-says whether int64 is exact; a scope where any essential plan's bound
-reaches _INT64_SAFE, or with 2**63 forms or more, which the int64 tally
-cannot hold, is refused up front, like one over the matrix budget, so no
-answer leaves the kernel.  Everything runs in one process: inside the
-default budget a worker pool gained at most 1.2x and nearly doubled peak
-memory, so jobs is checked and selects nothing.
+diagonal entries, and g_k divides g, that gcd at the highest order asked.  So
+D_k is fixed by the entries modulo g (the modulo-determinant idea of Domich,
+Kannan and Trotter, 1987): a slot over d entries ranges min(d, g) residues,
+and residue r stands for the ceil((d - r) / g) entries congruent to it.
+Both brute forces ask up to order n - 1, so an essential diagonal ess of
+length e is asked up to order e - 1, and g = m / lcm(ess): at a prime p, the
+gcd of the products of e - 1 entries has valuation min_i (v_p(m) - v_p(d_i))
+= v_p(m) - max_i v_p(d_i).  The co-cyclic count asks only whether a gcd is
+1, so it runs modulo gcd(g, rad m), the product of the primes dividing g.
+The top order's principal minors have gcd g, so its other minors fold from
+the modulus.  Essential diagonals of one length whose reduced slot ranges
+agree share a block, along a leading member axis that holds their diagonal
+entries, moduli and counts as (B, 1, ...) arrays; a block of modulus 1
+answers with ints and builds no array.  At (4, 104) the 80 diagonals hold 20
+essential diagonals, which run in 8 boxes for the census and 3 for the
+co-cyclic count.  A block is cut into boxes of at most _CHUNK residue tuples
+over (members, *slots): a box fixes the leading axes, ranges one axis and
+runs the trailing axes in full, so a block that fits in _CHUNK is a single
+box.  Each slot that varies is an arange along its own axis, so every minor
+broadcasts over only the slots it reads.  Census chains are tallied by the
+index of each gcd among the divisors of m, on the un-broadcast gcd arrays:
+with np.bincount where every residue tuple of a box stands for as many
+forms, else with np.add.at and exact int64 weights, the product of one count
+per slot that a gcd reads, with the slots none reads summed in as ints.  A
+bound on every minor, with entries bounded by m, says whether int64 is
+exact; a scope where any essential plan's bound reaches _INT64_SAFE, or with
+2**63 forms or more, which the int64 tally cannot hold, is refused up front,
+like one over the matrix budget, so no answer leaves the kernel.  Everything
+runs in one process: inside the default budget a worker pool gained at most
+1.2x and nearly doubled peak memory, so jobs is checked and selects nothing.
 
 verify_index also checks the 2x2/3x3 Smith shortcuts at every prime-power
 index, per diagonal, on boxes that range every slot's entries, not
@@ -57,16 +61,16 @@ as JSON, plain lines or csv.
 from __future__ import annotations
 
 import time
+from bisect import bisect
 from functools import lru_cache, reduce
-from itertools import accumulate, combinations, product as iter_product
-from math import comb, gcd, prod
-from operator import add, mul
+from itertools import accumulate, product as iter_product
+from math import comb, gcd, lcm, prod
+from operator import mul
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .arith import (
-    _divisor_tuple,
     _valuation,
     divisor_compositions,
     divisors,
@@ -173,9 +177,17 @@ def _eval_plan(plan, values):
 
     A monomial's variables are sorted, and the diagonal entries come first:
     for one member of a block they are ints, so its product multiplies ints
-    until it meets the first array, and no factor's type is tested.
+    until it meets the first array, and no factor's type is tested.  A
+    monomial names each matrix entry it reads, so no two terms of a minor
+    share one: every coefficient is 1 or -1, and the first is 1.  So a term
+    is added or subtracted, and an array costs no multiplication by its sign.
     """
-    return reduce(add, [prod([values[v] for v in s], start=c) for s, c in plan])
+    (first, _), *rest = plan
+    total = reduce(mul, [values[v] for v in first])
+    for s, c in rest:
+        term = reduce(mul, [values[v] for v in s])
+        total = total + term if c > 0 else total - term
+    return total
 
 
 def _fold(plans, values, running=0):
@@ -238,94 +250,111 @@ def _box_values(diag, box):
     return values
 
 
-def _modulus(diag, top, primes):
-    """The modulus the slots of an essential diagonal run under.
+def _member_box(picked, box):
+    """The variables of one box of a block, with the dropped counts and moduli of its members.
 
-    g is the gcd of the principal minors of order top, products of top
-    diagonal entries.  Every minor gcd D_k up to that order divides g_k,
-    and g_k divides g, so D_k = gcd(g_k, minors) is fixed by the minors
-    modulo g, hence by the entries modulo g.  With primes, the primes of m,
-    only whether a gcd is 1 is asked: the entries modulo the product of the
-    primes dividing g fix that.
+    picked are the rows (*diag, dropped, modulus) the box covers and box is
+    its (fixed, start, shape) over their slots.  One
+    member takes _box_values, with its dropped count and modulus as ints.
+    Several members range every slot in full behind a leading member axis:
+    one array of their rows gives their diagonal entries, dropped counts and
+    moduli as (B, 1, ...) columns.
     """
-    g = gcd(*map(prod, combinations(diag, top)))
-    return g if primes is None else prod(p for p in primes if g % p == 0)
-
-
-def _member_box(picked, box, cut):
-    """The variables of one box of a block, and the forms each residue tuple stands for.
-
-    picked are the (diag, dropped, modulus) the box covers and box is its
-    (fixed, start, shape) over their slots.  One member takes _box_values:
-    diagonal entries as ints, residues as int64 aranges.  Several members
-    range every slot in full behind a leading member axis, along which their
-    diagonal entries, dropped counts and moduli are (B, 1, ...) arrays.  A
-    residue r of a slot over d entries stands for the ceil((d - r) / modulus)
-    entries congruent to it.  Only the slots that cut flags, those some
-    member's modulus shrinks, add a factor, so the weights stay an int where
-    every residue tuple of the box stands for as many forms.
-    """
-    diag = picked[0][0]
-    e = len(diag)
     if len(picked) == 1:
-        _, weights, modulus = picked[0]
-        values = _box_values(diag, box)
+        *diag, dropped, modulus = picked[0]
+        return _box_values(diag, box), dropped, modulus
+    lead = (len(picked),) + (1,) * len(box[2])
+    *values, dropped, modulus = np.array(picked, dtype=np.int64).T.reshape((-1, *lead))
+    for rng, shape in _box_axes(picked[0][:-2], box):
+        values.append(np.arange(rng.start, rng.stop, dtype=np.int64).reshape((1, *shape)))
+    return values, dropped, modulus
+
+
+def _box_weights(values, dropped, modulus, box, cols, cut, shapes):
+    """(count, weights): the forms of one box, and those each entry of its gcd arrays stands for.
+
+    values, dropped and modulus are _member_box's; the box has a leading
+    member axis where dropped is an array.  shapes are those of the gcd
+    arrays, which read the axes where their broadcast is longer than 1.  A
+    residue r of a slot over d entries stands for ceil((d - r) / modulus)
+    of them, -((r - d) // modulus); only the slots that cut flags, those
+    some member's modulus shrinks, stand for more than one.  A read axis of
+    a cut slot adds that count as an int64 factor along it, its sign kept
+    as an int.  An unread axis adds the entries its range covers: its length
+    where uncut, d where its residues run in full, and else what d // modulus
+    and d % modulus count below its ends.  So no array is broadcast to the box.
+    weights is None where every entry of the gcd arrays stands for as many
+    forms, else an int64 array that broadcasts to their shape.
+    """
+    fixed, start, shape = box
+    lead = isinstance(dropped, np.ndarray)
+    reads = [max(k) for k in zip(*shapes)] if shapes else [1] * (lead + len(shape))
+    e = len(values) - len(cols)
+    factors = []
+    spread = 1
+    for s, (j, shrunk) in enumerate(zip(cols, cut)):
+        r, d = values[e + s], values[j]
+        a = lead + s - len(fixed)
+        if s < len(fixed):
+            spread *= -((r - d) // modulus)
+        elif reads[a] > 1:
+            if shrunk:
+                factors.append((r - d) // modulus)
+                spread = -spread
+        elif not shrunk:
+            spread *= shape[a - lead]
+        elif lead:
+            dropped = dropped * d
+        else:
+            lo = start if a == 0 else 0
+            q, rem = divmod(d, modulus)
+            spread *= q * shape[a] + min(rem, lo + shape[a]) - min(rem, lo)
+    if not lead:
+        spread *= dropped
+        if not factors:
+            return spread * prod(reads), None
+        weights = reduce(mul, factors[1:], factors[0] * spread if spread != 1 else factors[0])
     else:
-        lead = (len(picked),) + (1,) * len(box[2])
-        columns = np.array([(*d, *rest) for d, *rest in picked], dtype=np.int64)
-        *values, weights, modulus = columns.T.reshape((e + 2, *lead))
-        for rng, shape in _box_axes(diag, box):
-            values.append(np.arange(rng.start, rng.stop, dtype=np.int64).reshape((1, *shape)))
-    for (_, j), r, shrunk in zip(_slots(e), values[e:], cut):
-        if shrunk:
-            weights = weights * ((values[j] + modulus - 1 - r) // modulus)
-    return values, modulus, weights
+        weights = reduce(mul, factors, dropped * spread if spread != 1 else dropped)
+        if reads[0] == 1:
+            weights = weights.sum(axis=0, keepdims=True)
+    count = int(weights.sum()) * prod(k for k, w in zip(reads, weights.shape) if w == 1)
+    return count, weights if shapes else None
 
 
 def _block_gcds(members, shape, ones, lower, top):
     """(count, weights, gvals) per box of one block, boxes of at most _CHUNK residue tuples.
 
-    members are the (diag, dropped, modulus) of the block's essential
-    diagonals, of one length: each slot over d entries ranges min(d, modulus)
-    residues, and shape, those ranges, is the same for every member.  The
-    boxes cut (members, *shape).  gvals open with ones orders whose gcd is 1,
-    then hold the minors' gcd per order of lower, then at the top order
-    (top is None without one): an int or an int64 array of the box's rank,
-    with length 1 on every axis that none of its minors reads.  A lower
-    order folds its principal minors first, as ints for one member, so an
-    order where one of them is 1 builds no array.  The top order's principal
-    minors have gcd g, so its other plans, top, fold from the modulus.  count
-    is the box's forms.  weights is None where every residue tuple of the
-    box stands for as many forms, else the int64 forms per entry of the gcd
-    arrays' broadcast, in its shape.  A block of modulus 1 has gcd 1 at
-    every order: one part, of ints.
+    members are the rows (*diag, dropped, modulus) of the block's essential
+    diagonals, of one length: each slot over d entries ranges min(d,
+    modulus) residues, and shape, those ranges, is the same for every
+    member.  The boxes cut (members, *shape).  gvals open with ones orders
+    whose gcd is 1, then hold the minors' gcd per order of lower, then at
+    the top order (top is None without one): an int or an int64 array of the
+    box's rank, with length 1 on every axis that none of its minors reads.
+    A lower order folds its principal minors first, as ints for one member,
+    so an order where one of them is 1 builds no array.  The top order's
+    principal minors have gcd g, so its other plans, top, fold from the
+    modulus.  count and weights are _box_weights'.  A block of modulus 1 has
+    gcd 1 at every order: one part, of ints.
     """
-    slots = _slots(len(members[0][0]))
+    e = len(members[0]) - 2
+    cols = [j for _, j in _slots(e)]
     if prod(shape) == 1:
-        count = sum(dropped * prod(diag[j] for _, j in slots) for diag, dropped, _ in members)
+        count = sum(row[-2] * prod([row[j] for j in cols]) for row in members)
         yield count, None, [1] * (ones + len(lower) + (top is not None))
         return
-    cut = [any(diag[j] > modulus for diag, _, modulus in members) for _, j in slots]
+    cut = [any(row[j] > row[-1] for row in members) for j in cols]
     for fixed, start, size in _boxes([len(members), *shape], _CHUNK):
         if fixed:
             picked, box = members[fixed[0] : fixed[0] + 1], (fixed[1:], start, size)
         else:
             picked, box = members[start : start + size[0]], ((), 0, size[1:])
-        values, modulus, weights = _member_box(picked, box, cut)
+        values, dropped, modulus = _member_box(picked, box)
         gvals = [1] * ones + [_fold(plans, values) for plans in lower]
         gvals.append(_fold(top, values, modulus))
-        full = box[2] if len(picked) == 1 else (len(picked), *box[2])
-        if not isinstance(weights, np.ndarray):
-            yield weights * prod(full), None, gvals
-            continue
-        # summed over the axes no gcd reads, each weight stands for one gcd entry
         shapes = [g.shape for g in gvals if isinstance(g, np.ndarray)]
-        weights = np.broadcast_to(weights, full)
-        if shapes:
-            reads = [max(k) for k in zip(*shapes)]
-            unread = tuple(a for a, k in enumerate(reads) if k == 1)
-            weights = weights.sum(axis=unread, keepdims=True)
-        yield int(weights.sum()), weights if shapes else None, gvals
+        yield *_box_weights(values, dropped, modulus, box, cols, cut, shapes), gvals
 
 
 def _tally_chains(n, m, parts):
@@ -333,9 +362,10 @@ def _tally_chains(n, m, parts):
 
     Every gcd g_k divides m, so a chain is keyed by the indices of g_1..g_{n-1}
     among the divisors of m.  A box without weights is counted with
-    np.bincount: its key array stands for count forms through its broadcast,
-    which repeats each entry equally.  A weighted box adds its int64 weights
-    with np.add.at, exactly: a float-weighted bincount rounds past 2**53.
+    np.bincount: its key array stands for count forms, each entry for as
+    many.  A weighted box adds its int64 weights, broadcast to the key's
+    shape where they are shorter, with np.add.at, exactly: a float-weighted
+    bincount rounds past 2**53.
     """
     divs = divisors(m)
     where = {d: i for i, d in enumerate(divs)}
@@ -353,6 +383,8 @@ def _tally_chains(n, m, parts):
             got = np.bincount(key.ravel()) * (count // key.size)
             hist[: len(got)] += got
         else:
+            if weights.shape != key.shape:
+                weights = np.broadcast_to(weights, key.shape)
             np.add.at(hist, key.ravel(), weights.ravel())
     counts: dict[tuple[int, ...], int] = {}
     for key in np.flatnonzero(hist).tolist():
@@ -376,7 +408,7 @@ def _tally_cocyclic(parts):
         elif weights is None:
             hits += int(np.count_nonzero(g == 1)) * (count // g.size)
         else:
-            hits += int(weights[g == 1].sum())
+            hits += int((weights * (g == 1)).sum())
     return hits
 
 
@@ -400,48 +432,70 @@ def _essential_plans(e, u, orders):
     return sum(k <= u for k in orders), per_order[:-1], plans, top, cols, weight, degree
 
 
-def _essential_diagonals(m, n):
-    """(ess, dropped) per essential diagonal of the index-m forms of dimension n.
+def _unit_forms(ess, u):
+    """The forms an essential diagonal ess stands for per essential matrix, with u unit entries.
+
+    Its diagonals place the u unit entries around it, and an entry d with k
+    unit entries before it has a slot in each of those k unit rows, read by
+    no plan, over d values.  This sums the product of d**k over the
+    placements: with the gaps between entries as the summation variables,
+    it is the complete homogeneous sum of degree u in 1 and the suffix
+    products of ess.
+    """
+    h = [1] * (u + 1)  # the sums in 1 alone
+    for x in accumulate(reversed(ess), mul):
+        for k in range(1, u + 1):
+            h[k] += x * h[k - 1]
+    return h[u]
+
+
+def _essential_diagonals(m, n, fac):
+    """(ess, dropped) per essential diagonal of the index-m forms of dimension n; fac factors m.
 
     ess runs over the ordered factorizations of m into at most n entries
-    above 1.  Its diagonals place u = n - len(ess) unit entries around it,
-    and an entry d with k unit entries before it has a slot in each of those
-    k unit rows, read by no plan, over d values.  dropped sums the product
-    of d**k over the placements: with the gaps between entries as the
-    summation variables, it is the complete homogeneous sum of degree u in
-    1 and the suffix products of ess.
+    above 1, grown breadth first: a partial factorization grows by each
+    divisor above 1 of what is left of m, increasing, drawn from m's
+    divisors, listed once per call, and is yielded once nothing is left.
+    The last two entries are a divisor d of what is left and its cofactor,
+    dropped if it is 1, so the longest tuples are built once.  dropped is
+    _unit_forms(ess, n - len(ess)).
     """
+    if n == 1:
+        yield ((m,) if m > 1 else ()), 1
+        return
+    divs = [1]
+    for p, r in fac:
+        divs = [d * p**k for d in divs for k in range(r + 1)]
+    divs = sorted(divs)[1:]
     partial = [((), m)]
-    for room in range(n, 0, -1):
+    for _ in range(n - 2):
         grown = []
         for ess, rest in partial:
-            if rest > 1 and room > 1:
-                grown += [((*ess, d), rest // d) for d in _divisor_tuple(rest)[1:]]
-                continue
-            ess += (rest,) * (rest > 1)
-            u = n - len(ess)
-            h = [1] + [0] * u
-            for x in (1, *accumulate(reversed(ess), mul)) if u else ():
-                for k in range(1, u + 1):
-                    h[k] += x * h[k - 1]
-            yield ess, h[u]
+            if rest == 1:
+                yield ess, _unit_forms(ess, n - len(ess))
+            else:
+                below = divs[: bisect(divs, rest)]
+                grown += [((*ess, d), rest // d) for d in below if not rest % d]
         partial = grown
+    for ess, rest in partial:
+        if rest == 1:
+            yield ess, _unit_forms(ess, 2)
+    for ess, rest in partial:
+        for d in divs[: bisect(divs, rest)]:
+            if not rest % d:
+                q = rest // d
+                yield ((*ess, d, q), 1) if q > 1 else ((*ess, d), _unit_forms((*ess, d), 1))
 
 
-def _bruteforce(n, m, scope, jobs, budget, orders, radical=False):
-    """Shared entry: validate, refuse up front, then (count, weights, gvals) per box.
+def _refuse(n, m, scope, jobs, budget, orders):
+    """Validate a brute-force call and refuse it before any work: (fac, plans per length e).
 
-    With u unit diagonal entries, the order-k gcd is 1 for k <= u and the
-    essential order-(k - u) gcd above that.  The checks run at the call and
-    the boxes only as the result is consumed, so BudgetExceededError comes
-    before any box runs: over budget matrices, at 2**63 forms or more, which
-    the int64 tally cannot hold, or where the minor bound weight * m**degree
-    of an essential plan reaches _INT64_SAFE.  Each essential diagonal runs
-    its slots modulo _modulus at the highest essential order asked, or
-    modulo its radical where radical (only gcd 1 is asked).  Essential
-    diagonals of one length whose slots reduce to the same ranges share a
-    block, in the order of their first member, in this process.
-    jobs must be an integer of at least 1 and selects nothing.
+    Raises BudgetExceededError over budget matrices, at 2**63 forms or more,
+    which the int64 tally cannot hold, or where the minor bound weight *
+    m**degree of an essential plan reaches _INT64_SAFE.  The essential
+    lengths that occur are 1 to min(n, Omega(m)), with Omega(m) the number
+    of prime factors of m counted with multiplicity, or 0 alone at m = 1, so
+    no essential diagonal is enumerated.  fac is factorize(m).
     """
     _check_nm(n, m)
     if not isinstance(jobs, int) or jobs < 1:
@@ -454,26 +508,51 @@ def _bruteforce(n, m, scope, jobs, budget, orders, radical=False):
         raise BudgetExceededError(
             predicted, _INT64_TALLY - 1, f"{where} on int64", unit="forms in the int64 tally"
         )
-    primes = [p for p, _ in factorize(m)] if radical else None
-    resolved: dict[int, tuple] = {}
+    fac = factorize(m)
+    omega = sum(r for _, r in fac)
+    resolved = {}
+    for e in range(1, min(n, omega) + 1) if omega else (0,):
+        resolved[e] = _essential_plans(e, n - e, orders)
+        weight, degree = resolved[e][-2:]
+        bound = weight * m**degree
+        if bound >= _INT64_SAFE:
+            raise BudgetExceededError(bound, _INT64_SAFE, f"{where} on int64", unit="minor bound")
+    return fac, resolved
+
+
+def _bruteforce(n, m, scope, jobs, budget, orders, radical=False):
+    """Shared entry: refuse up front (_refuse), then (count, weights, gvals) per box.
+
+    With u unit diagonal entries, the order-k gcd is 1 for k <= u and the
+    essential order-(k - u) gcd above that.  orders run up to n - 1, so the
+    highest essential order asked of an essential diagonal ess of length e
+    is e - 1, and its slots run modulo g = m / lcm(ess), the gcd of the
+    products of e - 1 of its entries: at each prime p of m, that gcd has
+    valuation min over i of v_p(m) - v_p(d_i), which is v_p(m) - max over i
+    of v_p(d_i).  Where radical (only gcd 1 is asked) they run modulo
+    gcd(g, rad m), the product of the primes dividing g.  The refusals come
+    at the call and the boxes only as the result is consumed, so
+    BudgetExceededError comes before any box runs.  Essential diagonals whose
+    slots reduce to the same ranges share a block, in the order of their
+    first member: the ranges of ess[1:] fix those of every slot, and their
+    number, e - 1, fixes e, since e = 0 only at m = 1.  jobs must be an
+    integer of at least 1 and selects nothing.
+    """
+    fac, resolved = _refuse(n, m, scope, jobs, budget, orders)
+    rad = prod(p for p, _ in fac) if radical else 0  # gcd(g, 0) is g
     blocks: dict[tuple, list] = {}
-    for ess, dropped in _essential_diagonals(m, n):
-        e = len(ess)
-        if e not in resolved:
-            resolved[e] = _essential_plans(e, n - e, orders)
-            weight, degree = resolved[e][-2:]
-            bound = weight * m**degree
-            if bound >= _INT64_SAFE:
-                raise BudgetExceededError(bound, _INT64_SAFE, f"{where} on int64", unit="minor bound")
-        top, cols = resolved[e][3:5]
-        modulus = _modulus(ess, top, primes)
-        shape = tuple([min(ess[j], modulus) for j in cols])
-        blocks.setdefault((e, shape), []).append((ess, dropped, modulus))
-    return (
-        part
-        for (e, shape), members in blocks.items()
-        for part in _block_gcds(members, shape, *resolved[e][:3])
-    )
+    for ess, dropped in _essential_diagonals(m, n, fac):
+        modulus = gcd(m // lcm(*ess), rad)
+        reduced = tuple([d if d < modulus else modulus for d in ess[1:]])
+        blocks.setdefault(reduced, []).append((*ess, dropped, modulus))
+
+    def parts():
+        for reduced, members in blocks.items():
+            ones, lower, top, _, cols = resolved[len(members[0]) - 2][:5]
+            shape = tuple([reduced[j - 1] for j in cols])
+            yield from _block_gcds(members, shape, ones, lower, top)
+
+    return parts()
 
 
 def census_bruteforce(
@@ -671,7 +750,7 @@ def _verify_scopes(scopes, jobs: int, budget: int) -> list[SectionReport]:
     """
     scopes = list(dict.fromkeys(scopes))
     largest = max(scopes, key=lambda scope: sublattice_count(*scope))
-    _bruteforce(*largest, "census", jobs, budget, ())  # checks only: no box is consumed
+    _refuse(*largest, "census", jobs, budget, ())
     return [verify_index(n, m, jobs=jobs, budget=budget) for n, m in scopes]
 
 

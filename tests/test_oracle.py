@@ -3,6 +3,7 @@ import json
 import random
 from collections import Counter
 from itertools import combinations, product as iter_product
+import math
 from math import gcd, prod
 
 import numpy as np
@@ -194,6 +195,66 @@ def test_bruteforce_resolves_plans_per_essential_length(monkeypatch):
         assert len(boxes) == len(blocks(radical)) == expect_boxes
         assert sorted(shape for shape, _ in boxes) == sorted(shape for _, shape in blocks(radical))
         assert all(fixed == () and start == 0 for _, (fixed, start, _) in boxes)
+
+
+def test_essential_diagonals_and_their_moduli_in_closed_form():
+    # every essential diagonal with n <= 6 and m <= 256: the walk yields each
+    # once with the forms it stands for, recounted over every diagonal; its
+    # modulus m // lcm(ess) is the gcd of the products of e - 1 of its
+    # entries (1 at m = 1), and the co-cyclic one, gcd(g, rad m), the product
+    # of the primes dividing g
+    for m in range(1, 257):
+        fac = arith.factorize(m)
+        rad = prod(p for p, _ in fac)
+        for n in range(1, 7):
+            walked = list(oracle._essential_diagonals(m, n, fac))
+            recount = Counter()
+            for diag in arith.divisor_compositions(m, n):
+                # an entry above 1 has a slot over its d values in each unit row above it
+                units, forms = 0, 1
+                for d in diag:
+                    if d == 1:
+                        units += 1
+                    else:
+                        forms *= d**units
+                recount[tuple(d for d in diag if d > 1)] += forms
+            assert len(walked) == len(dict(walked)) and dict(walked) == recount, (n, m)
+            for ess, _ in walked:
+                g = m // math.lcm(*ess)
+                assert g == math.gcd(*map(prod, combinations(ess, max(len(ess) - 1, 0)))), ess
+                assert math.gcd(g, rad) == prod(p for p, _ in fac if g % p == 0), ess
+
+
+def test_refusal_checks_walk_no_essential_diagonal(monkeypatch):
+    # the refusals resolve plans per essential length, 1 to min(n, Omega(m))
+    # or 0 alone at m = 1, exactly the lengths that occur, without walking a
+    # diagonal; verify's check-only call on its largest scope walks none
+    walked = []
+    real = oracle._essential_diagonals
+
+    def walk(m, n, fac):
+        for item in real(m, n, fac):
+            walked.append(item)
+            yield item
+
+    monkeypatch.setattr(oracle, "_essential_diagonals", walk)
+    for n, m in ((1, 1), (3, 1), (1, 12), (3, 768), (4, 104), (6, 64), (5, 30)):
+        fac, resolved = oracle._refuse(n, m, "census", 1, 10**18, tuple(range(1, n)))
+        assert fac == arith.factorize(m) and walked == []
+        assert sorted(resolved) == sorted({len(ess) for ess, _ in real(m, n, fac)}), (n, m)
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, "_INT64_SAFE", 0)
+        with pytest.raises(BudgetExceededError, match="minor bound"):
+            census_bruteforce(4, 104)
+    with pytest.raises(BudgetExceededError, match="budget"):
+        cocyclic_bruteforce(4, 104, budget=10)
+    assert walked == []
+    ran = []
+    monkeypatch.setattr(oracle, "verify_index", lambda n, m, **kw: ran.append((n, m)))
+    oracle._verify_scopes([(2, 8), (4, 16), (3, 12)], 1, DEFAULT_BUDGET)
+    assert ran == [(2, 8), (4, 16), (3, 12)] and walked == []
+    assert census_bruteforce(4, 16).counts == class_census(4, 16).counts
+    assert walked
 
 
 def test_int64_gate_never_refuses_within_default_budget():

@@ -168,9 +168,9 @@ def test_class_size_poly_memo_reuse():
     assert class_size_poly((0, 1, 2)) == first
 
 
-def test_closed_form_memo_is_bounded():
+def test_class_census_7166_classes_at_5_2_pow_60():
     # 7166 classes at index 2**60 in dimension 5, each evaluated in integers
-    # and kept nowhere but in the table
+    # and kept nowhere but in the table, summing to the count
     table = class_census(5, 2**60)
     assert len(table.counts) == 7166
     assert table.total() == sublattice_count(5, 2**60)
