@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import gt
+from operator import gt, index
 from typing import Iterator, Sequence
 
 # Extended-natural infinity: the valuation of 0, and the sentinel level past the
@@ -14,6 +14,7 @@ INFINITY = math.inf
 
 
 def is_prime(m: int) -> bool:
+    m = index(m)
     if m < 2:
         return False
     for q in (2, 3):
@@ -33,6 +34,7 @@ def factorize(m: int) -> list[tuple[int, int]]:
     Trial division; meant for the desk scale (m up to around 10**12).
     factorize(1) is the empty list.
     """
+    m = index(m)
     if m < 1:
         raise ValueError(f"can only factor positive integers, got {m}")
     pairs = []
@@ -140,6 +142,7 @@ def partitions(n: int, k: int) -> Iterator[tuple[int, ...]]:
     that can grow, sets every later part but the last equal to it, and gives
     the last part the rest.
     """
+    n, k = index(n), index(k)
     if n < 1 or k < 0:
         raise ValueError(f"need n >= 1 and k >= 0, got n={n} k={k}")
     parts = [0] * (n - 1) + [k]
@@ -175,11 +178,22 @@ def partition_count(n: int, k: int) -> int:
     return ways[k]
 
 
-def ord_p(p: int, m: int) -> int | float:
-    """Largest t with p**t dividing m; INFINITY when m is 0."""
+def _check_prime(p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _valuation(p, m)
+    return index(p)
+
+
+def _check_nm(n: int, m: int) -> tuple[int, int]:
+    n, m = index(n), index(m)
+    if n < 1 or m < 1:
+        raise ValueError(f"need n >= 1 and m >= 1, got n={n} m={m}")
+    return n, m
+
+
+def ord_p(p: int, m: int) -> int | float:
+    """Largest t with p**t dividing m; INFINITY when m is 0."""
+    return _valuation(_check_prime(p), m)
 
 
 def _valuation(p: int, m: int) -> int | float:
@@ -216,7 +230,7 @@ def _class_size_form(exponents: Sequence[int]) -> tuple[int, list[tuple[int, int
     and pairs lists (n - s + mu_1 + ... + mu_g, mu_g) for each g, whose product
     is the Gaussian multinomial [n; n-s, mu_1, ..., mu_g].
     """
-    exps = tuple(map(int, exponents))
+    exps = tuple(map(index, exponents))
     if not exps:
         raise ValueError("exponent tuple must be nonempty")
     if exps[0] < 0 or any(map(gt, exps, exps[1:])):

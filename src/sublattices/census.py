@@ -11,25 +11,21 @@ arithmetic.
 from __future__ import annotations
 
 from math import prod
-from operator import getitem
+from operator import getitem, index
 from typing import Iterable, NamedTuple, Sequence
 
 from .arith import (
+    _check_nm,
+    _check_prime,
     _class_size_form,
     _gauss,
     _valuation,
     distinct_prime_factors_upto,
     divisor_compositions,
     factorize,
-    is_prime,
     partition_count,
     partitions,
 )
-
-
-def _check_nm(n: int, m: int) -> None:
-    if n < 1 or m < 1:
-        raise ValueError(f"need n >= 1 and m >= 1, got n={n} m={m}")
 
 
 def sublattice_count_recursion(n: int, m: int) -> int:
@@ -38,7 +34,7 @@ def sublattice_count_recursion(n: int, m: int) -> int:
     Each diagonal (d1, ..., dn) of a Hermite form contributes
     d1^0 * d2^1 * ... * dn^(n-1) reduced upper entries.
     """
-    _check_nm(n, m)
+    n, m = _check_nm(n, m)
     total = 0
     for comp in divisor_compositions(m, n):
         term = 1
@@ -62,7 +58,7 @@ def sublattice_count_prime_power(n: int, p: int, r: int) -> int:
 
 def sublattice_count(n: int, m: int) -> int:
     """Number of index-m sublattices of Z^n, the product of the prime-power counts."""
-    _check_nm(n, m)
+    n, m = _check_nm(n, m)
     return prod(sublattice_count_prime_power(n, p, r) for p, r in factorize(m))
 
 
@@ -72,7 +68,7 @@ def class_count(n: int, m: int) -> int:
     Classes correspond to choices, per prime p | m, of a partition of the
     exponent of p into n nondecreasing parts.
     """
-    _check_nm(n, m)
+    n, m = _check_nm(n, m)
     out = 1
     for _, r in factorize(m):
         out *= partition_count(n, r)
@@ -81,7 +77,7 @@ def class_count(n: int, m: int) -> int:
 
 def validate_chain(divisors: Iterable[int]) -> tuple[int, ...]:
     """Check an invariant factor chain: positive entries, each dividing the next."""
-    chain = tuple(int(d) for d in divisors)
+    chain = tuple(map(index, divisors))
     if not chain:
         raise ValueError("invariant factor chain must be nonempty")
     for d in chain:
@@ -104,15 +100,12 @@ def class_size_prime(exponents: Sequence[int], p: int) -> int:
 
     The value at p of the class-size polynomial class_size_poly.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return _class_size_at(exponents, p)
+    return _class_size_at(exponents, _check_prime(p))
 
 
 def class_size_2x2(t: int, r: int, p: int) -> int:
     """Closed-form size of the class (p**t, p**(r-t)) in dimension 2."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    p = _check_prime(p)
     if t < 0 or 2 * t > r:
         raise ValueError(f"need 0 <= 2t <= r, got t={t} r={r}")
     if 2 * t == r:
@@ -134,15 +127,11 @@ def class_size(divisors: Iterable[int]) -> int:
 
 def cocyclic_count_prime_power(n: int, p: int, r: int) -> int:
     """Number of co-cyclic sublattices of index p**r: quotient cyclic, chain (1,...,1,p**r)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    p, r = _check_prime(p), index(r)
     if r < 0:
         raise ValueError(f"need r >= 0, got {r}")
-    if r == 0:
-        return 1
-    return p ** ((n - 1) * (r - 1)) * ((p**n - 1) // (p - 1))
+    n, m = _check_nm(n, p**r)
+    return _cocyclic_from_primes(n, m, (p,) if r else ())
 
 
 def _cocyclic_from_primes(n: int, m: int, primes: Iterable[int]) -> int:
@@ -157,7 +146,7 @@ def _cocyclic_from_primes(n: int, m: int, primes: Iterable[int]) -> int:
 
 def cocyclic_count(n: int, m: int) -> int:
     """Number of co-cyclic sublattices of index m: (m/rad m)^(n-1) * sigma1((rad m)^(n-1))."""
-    _check_nm(n, m)
+    n, m = _check_nm(n, m)
     return _cocyclic_from_primes(n, m, (p for p, _ in factorize(m)))
 
 
@@ -206,7 +195,7 @@ def class_census(n: int, m: int) -> CensusTable:
     each made once, so the keys share one int object per divisor value and
     memory is the table's own.
     """
-    _check_nm(n, m)
+    n, m = _check_nm(n, m)
     counts: dict[tuple[int, ...], int] = {(1,) * n: 1}
     for p, r in factorize(m):
         powers = [p**e for e in range(r + 1)]

@@ -6,7 +6,7 @@ from itertools import chain, product, repeat
 from math import prod
 from typing import TYPE_CHECKING, Iterator
 
-from .arith import divisor_compositions
+from .arith import _check_nm, divisor_compositions
 
 if TYPE_CHECKING:
     from .forms import HnfMatrix
@@ -80,8 +80,7 @@ def hnf_stream(n: int, m: int) -> Iterator[HnfMatrix]:
     # imported here, so that the CLI's count and poly commands never load forms
     from .forms import HnfMatrix
 
-    if n < 1 or m < 1:
-        raise ValueError(f"need n >= 1 and m >= 1, got n={n} m={m}")
+    n, m = _check_nm(n, m)
     # tuple.__new__(HnfMatrix, (rows,)) builds each form in C: no Python frame
     # runs per form, neither the class's __new__ nor a generator's
     rows = chain.from_iterable(map(block_rows, divisor_compositions(m, n)))

@@ -22,8 +22,9 @@ Three routes to the invariant factors, none calling another:
   takes ints or arrays: the oracle's verify evaluates it on whole boxes of
   forms, against minor gcds.
 
-The module imports neither NumPy nor dataclasses: every enumerate process
-loads it, and count and poly never do.
+Matrix entries go through operator.index: a NumPy integer scalar is exact and
+a float raises TypeError.  The module imports neither NumPy nor dataclasses:
+every enumerate process loads it, and count and poly never do.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, combinations
 from math import gcd, prod
-from operator import mod
+from operator import index, mod
 from typing import NamedTuple, Sequence
 
 from .arith import factorize
@@ -60,7 +61,7 @@ class HnfMatrix(NamedTuple):
 
 def validate_hnf(rows: Sequence[Sequence[int]]) -> HnfMatrix:
     """Check the Hermite shape constraints and wrap the matrix, or raise HnfError."""
-    mat = tuple(tuple(int(v) for v in r) for r in rows)
+    mat = tuple(tuple(map(index, r)) for r in rows)
     n = len(mat)
     if n == 0 or any(len(r) != n for r in mat):
         raise HnfError(f"need a nonempty square matrix, got shape {[len(r) for r in mat]}")
@@ -80,7 +81,7 @@ def validate_hnf(rows: Sequence[Sequence[int]]) -> HnfMatrix:
 
 def integer_det(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix (fraction-free elimination)."""
-    a = [list(map(int, r)) for r in rows]
+    a = [list(map(index, r)) for r in rows]
     if any(len(r) != len(a) for r in a):
         raise ValueError("determinant needs a square matrix")
     return _det(a)
@@ -125,7 +126,7 @@ def minor_gcd(rows: Sequence[Sequence[int]], k: int) -> int:
         return 1
     if not 1 <= k <= min(nr, nc):
         raise ValueError(f"minor order {k} out of range for a {nr} x {nc} matrix")
-    a = [list(map(int, r)) for r in rows]
+    a = [list(map(index, r)) for r in rows]
     if k == 1:
         # the 1 x 1 minors are the entries themselves
         return gcd(*chain.from_iterable(a))
@@ -169,8 +170,8 @@ def invariant_factors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     only a column step of that second kind refills column t, and then both
     sweeps repeat; the pivot shrinks each time.  The pivots are then put in
     divisor order pairwise, diag(a, b) ~ diag(gcd, lcm).  Reads no minors and
-    no valuations.  Entries that are not plain ints (NumPy scalars, say) are
-    made ints first, so the answer is exact whatever their width.
+    no valuations.  Entries that are not plain ints (NumPy scalars, say) go
+    through operator.index first, so the answer is exact whatever their width.
     """
     a = list(map(list, rows))
     n = len(a)
@@ -178,7 +179,7 @@ def invariant_factors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
         raise ValueError("need a nonempty square matrix")
     # a sum of plain ints is a plain int; one NumPy scalar entry makes it a NumPy one
     if type(sum(map(sum, a))) is not int:
-        a = [list(map(int, r)) for r in a]
+        a = [list(map(index, r)) for r in a]
     d = []
     for t in range(n - 1):
         if not a[t][t]:

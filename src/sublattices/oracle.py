@@ -71,16 +71,16 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .arith import (
+    _check_nm,
+    _check_prime,
     _valuation,
     divisor_compositions,
     divisors,
     factorize,
-    is_prime,
     partitions,
 )
 from .census import (
     CensusTable,
-    _check_nm,
     class_census,
     class_count,
     class_size,
@@ -273,25 +273,27 @@ def _member_box(picked, box):
 def _box_weights(values, dropped, modulus, box, cols, cut, shapes):
     """(count, weights): the forms of one box, and those each entry of its gcd arrays stands for.
 
-    values, dropped and modulus are _member_box's; the box has a leading
-    member axis where dropped is an array.  shapes are those of the gcd
-    arrays, which read the axes where their broadcast is longer than 1.  A
-    residue r of a slot over d entries stands for ceil((d - r) / modulus)
-    of them, -((r - d) // modulus); only the slots that cut flags, those
-    some member's modulus shrinks, stand for more than one.  A read axis of
-    a cut slot adds that count as an int64 factor along it, its sign kept
-    as an int.  An unread axis adds the entries its range covers: its length
-    where uncut, d where its residues run in full, and else what d // modulus
-    and d % modulus count below its ends.  So no array is broadcast to the box.
+    values, dropped and modulus are _member_box's; a multi-member box has a
+    leading member axis, and its dropped array is the first factor.  shapes
+    are those of the gcd arrays, which read the axes where their broadcast
+    is longer than 1.  A residue r of a slot over d entries stands for
+    ceil((d - r) / modulus) of them, -((r - d) // modulus); only the slots
+    that cut flags, those some member's modulus shrinks, stand for more than
+    one.  A cut slot multiplies in that count: as an int where fixed, as an
+    int64 factor along its axis where read, its sign kept as an int, and
+    summed where unread; an unread uncut slot, its length.  No array is
+    broadcast to the box.  Only a single-member box of a block past _CHUNK
+    leaves a cut slot unread: a box of several members holds residue 0 of
+    every slot, where the top gcd is the modulus, so its top fold runs every
+    plan, which read every slot, and the modulus reads the member axis.
     weights is None where every entry of the gcd arrays stands for as many
     forms, else an int64 array that broadcasts to their shape.
     """
-    fixed, start, shape = box
+    fixed, _, shape = box
     lead = isinstance(dropped, np.ndarray)
     reads = [max(k) for k in zip(*shapes)] if shapes else [1] * (lead + len(shape))
     e = len(values) - len(cols)
-    factors = []
-    spread = 1
+    factors, spread = ([dropped], 1) if lead else ([], dropped)
     for s, (j, shrunk) in enumerate(zip(cols, cut)):
         r, d = values[e + s], values[j]
         a = lead + s - len(fixed)
@@ -303,26 +305,16 @@ def _box_weights(values, dropped, modulus, box, cols, cut, shapes):
                 spread = -spread
         elif not shrunk:
             spread *= shape[a - lead]
-        elif lead:
-            dropped = dropped * d
         else:
-            lo = start if a == 0 else 0
-            q, rem = divmod(d, modulus)
-            spread *= q * shape[a] + min(rem, lo + shape[a]) - min(rem, lo)
-    if not lead:
-        spread *= dropped
-        if not factors:
-            return spread * prod(reads), None
-        weights = reduce(mul, factors[1:], factors[0] * spread if spread != 1 else factors[0])
-    else:
-        weights = reduce(mul, factors, dropped * spread if spread != 1 else dropped)
-        if reads[0] == 1:
-            weights = weights.sum(axis=0, keepdims=True)
+            spread *= -int(((r - d) // modulus).sum())
+    if not factors:
+        return spread * prod(reads), None
+    weights = reduce(mul, factors[1:], factors[0] * spread if spread != 1 else factors[0])
     count = int(weights.sum()) * prod(k for k, w in zip(reads, weights.shape) if w == 1)
     return count, weights if shapes else None
 
 
-def _block_gcds(members, shape, ones, lower, top):
+def _block_gcds(members, shape, ones, lower, top, cols):
     """(count, weights, gvals) per box of one block, boxes of at most _CHUNK residue tuples.
 
     members are the rows (*diag, dropped, modulus) of the block's essential
@@ -335,11 +327,10 @@ def _block_gcds(members, shape, ones, lower, top):
     A lower order folds its principal minors first, as ints for one member,
     so an order where one of them is 1 builds no array.  The top order's
     principal minors have gcd g, so its other plans, top, fold from the
-    modulus.  count and weights are _box_weights'.  A block of modulus 1 has
-    gcd 1 at every order: one part, of ints.
+    modulus.  cols holds the column of each slot.  count and weights are
+    _box_weights'.  A block of modulus 1 has gcd 1 at every order: one part,
+    of ints.
     """
-    e = len(members[0]) - 2
-    cols = [j for _, j in _slots(e)]
     if prod(shape) == 1:
         count = sum(row[-2] * prod([row[j] for j in cols]) for row in members)
         yield count, None, [1] * (ones + len(lower) + (top is not None))
@@ -417,19 +408,18 @@ def _tally_cocyclic(parts):
 def _essential_plans(e, u, orders):
     """What the kernel runs at essential length e with u unit entries, for the minor orders orders.
 
-    Returns (ones, lower, plans, top, cols, weight, degree): the ones orders
-    up to u have gcd 1; lower holds the plans of each essential order below
-    the top one, top; plans, those of the top order without its comb(e, top)
-    principal minors, which open it, or None without an essential order;
-    cols, the column of each slot; weight and degree bound the minors as in
-    _pattern_plans.
+    Returns (ones, lower, top, cols, weight, degree): the ones orders up to
+    u have gcd 1; lower holds the plans of each essential order below the
+    top one; top, those of the top order without its comb(e, k) principal
+    minors, which open it, k being that order, or None without an essential
+    order; cols, the column of each slot; weight and degree bound the
+    minors as in _pattern_plans.
     """
     essential = tuple(k - u for k in orders if k > u)
     per_order, weight, degree = _pattern_plans(e, essential)
-    top = max(essential, default=0)
-    plans = per_order[-1][comb(e, top) :] if per_order else None
+    top = per_order[-1][comb(e, max(essential)) :] if per_order else None
     cols = tuple(j for _, j in _slots(e))
-    return sum(k <= u for k in orders), per_order[:-1], plans, top, cols, weight, degree
+    return sum(k <= u for k in orders), per_order[:-1], top, cols, weight, degree
 
 
 def _unit_forms(ess, u):
@@ -497,7 +487,7 @@ def _refuse(n, m, scope, jobs, budget, orders):
     of prime factors of m counted with multiplicity, or 0 alone at m = 1, so
     no essential diagonal is enumerated.  fac is factorize(m).
     """
-    _check_nm(n, m)
+    n, m = _check_nm(n, m)
     if not isinstance(jobs, int) or jobs < 1:
         raise ValueError(f"need an integer jobs >= 1, got {jobs!r}")
     where = f"{scope} n={n} m={m}"
@@ -548,9 +538,9 @@ def _bruteforce(n, m, scope, jobs, budget, orders, radical=False):
 
     def parts():
         for reduced, members in blocks.items():
-            ones, lower, top, _, cols = resolved[len(members[0]) - 2][:5]
+            ones, lower, top, cols = resolved[len(members[0]) - 2][:4]
             shape = tuple([reduced[j - 1] for j in cols])
-            yield from _block_gcds(members, shape, ones, lower, top)
+            yield from _block_gcds(members, shape, ones, lower, top, cols)
 
     return parts()
 
@@ -698,7 +688,7 @@ def _shortcut_disagreement(n: int, m: int, fac) -> str:
 
 def verify_index(n: int, m: int, *, jobs: int = 1, budget: int = DEFAULT_BUDGET) -> SectionReport:
     """Diff every formula against the brute force for one (n, m)."""
-    _check_nm(n, m)
+    n, m = _check_nm(n, m)
     # the oracle refuses an over-budget scope up front, before the formula census
     oracle = census_bruteforce(n, m, jobs=jobs, budget=budget)
     formula = class_census(n, m)
@@ -758,8 +748,7 @@ def verify_prime_powers(
     n: int, p: int, max_r: int, *, jobs: int = 1, budget: int = DEFAULT_BUDGET
 ) -> list[SectionReport]:
     """verify_index over p, p**2, ..., p**max_r, refused up front over budget."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    p = _check_prime(p)
     if max_r < 1:
         raise ValueError(f"need max_r >= 1, got {max_r}")
     return _verify_scopes([(n, p**r) for r in range(1, max_r + 1)], jobs, budget)

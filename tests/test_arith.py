@@ -220,6 +220,8 @@ def test_sigma1():
     assert sigma1(28) == 56
     for k in range(1, 200):
         assert sigma1(k) == sum(divisors(k))
+    with pytest.raises(ValueError, match="positive"):
+        sigma1(0)
 
 
 def test_sigma1_multiplicative():

@@ -300,8 +300,8 @@ def test_class_size_tests_no_prime_again(monkeypatch):
         calls.append(m)
         return real(m)
 
+    # every prime test of the package goes through arith.is_prime
     monkeypatch.setattr(arith, "is_prime", counting)
-    monkeypatch.setattr(census, "is_prime", counting)
     p = 10**12 + 39
     # the chain (1, 1, p) is every sublattice of prime index p
     assert class_size((1, 1, p)) == p**2 + p + 1
@@ -352,6 +352,8 @@ def test_cocyclic_prime_power():
         cocyclic_count_prime_power(2, 6, 1)
     with pytest.raises(ValueError):
         cocyclic_count_prime_power(0, 2, 1)
+    with pytest.raises(ValueError, match="r >= 0"):
+        cocyclic_count_prime_power(2, 3, -1)
 
 
 def test_cocyclic_count_general():

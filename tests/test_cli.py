@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -259,6 +260,12 @@ def test_poly_class_two_by_two(capsys):
     )
     assert code == 0
     assert out.strip() == "T^2 + T"
+
+
+def test_poly_class_partition_of_the_wrong_length(capsys):
+    code, out, err = run_cli(capsys, "poly", "class", "--n", "3", "--partition", "0,2")
+    assert code == 2 and out == ""
+    assert "exactly n=3 parts, got 2" in err
 
 
 def test_poly_fn_and_cocyclic(capsys):
@@ -573,6 +580,30 @@ def test_mismatch_exits_one_in_every_format(capsys, monkeypatch):
     assert code == 1 and out.endswith("\r\n2,2,2,1,false\r\n")
     code, out, _ = run_cli(capsys, *check, "json")
     assert code == 1 and json.loads(out)["payload"]["match"] is False
+
+
+def test_arithmetic_error_inside_a_command_exits_one(capsys, monkeypatch):
+    def broken(n, m):
+        raise ArithmeticError("lost exactness")
+
+    monkeypatch.setattr("sublattices.census.cocyclic_count", broken)
+    code, out, err = run_cli(capsys, "count", "cocyclic", "--n", "3", "--m", "12")
+    assert code == 1 and out == ""
+    assert err == "error: internal inconsistency: lost exactness\n"
+
+
+def test_enumerate_into_a_closed_pipe_exits_zero(capsys, monkeypatch):
+    # a reader that went away, as under `| head`: the rest of the stream is
+    # dropped, stdout is closed, and no traceback reaches stderr
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    pipe = ClosedPipe()
+    monkeypatch.setattr(sys, "stdout", pipe)
+    assert main(["enumerate", "--n", "3", "--m", "12"]) == 0
+    assert pipe.closed
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_csv(capsys):

@@ -110,6 +110,16 @@ def test_invariant_factors_singular():
         invariant_factors_via_minors([[2, 4], [1, 2]])
 
 
+def test_non_square_matrices_rejected():
+    for rows in ([[1, 2]], [[1, 0], [0]]):
+        with pytest.raises(ValueError, match="square"):
+            integer_det(rows)
+        with pytest.raises(ValueError, match="nonempty square"):
+            invariant_factors(rows)
+        with pytest.raises(ValueError, match="nonempty square"):
+            invariant_factors_via_minors(rows)
+
+
 def test_invariant_factors_exact_on_numpy_int64_entries():
     # elimination multiplies entries of this size past 2**63: NumPy entries
     # are made plain ints first, so the chain is the one of the plain rows

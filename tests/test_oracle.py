@@ -9,7 +9,7 @@ from math import gcd, prod
 import numpy as np
 import pytest
 
-from sublattices import arith, census, cli, forms, oracle
+from sublattices import arith, cli, forms, oracle
 from sublattices.census import class_census, cocyclic_count, sublattice_count
 from sublattices.enumeration import hnf_stream
 from sublattices.forms import (
@@ -53,6 +53,10 @@ def test_bruteforce_matches_formula():
         assert census_bruteforce(n, m).counts == class_census(n, m).counts, (n, m)
 
 
+# scopes whose blocks the chunk loops cut at several _CHUNK values
+CHUNK_SCOPES = ((3, 49), (3, 120), (4, 32), (5, 9), (4, 104), (3, 52))
+
+
 def test_bruteforce_methods_agree(monkeypatch):
     # the int64 kernel against both per-matrix classifiers over the Hermite stream
     for n, m in ((2, 36), (3, 16), (3, 24), (4, 16), (5, 4), (5, 8), (5, 9)):
@@ -91,7 +95,7 @@ def test_bruteforce_methods_agree(monkeypatch):
     monkeypatch.setattr(oracle, "_boxes", cut)
     monkeypatch.setattr(oracle, "_block_gcds", block_gcds)
     default_chunk = oracle._CHUNK
-    for n, m in ((3, 49), (3, 120), (4, 32), (5, 9), (4, 104), (3, 52)):
+    for n, m in CHUNK_SCOPES:
         want = class_census(n, m).counts
         want_cocyclic = cocyclic_count(n, m)
         # with no pattern inside the int64 bound both brute forces refuse the
@@ -117,6 +121,38 @@ def test_bruteforce_methods_agree(monkeypatch):
                     assert any(fixed and len(shape) > 1 for fixed, _, shape in boxes), (n, m)
                     if brute is census_bruteforce:
                         assert any(len(fixed) > 1 and len(shape) > 1 for fixed, _, shape in boxes)
+
+
+def test_box_weight_rule_premise(monkeypatch):
+    # _box_weights counts an unread slot's entries only for a single-member
+    # box: a multi-member box ranges every slot from residue 0, so its top
+    # gcd is the modulus at the all-zero tuple, its top fold runs every plan,
+    # and its gcd arrays read the member axis and every cut slot.  A
+    # single-member box cut from a block past _CHUNK can leave a cut slot
+    # unread, and those boxes must still occur for the rule to be exercised
+    real = oracle._box_weights
+    multi = []
+    unread = []
+
+    def box_weights(values, dropped, modulus, box, cols, cut, shapes):
+        fixed, _, shape = box
+        if isinstance(dropped, np.ndarray):
+            reads = [max(k) for k in zip(*shapes)]
+            multi.append(reads[0] > 1 and all(reads[1 + s] > 1 for s, c in enumerate(cut) if c))
+        else:
+            reads = [max(k) for k in zip(*shapes)] if shapes else [1] * len(shape)
+            skipped = range(len(fixed), len(cut))
+            unread.append(any(cut[s] and reads[s - len(fixed)] == 1 for s in skipped))
+        return real(values, dropped, modulus, box, cols, cut, shapes)
+
+    monkeypatch.setattr(oracle, "_box_weights", box_weights)
+    for chunk in (1, 7, 1000, oracle._CHUNK):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        for n, m in CHUNK_SCOPES:
+            assert census_bruteforce(n, m).counts == class_census(n, m).counts, (n, m, chunk)
+            assert cocyclic_bruteforce(n, m) == cocyclic_count(n, m), (n, m, chunk)
+    assert multi and all(multi)
+    assert any(unread)
 
 
 def test_boxes_do_not_list_the_leading_ranges():
@@ -473,8 +509,8 @@ def test_verify_index_tests_primality_a_bounded_number_of_times(monkeypatch):
         calls.append(m)
         return real(m)
 
-    for module in (arith, census, oracle):
-        monkeypatch.setattr(module, "is_prime", counting)
+    # every prime test of the package goes through arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", counting)
     section = verify_index(2, 10007)
     assert section.ok
     assert "smith_shortcut_agreement" in [c.name for c in section.checks]

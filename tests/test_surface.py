@@ -1,13 +1,20 @@
-"""Production code keeps only what production calls.
+"""The package's surface.
 
-Every top-level function or class in src/sublattices is either used somewhere
-in src/ outside its own body or exported through the package's _SOURCES
-table.  A helper that only tests call belongs in the tests.
+Production code keeps only what production calls: every top-level function or
+class in src/sublattices is either used somewhere in src/ outside its own body
+or exported through the package's _SOURCES table.  A helper that only tests
+call belongs in the tests.  The public names resolve lazily from their
+submodules, and take integers only: a NumPy integer scalar stays exact, and
+anything else raises TypeError instead of being truncated.
 """
 
 import ast
+from importlib import import_module
 from pathlib import Path
 
+import pytest
+
+import sublattices
 from sublattices import _SOURCES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -62,3 +69,57 @@ def test_every_allowlist_entry_has_a_keeper():
     # an entry whose keeper no longer names it is stale: delete the definition
     for name, (keeper, _) in ALLOWED.items():
         assert name in (ROOT / keeper).read_text(encoding="utf-8"), (name, keeper)
+
+
+def test_public_names_resolve_lazily_from_their_submodules():
+    for name, module in _SOURCES.items():
+        want = getattr(import_module(f"sublattices.{module}"), name)
+        assert sublattices.__getattr__(name) is want, name
+        assert getattr(sublattices, name) is want, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sublattices.__getattr__("no_such_name")
+    with pytest.raises(AttributeError):
+        sublattices.no_such_name
+    assert sublattices.__dir__() == sublattices.__all__
+    assert dir(sublattices) == sorted(sublattices.__all__)
+
+
+# a public function and arguments with one number that is not an integer
+NON_INTEGRAL = [
+    ("is_prime", (7.5,)),
+    ("factorize", (12.5,)),
+    ("partitions", (2, 1.5)),
+    ("class_size", ([1, 2.5],)),
+    ("validate_chain", ([1, 2.5],)),
+    ("class_size_prime", ((0, 1.5), 2)),
+    ("class_size_poly", ((0, 1.5),)),
+    ("invariant_factors", ([[2.5, 0], [0, 1]],)),
+    ("integer_det", ([[2.5]],)),
+    ("minor_gcd", ([[2.5, 1]], 1)),
+    ("validate_hnf", ([[2.7, 1], [0, 3]],)),
+    ("cocyclic_count", (3, 10.5)),
+    ("cocyclic_count_prime_power", (3, 2, 1.5)),
+    ("sublattice_count", (2.0, 4)),
+    ("hnf_stream", (2, 4.0)),
+    ("ord_p", (2.0, 8)),
+]
+
+
+@pytest.mark.parametrize("name, args", NON_INTEGRAL, ids=[name for name, _ in NON_INTEGRAL])
+def test_non_integral_numbers_are_refused(name, args):
+    call = getattr(sublattices, name)
+    with pytest.raises(TypeError):
+        # partitions is a generator: its checks run at the first step
+        list(call(*args)) if name == "partitions" else call(*args)
+
+
+def test_numpy_integer_scalars_stay_exact():
+    np = pytest.importorskip("numpy")
+    big = 2**40
+    assert sublattices.factorize(np.int64(big * 3)) == [(2, 40), (3, 1)]
+    assert sublattices.cocyclic_count(np.int64(3), np.int64(big)) == sublattices.cocyclic_count(3, big)
+    assert sublattices.class_size([np.int64(1), np.int64(big)]) == sublattices.class_size([1, big])
+    assert sublattices.integer_det([[np.int64(big), 1], [0, np.int64(big)]]) == big**2
+    rows = [[np.int64(big), np.int64(big - 1)], [0, np.int64(big)]]
+    assert sublattices.minor_gcd(rows, 2) == big**2
+    assert sublattices.validate_hnf(rows).det() == big**2
