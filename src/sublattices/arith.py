@@ -193,7 +193,7 @@ def _check_nm(n: int, m: int) -> tuple[int, int]:
 
 def ord_p(p: int, m: int) -> int | float:
     """Largest t with p**t dividing m; INFINITY when m is 0."""
-    return _valuation(_check_prime(p), m)
+    return _valuation(_check_prime(p), index(m))
 
 
 def _valuation(p: int, m: int) -> int | float:

@@ -51,6 +51,7 @@ def sublattice_count_prime_power(n: int, p: int, r: int) -> int:
     does not grow with r beyond the size of the answer.  p is not tested for
     primality (sublattice_count passes the primes of factorize).
     """
+    n, p, r = index(n), index(p), index(r)
     if n < 1 or r < 0 or p < 2:
         raise ValueError(f"need n >= 1, r >= 0 and a prime p, got n={n} r={r} p={p}")
     return _gauss(n - 1 + r, min(n - 1, r), p)
@@ -105,7 +106,7 @@ def class_size_prime(exponents: Sequence[int], p: int) -> int:
 
 def class_size_2x2(t: int, r: int, p: int) -> int:
     """Closed-form size of the class (p**t, p**(r-t)) in dimension 2."""
-    p = _check_prime(p)
+    p, t, r = _check_prime(p), index(t), index(r)
     if t < 0 or 2 * t > r:
         raise ValueError(f"need 0 <= 2t <= r, got t={t} r={r}")
     if 2 * t == r:
@@ -156,6 +157,7 @@ def cocyclic_count_upto(n: int, limit: int) -> int:
     The distinct primes of each index come from a segmented sieve instead of
     factorizing every index, in memory that does not grow with limit.
     """
+    n, limit = index(n), index(limit)
     if n < 1 or limit < 1:
         raise ValueError(f"need n >= 1 and limit >= 1, got n={n} limit={limit}")
     total = 0

@@ -47,12 +47,12 @@ runs in one process: inside the default budget a worker pool gained at most
 1.2x and nearly doubled peak memory, so jobs is checked and selects nothing.
 
 verify_index also checks the 2x2/3x3 Smith shortcuts at every prime-power
-index, per diagonal, on boxes that range every slot's entries, not
-residues.  NumPy
-valuations, capped at the index's exponent, go through
-forms._smith_closed_form: strided increments along a slot's range, and
-repeated % p only on h12*h23 - d2*h13.  The exponents must match the
-kernel's minor gcds.  No per-form loop and no reduction
+index, per diagonal, on boxes that range each slot's residues modulo m /
+lcm(diag), the census's modulus for the same orders: the shortcut
+exponents are fixed by the entries modulo it, as the minor gcds are.  NumPy
+valuations of the box's own value arrays, capped at the index's exponent,
+go through forms._smith_closed_form, and the exponents must match the
+minor gcds of the full n x n plans.  No per-form loop and no reduction
 (forms.invariant_factors) runs in verify.  A verify run returns plain
 records (VerifyReport, SectionReport, ClassRow, Check); the CLI renders them
 as JSON, plain lines or csv.
@@ -222,31 +222,20 @@ def _boxes(sizes, chunk):
             yield fixed, start, (min(step, sizes[t] - start), *sizes[t + 1 :])
 
 
-def _box_axes(diag, box):
-    """(range, shape) per ranged or trailing slot of one box, in slot order.
-
-    Each slot's values are a range of step 1 laid along its own axis of the
-    box: reshaped to shape, of the box's rank, they broadcast against every
-    other slot, and so does every expression in them.
-    """
-    fixed, start, shape = box
-    e = len(diag)
-    for axis in range(e * (e - 1) // 2 - len(fixed)):
-        first = start if axis == 0 else 0
-        axes = (1,) * axis + (-1,) + (1,) * (len(shape) - 1 - axis)
-        yield range(first, first + shape[axis]), axes
-
-
 def _box_values(diag, box):
     """The variables of one box: the diagonal diag, then each slot of _slots(len(diag)).
 
-    A fixed slot is an int; a ranged or trailing slot is an arange along its
-    own axis of the box (_box_axes), so an expression broadcasts over only
-    the slots it reads.
+    A fixed slot is an int; a ranged or trailing slot is a range of step 1
+    laid along its own axis of the box, an arange of the box's rank, so it
+    broadcasts against every other slot, and an expression broadcasts over
+    only the slots it reads.
     """
-    values = [*diag, *box[0]]
-    for rng, shape in _box_axes(diag, box):
-        values.append(np.arange(rng.start, rng.stop, dtype=np.int64).reshape(shape))
+    fixed, start, shape = box
+    values = [*diag, *fixed]
+    for axis, size in enumerate(shape):
+        first = start if axis == 0 else 0
+        axes = (1,) * axis + (-1,) + (1,) * (len(shape) - 1 - axis)
+        values.append(np.arange(first, first + size, dtype=np.int64).reshape(axes))
     return values
 
 
@@ -258,15 +247,15 @@ def _member_box(picked, box):
     member takes _box_values, with its dropped count and modulus as ints.
     Several members range every slot in full behind a leading member axis:
     one array of their rows gives their diagonal entries, dropped counts and
-    moduli as (B, 1, ...) columns.
+    moduli as (B, 1, ...) columns, and _box_values, with no diagonal and no
+    fixed slot, gives the slot arrays.
     """
     if len(picked) == 1:
         *diag, dropped, modulus = picked[0]
         return _box_values(diag, box), dropped, modulus
     lead = (len(picked),) + (1,) * len(box[2])
     *values, dropped, modulus = np.array(picked, dtype=np.int64).T.reshape((-1, *lead))
-    for rng, shape in _box_axes(picked[0][:-2], box):
-        values.append(np.arange(rng.start, rng.stop, dtype=np.int64).reshape((1, *shape)))
+    values += [x[np.newaxis] for x in _box_values((), box)]
     return values, dropped, modulus
 
 
@@ -478,14 +467,15 @@ def _essential_diagonals(m, n, fac):
 
 
 def _refuse(n, m, scope, jobs, budget, orders):
-    """Validate a brute-force call and refuse it before any work: (fac, plans per length e).
+    """Validate a brute-force call and refuse it before any work: (n, m, fac, plans per length e).
 
     Raises BudgetExceededError over budget matrices, at 2**63 forms or more,
     which the int64 tally cannot hold, or where the minor bound weight *
     m**degree of an essential plan reaches _INT64_SAFE.  The essential
     lengths that occur are 1 to min(n, Omega(m)), with Omega(m) the number
     of prime factors of m counted with multiplicity, or 0 alone at m = 1, so
-    no essential diagonal is enumerated.  fac is factorize(m).
+    no essential diagonal is enumerated.  n and m come back as the plain ints
+    of _check_nm, and fac is factorize(m).
     """
     n, m = _check_nm(n, m)
     if not isinstance(jobs, int) or jobs < 1:
@@ -507,11 +497,11 @@ def _refuse(n, m, scope, jobs, budget, orders):
         bound = weight * m**degree
         if bound >= _INT64_SAFE:
             raise BudgetExceededError(bound, _INT64_SAFE, f"{where} on int64", unit="minor bound")
-    return fac, resolved
+    return n, m, fac, resolved
 
 
 def _bruteforce(n, m, scope, jobs, budget, orders, radical=False):
-    """Shared entry: refuse up front (_refuse), then (count, weights, gvals) per box.
+    """Refuse up front (_refuse), then return (n, m, parts): (count, weights, gvals) per box.
 
     With u unit diagonal entries, the order-k gcd is 1 for k <= u and the
     essential order-(k - u) gcd above that.  orders run up to n - 1, so the
@@ -528,7 +518,7 @@ def _bruteforce(n, m, scope, jobs, budget, orders, radical=False):
     number, e - 1, fixes e, since e = 0 only at m = 1.  jobs must be an
     integer of at least 1 and selects nothing.
     """
-    fac, resolved = _refuse(n, m, scope, jobs, budget, orders)
+    n, m, fac, resolved = _refuse(n, m, scope, jobs, budget, orders)
     rad = prod(p for p, _ in fac) if radical else 0  # gcd(g, 0) is g
     blocks: dict[tuple, list] = {}
     for ess, dropped in _essential_diagonals(m, n, fac):
@@ -542,7 +532,7 @@ def _bruteforce(n, m, scope, jobs, budget, orders, radical=False):
             shape = tuple([reduced[j - 1] for j in cols])
             yield from _block_gcds(members, shape, ones, lower, top, cols)
 
-    return parts()
+    return n, m, parts()
 
 
 def census_bruteforce(
@@ -555,7 +545,7 @@ def census_bruteforce(
     BudgetExceededError, before any work, over budget matrices, at 2**63
     forms or more, or where a minor could leave int64.
     """
-    parts = _bruteforce(n, m, "census", jobs, budget, tuple(range(1, n)))
+    n, m, parts = _bruteforce(n, m, "census", jobs, budget, tuple(range(1, n)))
     return CensusTable(n, m, _tally_chains(n, m, parts))
 
 
@@ -566,7 +556,8 @@ def cocyclic_bruteforce(n: int, m: int, *, jobs: int = 1, budget: int = DEFAULT_
     factor chain is (1, ..., 1, m), so the slots run modulo a radical.
     Refused like census_bruteforce.
     """
-    return _tally_cocyclic(_bruteforce(n, m, "cocyclic", jobs, budget, (n - 1,), radical=True))
+    _, _, parts = _bruteforce(n, m, "cocyclic", jobs, budget, (n - 1,), radical=True)
+    return _tally_cocyclic(parts)
 
 
 class Check(NamedTuple):
@@ -612,23 +603,11 @@ class VerifyReport(NamedTuple):
 
 
 def _valuations(p, x, cap):
-    """p-adic valuation, capped at cap, of an int, of each entry of an int64 array or of a range.
+    """p-adic valuation, capped at cap, of an int or of each entry of an int64 array.
 
-    A range of step 1 needs no division: p**k divides every p**k-th value from
-    the first one it divides, so each k adds 1 along one strided slice.
-    Anything else takes repeated % p: after the first pass over every entry,
-    each pass reads only the quotients that p divided in the last.
+    Repeated % p: after the first pass over every entry, each pass reads
+    only the quotients that p divided in the last.
     """
-    if isinstance(x, range):
-        v = np.zeros(len(x), dtype=np.int64)
-        q = p
-        for _ in range(cap):
-            first = -x.start % q
-            if first >= len(x):
-                break
-            v[first::q] += 1
-            q *= p
-        return v
     x = np.asarray(x, dtype=np.int64)
     v = np.zeros(x.size, dtype=np.int64)
     live = np.arange(x.size)
@@ -650,27 +629,34 @@ def _shortcut_disagreement(n: int, m: int, fac) -> str:
     """The first index-m form whose Smith shortcut disagrees with its minor gcds, or ''.
 
     n is 2 or 3 and m = p**r has at most one prime, factored as fac.  Per
-    diagonal, in hnf_stream order, the kernel's boxes range every slot.  The
-    shortcut exponents come from _smith_closed_form on NumPy valuations; the
-    reference is the gcd D_k of the k x k minors, from the kernel's plans, and
-    neither route reads the other.  n = 3 needs p**s == D1 and p**t ==
-    D2, n = 2 needs p**t == D1.  Entries and h12*h23 - d2*h13 stay below m in
-    absolute value, so int64 is exact wherever the census ran.
+    diagonal diag, in hnf_stream order, the boxes range each slot over its
+    residues modulo g = m / lcm(diag), the gcd of the principal minors of
+    order n - 1, as in the census.  The shortcut exponents come from
+    _smith_closed_form on NumPy valuations; the reference is the gcd D_k of
+    the k x k minors, from the full plans of _pattern_plans, and neither
+    route reads the other.  n = 3 needs p**s == D1 and p**t == D2, n = 2
+    needs p**t == D1.  Residues suffice: D_k is fixed by the entries modulo
+    g, and with a = v_p(g), s and t are at most a, so every valuation counts
+    only up to a, and min(v_p(x), a) stays put when x, or h12*h23 - d2*h13,
+    moves by a multiple of g.  Reducing the first disagreeing form's entries
+    modulo g gives a residue tuple that disagrees too and comes no later.
+    Entries and h12*h23 - d2*h13 stay below m in absolute value, so int64 is
+    exact wherever the census ran.
     """
     p, r = fac[0] if fac else (2, 0)  # m = 1: every exponent is 0, whatever the prime
     slots = _slots(n)
     per_order = _pattern_plans(n, tuple(range(1, n)))[0]
     for diag in divisor_compositions(m, n):
         exps = tuple(_valuation(p, d) for d in diag)
-        for box in _boxes([diag[j] for _, j in slots], _CHUNK):
+        g = m // lcm(*diag)
+        for box in _boxes([min(diag[j], g) for _, j in slots], _CHUNK):
             values = _box_values(diag, box)
-            fixed, start, shape = box
-            o = [_valuations(p, x, r) for x in fixed]
-            o += [_valuations(p, rng, r).reshape(ax) for rng, ax in _box_axes(diag, box)]
+            o = [_valuations(p, x, r) for x in values[n:]]
             if n == 3:
                 h12, h13, h23 = values[n:]
                 o.append(_valuations(p, h12 * h23 - diag[1] * h13, r))
             got = _smith_closed_form(_least, exps, o)
+            fixed, start, shape = box
             bad = np.zeros(shape, dtype=bool)
             for e, plans in zip(got if n == 3 else (got,), per_order):
                 bad |= p**e != _fold(plans, values)

@@ -275,8 +275,8 @@ def test_refusal_checks_walk_no_essential_diagonal(monkeypatch):
 
     monkeypatch.setattr(oracle, "_essential_diagonals", walk)
     for n, m in ((1, 1), (3, 1), (1, 12), (3, 768), (4, 104), (6, 64), (5, 30)):
-        fac, resolved = oracle._refuse(n, m, "census", 1, 10**18, tuple(range(1, n)))
-        assert fac == arith.factorize(m) and walked == []
+        *nm, fac, resolved = oracle._refuse(n, m, "census", 1, 10**18, tuple(range(1, n)))
+        assert nm == [n, m] and fac == arith.factorize(m) and walked == []
         assert sorted(resolved) == sorted({len(ess) for ess, _ in real(m, n, fac)}), (n, m)
     with monkeypatch.context() as mp:
         mp.setattr(oracle, "_INT64_SAFE", 0)
@@ -551,26 +551,46 @@ def test_shortcut_check_agrees_with_the_per_form_loop():
 
 
 def test_shortcut_check_names_the_first_disagreement_of_the_per_form_loop(monkeypatch):
-    # the same mutant on both routes: every valuation, capped at r, one short
-    # down to 0; the array check must name the form the per-form loop names
-    real_valuations = oracle._valuations
-    monkeypatch.setattr(
-        oracle, "_valuations", lambda p, x, cap: np.maximum(real_valuations(p, x, cap) - 1, 0)
-    )
-    real_diag = forms._prime_power_diag
+    # the same mutant on both routes, a function of (exps, s, t) and so fixed
+    # by the entries modulo g like the true shortcut: t one too high where t
+    # == 0 < min(r) at n = 2, and where t == s + 1 at n = 3; the residue check
+    # must name the form the per-form loop names
+    real = forms._smith_closed_form
 
-    def short_diag(diag):
-        exps, m, logs = real_diag(diag)
-        return exps, m, {q: max(k - 1, 0) for q, k in logs.items()}
+    def mutant(least, r, o):
+        got = real(least, r, o)
+        if len(r) == 2:
+            return got + (got == 0) * (min(r) > 0)
+        s, t = got
+        return s, t + (t == s + 1)
 
-    monkeypatch.setattr(forms, "_prime_power_diag", short_diag)
+    monkeypatch.setattr(forms, "_smith_closed_form", mutant)
+    monkeypatch.setattr(oracle, "_smith_closed_form", mutant)
     for n, m, first in (
-        (2, 27, "disagreement at ((3, 3), (0, 9))"),
-        (3, 8, "disagreement at ((1, 0, 0), (0, 2, 2), (0, 0, 4))"),
+        (2, 27, "disagreement at ((3, 1), (0, 9))"),
+        (3, 8, "disagreement at ((1, 0, 0), (0, 2, 0), (0, 0, 4))"),
     ):
         check = _shortcut_check(n, m)
         assert not check.ok
         assert check.detail == _per_form_shortcut_detail(n, m) == first, (n, m)
+
+
+def test_shortcut_check_ranges_residues(monkeypatch):
+    # each slot of a diagonal diag ranges min(d, m / lcm(diag)) residues, so
+    # the check reads far fewer positions than the forms it stands for
+    real = oracle._smith_closed_form
+    positions = []
+
+    def spy(least, r, o):
+        positions.append(np.broadcast(*[np.asarray(x) for x in o]).size)
+        return real(least, r, o)
+
+    monkeypatch.setattr(oracle, "_smith_closed_form", spy)
+    for n, m, want, forms_at in ((3, 2**10, 101_247, 2_794_155), (2, 2**20, 3_070, 2_097_151)):
+        positions.clear()
+        assert oracle._shortcut_disagreement(n, m, arith.factorize(m)) == ""
+        assert sum(positions) == want, (n, m)
+        assert sublattice_count(n, m) == forms_at, (n, m)
 
 
 def test_verify_index_runs_no_per_form_reduction(monkeypatch):
@@ -583,17 +603,6 @@ def test_verify_index_runs_no_per_form_reduction(monkeypatch):
     assert not hasattr(oracle, "invariant_factors")
     for n, m in ((2, 27), (3, 8), (3, 64), (2, 1)):
         assert _shortcut_check(n, m).ok, (n, m)
-
-
-def test_range_valuations_match_the_elementwise_pass():
-    # the strided increments of a range against repeated % p on its arange,
-    # 0 included (capped like any multiple of every power)
-    for p in (2, 3, 5, 7):
-        for start, stop in ((0, 1), (0, 200), (5, 6), (17, 400), (p**3, p**3 + 2)):
-            for cap in (0, 1, 3, 9):
-                got = oracle._valuations(p, range(start, stop), cap)
-                want = oracle._valuations(p, np.arange(start, stop, dtype=np.int64), cap)
-                assert got.tolist() == want.tolist(), (p, start, stop, cap)
 
 
 def test_shortcut_check_has_no_form_cap():

@@ -102,10 +102,24 @@ NON_INTEGRAL = [
     ("sublattice_count", (2.0, 4)),
     ("hnf_stream", (2, 4.0)),
     ("ord_p", (2.0, 8)),
+    ("ord_p", (2, 8.0)),
+    ("cocyclic_count_upto", (3.0, 10)),
+    ("class_size_2x2", (0.5, 3, 2)),
+    ("sublattice_count_prime_power", (2, 2.5, 2)),
 ]
 
 
-@pytest.mark.parametrize("name, args", NON_INTEGRAL, ids=[name for name, _ in NON_INTEGRAL])
+def _case_ids(cases):
+    """The function's name per case, numbered from its second case on."""
+    seen: dict[str, int] = {}
+    ids = []
+    for name, _ in cases:
+        seen[name] = seen.get(name, 0) + 1
+        ids.append(name if seen[name] == 1 else f"{name}-{seen[name]}")
+    return ids
+
+
+@pytest.mark.parametrize("name, args", NON_INTEGRAL, ids=_case_ids(NON_INTEGRAL))
 def test_non_integral_numbers_are_refused(name, args):
     call = getattr(sublattices, name)
     with pytest.raises(TypeError):
@@ -123,3 +137,8 @@ def test_numpy_integer_scalars_stay_exact():
     rows = [[np.int64(big), np.int64(big - 1)], [0, np.int64(big)]]
     assert sublattices.minor_gcd(rows, 2) == big**2
     assert sublattices.validate_hnf(rows).det() == big**2
+    upto = sublattices.cocyclic_count_upto(np.int64(3), np.int64(10))
+    assert type(upto) is int and upto == sublattices.cocyclic_count_upto(3, 10)
+    table = sublattices.census_bruteforce(np.int64(3), np.int64(12))
+    assert type(table.n) is int and type(table.m) is int
+    assert table == sublattices.census_bruteforce(3, 12)
