@@ -4,6 +4,10 @@ Subcommands: count (closed-form counts), enumerate (stream Hermite forms as
 JSON lines), poly (polynomial-in-the-prime answers), verify (diff formulas
 against the brute-force oracle).  Structured output goes to stdout; timing and
 warnings go to stderr so reports stay byte-stable across runs and --jobs values.
+enumerate --with-snf takes every chain from forms._hnf_chain: the closed form
+per prime of the index at n = 2, 3, elimination at every other n.  Answers
+are printed in full, past Python's default int-to-str digit limit, which
+still applies to parsing argv.
 
 Exit codes: 0 success, 1 verification mismatch or internal inconsistency,
 2 invalid input, 3 work would exceed the budget (matrices, indices for
@@ -182,34 +186,6 @@ def _cmd_count_cumulative(args) -> int:
 _BATCH = 256  # enumerate lines per write
 
 
-def _snf_renderer(n: int, m: int):
-    """The function giving a form's invariant factor chain as enumerate's "snf" string.
-
-    At n = 2, 3 and a prime power m > 1, m is factored once here and each
-    chain comes from the closed forms in the valuations of the entries;
-    everywhere else from elimination.
-    """
-    from .forms import hnf2_smith_exponent, hnf3_smith_exponents, invariant_factors
-
-    primes = factorize(m)
-    if n not in (2, 3) or len(primes) != 1:
-        return lambda h: ",".join(map(str, invariant_factors(h.rows)))
-    (p, r), = primes
-    power = [str(p**k) for k in range(r + 1)]
-    if n == 2:
-        def snf2(h) -> str:
-            t = hnf2_smith_exponent(h)
-            return f"{power[t]},{power[r - t]}"
-
-        return snf2
-
-    def snf3(h) -> str:
-        s, t = hnf3_smith_exponents(h)
-        return f"{power[s]},{power[t - s]},{power[r - t]}"
-
-    return snf3
-
-
 def _cmd_enumerate(args) -> int:
     from .census import sublattice_count
 
@@ -225,9 +201,11 @@ def _cmd_enumerate(args) -> int:
     head = f'{{"kind":"hnf","m":{args.m},"n":{args.n},"rows":'
     tail = f',"schema_version":"{SCHEMA_VERSION}"'
     if args.with_snf:
-        snf = _snf_renderer(args.n, args.m)
+        from .forms import _hnf_chain
+
         lines = (
-            f'{head}{str([*map(list, h.rows)]).replace(" ", "")}{tail},"snf":"{snf(h)}"}}\n'
+            f'{head}{str([*map(list, h.rows)]).replace(" ", "")}{tail},'
+            f'"snf":"{",".join(map(str, _hnf_chain(h.rows)))}"}}\n'
             for h in forms
         )
     else:
@@ -500,6 +478,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # argv is parsed under Python's int-to-str digit limit; an answer may run past it
+    lift = getattr(sys, "set_int_max_str_digits", None)
+    if lift:
+        limit = sys.get_int_max_str_digits()
+        lift(0)
     try:
         return args.func(args)
     except BrokenPipeError:
@@ -517,6 +500,9 @@ def main(argv=None) -> int:
     except (AssertionError, ArithmeticError) as exc:
         print(f"error: internal inconsistency: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if lift:
+            lift(limit)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Hermite-form matrices and Smith invariant factors, by several independent routes.
 
-Three routes to the invariant factors, none calling another:
+Three routes to the invariant factors; at n = 2, 3 none calls another:
 
 - invariant_factors: extended-gcd elimination to a diagonal, then a pairwise
   gcd/lcm pass over it (Kannan & Bachem 1979; Cohen, *A Course in
@@ -12,15 +12,14 @@ Three routes to the invariant factors, none calling another:
   xgcd is math.gcd plus a modular inverse by pow, with no Python loop.
 - invariant_factors_via_minors: successive quotients of the gcds of k x k
   minors.
-- hnf2_smith_exponent / hnf3_smith_exponents: closed forms in the p-adic
-  valuations of the entries of a prime-power Hermite form.  The prime,
+- _hnf_chain: at n = 2, 3, closed forms in the p-adic valuations of the
+  entries, once per prime p of the determinant p**r * ...  The primes,
   exponents and powers of each diagonal come from a memo of at most
-  _DIAG_MEMO diagonals, so the index is factored once per diagonal, not once
-  per form, and a valuation capped at the index's exponent is one gcd with
-  the index.  enumerate --with-snf takes its chains from them at n = 2, 3
-  and a prime-power index.  The closed form itself, _smith_closed_form,
-  takes ints or arrays: the oracle's verify evaluates it on whole boxes of
-  forms, against minor gcds.
+  _DIAG_MEMO diagonals, so a stream is factored once per diagonal, and a
+  valuation at p capped at r is one gcd with p**r.  enumerate --with-snf
+  takes every chain from it; hnf2_smith_exponent / hnf3_smith_exponents
+  are its prime-power views.  The closed form, _smith_closed_form, takes
+  ints or arrays: verify evaluates it on whole boxes of forms, per prime.
 
 Matrix entries go through operator.index: a NumPy integer scalar is exact and
 a float raises TypeError.  The module imports neither NumPy nor dataclasses:
@@ -35,7 +34,7 @@ from math import gcd, prod
 from operator import index, mod
 from typing import NamedTuple, Sequence
 
-from .arith import factorize
+from .arith import _valuation, factorize
 
 
 class HnfError(ValueError):
@@ -263,35 +262,21 @@ def invariant_factors_via_minors(rows: Sequence[Sequence[int]]) -> tuple[int, ..
     return tuple(out)
 
 
-_DIAG_MEMO = 4096  # most diagonals whose exponents and powers the shortcuts keep
+_DIAG_MEMO = 4096  # most diagonals whose primes, exponents and powers the shortcuts keep
 
 
 @lru_cache(maxsize=_DIAG_MEMO)
-def _prime_power_diag(diag: tuple[int, ...]) -> tuple[tuple[int, ...], int, dict[int, int]]:
-    """(exponents, index, logs) for a diagonal of powers of one prime p.
+def _diag_primes(diag: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...], int, dict], ...]:
+    """(p, exponents, p**r, logs) per prime p of the diagonal, increasing; none for ones.
 
-    logs maps p**k to k for k up to the exponent r of the index, so the
-    valuation of an entry x, capped at r, is logs[gcd(x, index)].  A diagonal
-    of ones has index 1 and logs {1: 0}.
+    logs maps p**k to k up to r, so an entry's valuation at p, capped at r,
+    is logs[gcd(x, p**r)].
     """
-    p = 1
-    exps = []
-    for v in diag:
-        if v == 1:
-            exps.append(0)
-            continue
-        if p == 1:
-            p = factorize(v)[0][0]
-        e = 0
-        w = v
-        while w % p == 0:
-            w //= p
-            e += 1
-        if w != 1:
-            raise ValueError(f"diagonal entry {v} is not a power of a single common prime")
-        exps.append(e)
-    r = sum(exps)
-    return tuple(exps), p**r, {p**k: k for k in range(r + 1)}
+    out = []
+    for p in sorted({p for d in diag for p, _ in factorize(d)}):
+        exps = tuple(_valuation(p, d) for d in diag)
+        out.append((p, exps, p ** sum(exps), {p**k: k for k in range(sum(exps) + 1)}))
+    return tuple(out)
 
 
 def _smith_closed_form(least, r, o):
@@ -303,7 +288,9 @@ def _smith_closed_form(least, r, o):
     interaction the pairwise valuations miss; the result (s, t) gives
     (p**s, p**(t-s), p**(r1+r2+r3-t)).  least is min for ints, or an
     elementwise minimum of its arguments for arrays.  Both minima stay at or
-    below r1+r2+r3, so valuations capped there give the same result.
+    below r1+r2+r3 less its largest term, so valuations capped there give the
+    same result.  At any index they give the p-parts of the factors: scaling
+    a row or column by a p-adic unit moves no valuation at p.
     """
     if len(r) == 2:
         return least(r[0], r[1], o[0])
@@ -314,24 +301,55 @@ def _smith_closed_form(least, r, o):
     return s, t
 
 
+def _valuation_args(rows):
+    """(diagonal, entries whose valuations the closed form reads) of a 2 x 2 or 3 x 3 Hermite form."""
+    if len(rows) == 2:
+        (d1, h12), (_, d2) = rows
+        return (d1, d2), (h12,)
+    (d1, h12, h13), (_, d2, h23), (_, _, d3) = rows
+    return (d1, d2, d3), (h12, h13, h23, h12 * h23 - d2 * h13)
+
+
+def _hnf_chain(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Invariant factor chain of a Hermite form; at n = 2, 3 from the closed form per prime.
+
+    The p-parts p**t of D1 (n = 2), or p**s of D1 and p**t of D2 (n = 3), D_k
+    the gcd of the k x k minors, give the chain as successive quotients.
+    """
+    n = len(rows)
+    if n not in (2, 3):
+        return invariant_factors(rows)
+    diag, entries = _valuation_args(rows)
+    d1 = d2 = det = 1
+    for p, exps, q, logs in _diag_primes(diag):
+        got = _smith_closed_form(min, exps, [logs[gcd(x, q)] for x in entries])
+        det *= q
+        if n == 2:
+            d1 *= p**got
+        else:
+            d1 *= p ** got[0]
+            d2 *= p ** got[1]
+    return (d1, det // d1) if n == 2 else (d1, d2 // d1, det // d2)
+
+
+def _single_prime(h: HnfMatrix, n: int):
+    """The closed form of an n x n Hermite form whose diagonal holds one prime at most."""
+    if h.n != n:
+        raise ValueError(f"need a {n} x {n} matrix, got n={h.n}")
+    diag, entries = _valuation_args(h.rows)
+    primes = _diag_primes(diag)
+    if len(primes) > 1:
+        raise ValueError(f"diagonal {diag} is not a power of a single common prime")
+    # a diagonal of ones reads every valuation as 0
+    _, exps, q, logs = primes[0] if primes else (1, (0,) * n, 1, {1: 0})
+    return _smith_closed_form(min, exps, [logs[gcd(x, q)] for x in entries])
+
+
 def hnf2_smith_exponent(h: HnfMatrix) -> int:
     """Exponent t with invariant factors (p**t, p**(r-t)) for a 2 x 2 prime-power HNF matrix."""
-    try:
-        (d1, h12), (_, d2) = h.rows
-    except ValueError:
-        raise ValueError(f"need a 2 x 2 matrix, got n={h.n}") from None
-    exps, m, logs = _prime_power_diag((d1, d2))
-    return _smith_closed_form(min, exps, (logs[gcd(h12, m)],))
+    return _single_prime(h, 2)
 
 
 def hnf3_smith_exponents(h: HnfMatrix) -> tuple[int, int]:
     """Exponents (s, t) with invariant factors (p**s, p**(t-s), p**(r-t)) for n = 3."""
-    try:
-        (d1, h12, h13), (_, d2, h23), (_, _, d3) = h.rows
-    except ValueError:
-        raise ValueError(f"need a 3 x 3 matrix, got n={h.n}") from None
-    exps, m, logs = _prime_power_diag((d1, d2, d3))
-    u = h12 * h23 - d2 * h13
-    return _smith_closed_form(
-        min, exps, (logs[gcd(h12, m)], logs[gcd(h13, m)], logs[gcd(h23, m)], logs[gcd(u, m)])
-    )
+    return _single_prime(h, 3)

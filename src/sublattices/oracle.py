@@ -46,16 +46,16 @@ like one over the matrix budget, so no answer leaves the kernel.  Everything
 runs in one process: inside the default budget a worker pool gained at most
 1.2x and nearly doubled peak memory, so jobs is checked and selects nothing.
 
-verify_index also checks the 2x2/3x3 Smith shortcuts at every prime-power
-index, per diagonal, on boxes that range each slot's residues modulo m /
-lcm(diag), the census's modulus for the same orders: the shortcut
-exponents are fixed by the entries modulo it, as the minor gcds are.  NumPy
-valuations of the box's own value arrays, capped at the index's exponent,
-go through forms._smith_closed_form, and the exponents must match the
-minor gcds of the full n x n plans.  No per-form loop and no reduction
-(forms.invariant_factors) runs in verify.  A verify run returns plain
-records (VerifyReport, SectionReport, ClassRow, Check); the CLI renders them
-as JSON, plain lines or csv.
+verify_index also checks the 2x2/3x3 Smith shortcuts at every index, per
+diagonal, on boxes that range each slot's residues modulo g = m / lcm(diag),
+the census's modulus for the same orders: per prime p of m, the shortcut
+exponents are fixed by the entries modulo g, as the minor gcds are.  NumPy
+valuations of the box's own value arrays, capped at v_p(g) and gathered from
+an int8 table, go through forms._smith_closed_form once per prime, and the
+products of the p-parts must match the minor gcds of the full n x n plans.
+No per-form loop and no reduction (forms.invariant_factors) runs in verify.
+A verify run returns plain records (VerifyReport, SectionReport, ClassRow,
+Check); the CLI renders them as JSON, plain lines or csv.
 """
 
 from __future__ import annotations
@@ -602,23 +602,13 @@ class VerifyReport(NamedTuple):
         return all(s.ok for s in self.sections)
 
 
-def _valuations(p, x, cap):
-    """p-adic valuation, capped at cap, of an int or of each entry of an int64 array.
-
-    Repeated % p: after the first pass over every entry, each pass reads
-    only the quotients that p divided in the last.
-    """
-    x = np.asarray(x, dtype=np.int64)
-    v = np.zeros(x.size, dtype=np.int64)
-    live = np.arange(x.size)
-    rest = x.ravel()
-    for _ in range(cap):
-        hit = rest % p == 0
-        live, rest = live[hit], rest[hit] // p
-        if not live.size:
-            break
-        v[live] += 1
-    return v.reshape(x.shape)
+@lru_cache(maxsize=64)
+def _valuation_table(p, cap):
+    """int8 table of min(v_p(x), cap), indexed by x mod p**cap: each multiple of p**k adds 1."""
+    table = np.zeros(p**cap, dtype=np.int8)
+    for k in range(1, cap + 1):
+        table[:: p**k] += 1
+    return table
 
 
 def _least(*values):
@@ -628,38 +618,41 @@ def _least(*values):
 def _shortcut_disagreement(n: int, m: int, fac) -> str:
     """The first index-m form whose Smith shortcut disagrees with its minor gcds, or ''.
 
-    n is 2 or 3 and m = p**r has at most one prime, factored as fac.  Per
-    diagonal diag, in hnf_stream order, the boxes range each slot over its
-    residues modulo g = m / lcm(diag), the gcd of the principal minors of
-    order n - 1, as in the census.  The shortcut exponents come from
-    _smith_closed_form on NumPy valuations; the reference is the gcd D_k of
-    the k x k minors, from the full plans of _pattern_plans, and neither
-    route reads the other.  n = 3 needs p**s == D1 and p**t == D2, n = 2
-    needs p**t == D1.  Residues suffice: D_k is fixed by the entries modulo
-    g, and with a = v_p(g), s and t are at most a, so every valuation counts
-    only up to a, and min(v_p(x), a) stays put when x, or h12*h23 - d2*h13,
-    moves by a multiple of g.  Reducing the first disagreeing form's entries
-    modulo g gives a residue tuple that disagrees too and comes no later.
-    Entries and h12*h23 - d2*h13 stay below m in absolute value, so int64 is
-    exact wherever the census ran.
+    n is 2 or 3 and fac factors m.  Per diagonal diag, in hnf_stream order,
+    the boxes range each slot over its residues modulo g = m / lcm(diag),
+    the gcd of the principal minors of order n - 1, as in the census.  Per
+    prime p of m, _smith_closed_form takes valuations capped at a = v_p(g)
+    from _valuation_table, and D1 (and D2 at n = 3) must be the product of
+    the p**t (the p**s and p**t) over the primes.  The reference D_k, the
+    gcd of the k x k minors, comes from the full plans of _pattern_plans,
+    and neither route reads the other.  Residues suffice, at each prime: D_k
+    is fixed by the entries modulo g, s and t are at most a, and min(v_p(x),
+    a) stays put when x, or h12*h23 - d2*h13, moves by a multiple of g.  So
+    the first disagreeing form, reduced modulo g, gives a residue tuple that
+    disagrees too and comes no later.  Entries and h12*h23 - d2*h13 stay
+    below m in absolute value, so int64 is exact wherever the census ran.
     """
-    p, r = fac[0] if fac else (2, 0)  # m = 1: every exponent is 0, whatever the prime
     slots = _slots(n)
     per_order = _pattern_plans(n, tuple(range(1, n)))[0]
     for diag in divisor_compositions(m, n):
-        exps = tuple(_valuation(p, d) for d in diag)
         g = m // lcm(*diag)
+        primes = [(p, tuple(_valuation(p, d) for d in diag), _valuation(p, g)) for p, _ in fac]
         for box in _boxes([min(diag[j], g) for _, j in slots], _CHUNK):
             values = _box_values(diag, box)
-            o = [_valuations(p, x, r) for x in values[n:]]
+            entries = values[n:]
             if n == 3:
-                h12, h13, h23 = values[n:]
-                o.append(_valuations(p, h12 * h23 - diag[1] * h13, r))
-            got = _smith_closed_form(_least, exps, o)
+                h12, h13, h23 = entries
+                entries.append(h12 * h23 - diag[1] * h13)
+            shortcut = [1] * (n - 1)
+            for p, exps, a in primes:
+                table = _valuation_table(p, a)
+                got = _smith_closed_form(_least, exps, [table[x % table.size] for x in entries])
+                for k, e in enumerate(got if n == 3 else (got,)):
+                    shortcut[k] = shortcut[k] * np.power(p, e, dtype=np.int64)
             fixed, start, shape = box
             bad = np.zeros(shape, dtype=bool)
-            for e, plans in zip(got if n == 3 else (got,), per_order):
-                bad |= p**e != _fold(plans, values)
+            for want, plans in zip(shortcut, per_order):
+                bad |= want != _fold(plans, values)
             if bad.any():
                 # the first hit in box order is the first in hnf_stream order
                 pos = np.unravel_index(int(np.argmax(bad)), bad.shape)
@@ -712,7 +705,7 @@ def verify_index(n: int, m: int, *, jobs: int = 1, budget: int = DEFAULT_BUDGET)
         checks.append(
             Check("multiplicative_split", not detail, detail or f"{len(fac)} prime power factors")
         )
-    if n in (2, 3) and len(fac) <= 1:
+    if n in (2, 3):
         detail = _shortcut_disagreement(n, m, fac)
         checks.append(Check("smith_shortcut_agreement", not detail, detail))
     return SectionReport(f"n={n} m={m}", rows, checks)

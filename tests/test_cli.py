@@ -43,6 +43,26 @@ def test_count_fn_plain_and_csv(capsys):
     assert lines[1] == "4,closed,3,35"
 
 
+def test_answer_past_the_int_str_digit_limit(capsys):
+    # 2**20000 - 1 has 6021 digits, past the 4300 that Python converts by default
+    want = 2**20000 - 1
+    for what in ("fn", "cocyclic"):
+        code, out, err = run_cli(capsys, "count", what, "--n", "20000", "--m", "2")
+        assert (code, err) == (0, "")
+        value = json.loads(out)["payload"]["value"]
+        if hasattr(sys, "set_int_max_str_digits"):
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            try:
+                assert value == str(want)
+            finally:
+                sys.set_int_max_str_digits(limit)
+            # the CLI puts Python's limit back for the rest of the process
+            assert sys.get_int_max_str_digits() == limit
+        else:
+            assert value == str(want)
+
+
 def test_count_fn_methods_agree(capsys):
     code, closed, _ = run_cli(
         capsys, "count", "fn", "--n", "3", "--m", "36", "--method", "closed", "--format", "plain"
@@ -230,9 +250,9 @@ def test_enumerate_smith_shortcut_matches_elimination(capsys, n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_enumerate_composite_index_chains_match_minors(capsys, n):
-    # at a composite index enumerate --with-snf takes each chain from
-    # elimination; the minor gcds are the independent check, line by line
-    for m in (12, 36, 48):
+    # at a composite index enumerate --with-snf takes each chain from the
+    # closed form per prime; the minor gcds are the independent check, line by line
+    for m in (12, 36, 48, 360 if n == 2 else 72):
         argv = ("enumerate", "--n", str(n), "--m", str(m), "--with-snf")
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
@@ -710,7 +730,8 @@ VERIFY_2_6 = (
     '"name":"class_count_vs_distinct_keys","ok":true},'
     '{"detail":"formula 12, bruteforce 12, census 12",'
     '"name":"cocyclic_formula_vs_bruteforce","ok":true},'
-    '{"detail":"2 prime power factors","name":"multiplicative_split","ok":true}],'
+    '{"detail":"2 prime power factors","name":"multiplicative_split","ok":true},'
+    '{"detail":"","name":"smith_shortcut_agreement","ok":true}],'
     '"ok":true,"rows":[{"class":"1,6","formula":"12","match":true,"oracle":"12"}],'
     '"scope":"n=2 m=6"}]},"schema_version":"1"}\n'
 )

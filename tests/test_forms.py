@@ -14,7 +14,7 @@ from sublattices.forms import (
     integer_det,
     invariant_factors,
     invariant_factors_via_minors,
-    _prime_power_diag,
+    _diag_primes,
     _xgcd,
     minor_gcd,
     validate_hnf,
@@ -342,20 +342,28 @@ def test_hnf3_smith_exponents_exhaustive():
 def test_mixed_prime_diag_rejected():
     with pytest.raises(ValueError, match="single common prime"):
         hnf2_smith_exponent(validate_hnf([[6, 0], [0, 6]]))
+    with pytest.raises(ValueError, match="single common prime"):
+        hnf3_smith_exponents(validate_hnf([[2, 0, 0], [0, 1, 0], [0, 0, 3]]))
 
 
 def test_diagonal_memo_is_bounded():
-    _prime_power_diag.cache_clear()
+    _diag_primes.cache_clear()
     exps = [(a, b) for a in range(75) for b in range(75)]
     for a, b in exps:
         assert hnf2_smith_exponent(validate_hnf([[2**a, 0], [0, 2**b]])) == min(a, b)
-    info = _prime_power_diag.cache_info()
+    info = _diag_primes.cache_info()
     assert info.misses == len(exps) > 5000
     assert info.maxsize == _DIAG_MEMO
     assert info.currsize <= _DIAG_MEMO
     # an entry still raises once the memo is full
     with pytest.raises(ValueError, match="single common prime"):
         hnf2_smith_exponent(validate_hnf([[6, 0], [0, 6]]))
+    # one entry per prime of the diagonal, none for a diagonal of ones
+    assert _diag_primes((12, 18)) == (
+        (2, (2, 1), 8, {1: 0, 2: 1, 4: 2, 8: 3}),
+        (3, (1, 2), 27, {1: 0, 3: 1, 9: 2, 27: 3}),
+    )
+    assert _diag_primes((1, 1, 1)) == ()
 
 
 def test_minor_gcd_versus_gcd_of_entries():

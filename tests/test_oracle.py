@@ -496,7 +496,7 @@ def test_verify_index_green():
     assert "count_vs_oracle_total" in names
     assert "class_count_vs_distinct_keys" in names
     assert "cocyclic_formula_vs_bruteforce" in names
-    # n = 3 prime power: the direct Smith shortcut gets diffed too
+    # n = 3: the direct Smith shortcut gets diffed too
     assert "smith_shortcut_agreement" in names
 
 
@@ -518,18 +518,11 @@ def test_verify_index_tests_primality_a_bounded_number_of_times(monkeypatch):
 
 
 def _per_form_shortcut_detail(n, m):
-    """The detail of the per-form loop verify_index once ran: the scalar
-    shortcut chain of each form against invariant_factors, in hnf_stream order."""
-    fac = arith.factorize(m)
-    p, r = fac[0] if fac else (2, 0)
+    """The detail of the per-form loop verify_index once ran: each form's chain
+    from the closed form per prime of m, as enumerate --with-snf builds it,
+    against invariant_factors, in hnf_stream order."""
     for h in hnf_stream(n, m):
-        if n == 2:
-            t = hnf2_smith_exponent(h)
-            chain = (p**t, p ** (r - t))
-        else:
-            s, t = hnf3_smith_exponents(h)
-            chain = (p**s, p ** (t - s), p ** (r - t))
-        if chain != invariant_factors(h.rows):
+        if forms._hnf_chain(h.rows) != invariant_factors(h.rows):
             return f"disagreement at {h.rows}"
     return ""
 
@@ -540,11 +533,9 @@ def _shortcut_check(n, m):
 
 
 def test_shortcut_check_agrees_with_the_per_form_loop():
-    # every prime power, and 1, up to 3**6 at n = 2 and 3**4 at n = 3
+    # every index, composites included, up to 3**6 at n = 2 and 3**4 at n = 3
     for n, top in ((2, 3**6), (3, 3**4)):
         for m in range(1, top + 1):
-            if len(arith.factorize(m)) > 1:
-                continue
             check = _shortcut_check(n, m)
             assert check.ok and check.detail == "", (n, m)
             assert _per_form_shortcut_detail(n, m) == "", (n, m)
@@ -552,9 +543,10 @@ def test_shortcut_check_agrees_with_the_per_form_loop():
 
 def test_shortcut_check_names_the_first_disagreement_of_the_per_form_loop(monkeypatch):
     # the same mutant on both routes, a function of (exps, s, t) and so fixed
-    # by the entries modulo g like the true shortcut: t one too high where t
-    # == 0 < min(r) at n = 2, and where t == s + 1 at n = 3; the residue check
-    # must name the form the per-form loop names
+    # by the entries modulo g like the true shortcut, per prime: t one too
+    # high where t == 0 < min(r) at n = 2, and where t == s + 1 at n = 3; the
+    # residue check must name the form the per-form loop names, at a prime
+    # power and at a composite index
     real = forms._smith_closed_form
 
     def mutant(least, r, o):
@@ -569,10 +561,23 @@ def test_shortcut_check_names_the_first_disagreement_of_the_per_form_loop(monkey
     for n, m, first in (
         (2, 27, "disagreement at ((3, 1), (0, 9))"),
         (3, 8, "disagreement at ((1, 0, 0), (0, 2, 0), (0, 0, 4))"),
+        (2, 12, "disagreement at ((2, 1), (0, 6))"),
+        (3, 12, "disagreement at ((1, 0, 0), (0, 2, 0), (0, 0, 6))"),
     ):
         check = _shortcut_check(n, m)
         assert not check.ok
         assert check.detail == _per_form_shortcut_detail(n, m) == first, (n, m)
+
+
+def test_valuation_table_caps_each_valuation():
+    # the gather reads min(v_p(x), a) for every int64 value the check forms,
+    # residues and h12*h23 - d2*h13 alike, negative and zero included
+    x = np.arange(-5000, 5001, dtype=np.int64)
+    for p, a in ((2, 0), (2, 5), (3, 4), (5, 2), (7, 1)):
+        table = oracle._valuation_table(p, a)
+        got = table[x % table.size]
+        assert got.dtype == np.int8
+        assert got.tolist() == [min(arith._valuation(p, v), a) for v in x.tolist()], (p, a)
 
 
 def test_shortcut_check_ranges_residues(monkeypatch):
@@ -601,7 +606,7 @@ def test_verify_index_runs_no_per_form_reduction(monkeypatch):
 
     monkeypatch.setattr(forms, "invariant_factors", refuse)
     assert not hasattr(oracle, "invariant_factors")
-    for n, m in ((2, 27), (3, 8), (3, 64), (2, 1)):
+    for n, m in ((2, 27), (3, 8), (3, 64), (2, 1), (3, 12)):
         assert _shortcut_check(n, m).ok, (n, m)
 
 
@@ -613,10 +618,11 @@ def test_shortcut_check_has_no_form_cap():
     assert _shortcut_check(2, 200003).detail == ""
 
 
-def test_verify_index_composite_skips_shortcut():
+def test_verify_index_composite_runs_shortcut():
+    # the Smith check runs per prime of a composite index too
     section = verify_index(3, 12)
     assert section.ok
-    assert all(c.name != "smith_shortcut_agreement" for c in section.checks)
+    assert _shortcut_check(3, 12) == ("smith_shortcut_agreement", True, "")
     # composite indices get the extra factorization consistency check
     assert any(c.name == "multiplicative_split" and c.ok for c in section.checks)
     prime_power = verify_index(3, 8)
