@@ -174,11 +174,17 @@ def invariant_factors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """
     a = list(map(list, rows))
     n = len(a)
-    if n == 0 or set(map(len, a)) != {n}:
+    if n == 0:
         raise ValueError("need a nonempty square matrix")
-    # a sum of plain ints is a plain int; one NumPy scalar entry makes it a NumPy one
-    if type(sum(map(sum, a))) is not int:
-        a = [list(map(index, r)) for r in a]
+    # one pass per row: its length, then, from its first entry that is not a
+    # plain int on, every entry of it through operator.index
+    for r in a:
+        if len(r) != n:
+            raise ValueError("need a nonempty square matrix")
+        for x in r:
+            if type(x) is not int:
+                r[:] = map(index, r)
+                break
     d = []
     for t in range(n - 1):
         if not a[t][t]:

@@ -26,19 +26,19 @@ gcd of the products of e - 1 entries has valuation min_i (v_p(m) - v_p(d_i))
 1, so it runs modulo gcd(g, rad m), the product of the primes dividing g.
 The top order's principal minors have gcd g, so its other minors fold from
 the modulus.  Essential diagonals of one length whose reduced slot ranges
-agree share a block, along a leading member axis that holds their diagonal
-entries, moduli and counts as (B, 1, ...) arrays; a block of modulus 1
-answers with ints and builds no array.  At (4, 104) the 80 diagonals hold 20
-essential diagonals, which run in 8 boxes for the census and 3 for the
-co-cyclic count.  A block is cut into boxes of at most _CHUNK residue tuples
-over (members, *slots): a box fixes the leading axes, ranges one axis and
-runs the trailing axes in full, so a block that fits in _CHUNK is a single
-box.  Each slot that varies is an arange along its own axis, so every minor
-broadcasts over only the slots it reads.  Census chains are tallied by the
-index of each gcd among the divisors of m, on the un-broadcast gcd arrays:
-with np.bincount where every residue tuple of a box stands for as many
-forms, else with np.add.at and exact int64 weights, the product of one count
-per slot that a gcd reads, with the slots none reads summed in as ints.  A
+agree share a block; one of modulus 1 answers with ints.  Any other block
+is cut into boxes of at most _CHUNK residue tuples over (members, *slots): a
+box fixes the leading axes, ranges one axis and runs the trailing axes in
+full.  Every box, one of a single member too, has a leading member axis that
+holds its diagonal entries, moduli and counts as (B, 1, ...) arrays, and
+each slot that varies is an arange along its own axis, so every minor
+broadcasts over only what it reads.  At (4, 104) the 20 essential diagonals
+of the 80 run in 8 boxes for the census and 3 for the co-cyclic count.
+Census chains are tallied by the index of each gcd among the divisors of m,
+on the un-broadcast gcd arrays: with np.bincount where every residue tuple
+of a box stands for as many forms, else with np.add.at and exact int64
+weights, the product of one count per axis that a gcd reads, with the axes
+none reads summed in as ints.  A
 bound on every minor, with entries bounded by m, says whether int64 is
 exact; a scope where any essential plan's bound reaches _INT64_SAFE, or with
 2**63 forms or more, which the int64 tally cannot hold, is refused up front,
@@ -46,13 +46,13 @@ like one over the matrix budget, so no answer leaves the kernel.  Everything
 runs in one process: inside the default budget a worker pool gained at most
 1.2x and nearly doubled peak memory, so jobs is checked and selects nothing.
 
-verify_index also checks the 2x2/3x3 Smith shortcuts at every index, per
-diagonal, on boxes that range each slot's residues modulo g = m / lcm(diag),
-the census's modulus for the same orders: per prime p of m, the shortcut
-exponents are fixed by the entries modulo g, as the minor gcds are.  NumPy
-valuations of the box's own value arrays, capped at v_p(g) and gathered from
-an int8 table, go through forms._smith_closed_form once per prime, and the
-products of the p-parts must match the minor gcds of the full n x n plans.
+verify_index also checks the 2x2/3x3 Smith shortcuts at every index, on
+boxes built the same way: each slot of a diagonal ranges its residues modulo
+g = m / lcm(diag), the census's modulus for the same orders, and diagonals
+whose slot ranges agree share a block.  Per prime p of m, valuations of the
+box's arrays, from an int8 table and capped at each member's v_p(g), go
+through forms._smith_closed_form once per box, and the products of the
+p-parts must match the minor gcds of the full n x n plans.
 No per-form loop and no reduction (forms.invariant_factors) runs in verify.
 A verify run returns plain records (VerifyReport, SectionReport, ClassRow,
 Check); the CLI renders them as JSON, plain lines or csv.
@@ -65,7 +65,7 @@ from bisect import bisect
 from functools import lru_cache, reduce
 from itertools import accumulate, product as iter_product
 from math import comb, gcd, lcm, prod
-from operator import mul
+from operator import index, mul
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -173,14 +173,13 @@ def _pattern_plans(e, orders):
 
 
 def _eval_plan(plan, values):
-    """One minor from its monomials; values[v] is an int or an int64 array.
+    """One minor from its monomials; values[v] is an int64 array, or an int for a fixed slot.
 
-    A monomial's variables are sorted, and the diagonal entries come first:
-    for one member of a block they are ints, so its product multiplies ints
-    until it meets the first array, and no factor's type is tested.  A
-    monomial names each matrix entry it reads, so no two terms of a minor
-    share one: every coefficient is 1 or -1, and the first is 1.  So a term
-    is added or subtracted, and an array costs no multiplication by its sign.
+    A monomial's variables are sorted, so its diagonal entries, the member
+    columns, come first.  A monomial names each matrix entry it reads, so no
+    two terms of a minor share one: every coefficient is 1 or -1, and the
+    first is 1.  So a term is added or subtracted, and an array costs no
+    multiplication by its sign.
     """
     (first, _), *rest = plan
     total = reduce(mul, [values[v] for v in first])
@@ -192,15 +191,13 @@ def _eval_plan(plan, values):
 
 def _fold(plans, values, running=0):
     # determinants can be negative or zero; np.gcd folds them through their
-    # absolute values, and the fold stops once every entry is exactly 1; a
-    # plan that reads only fixed slots is an int and folds with math.gcd.
-    # An array's first entry is read before the whole array: in a box that
-    # holds the diagonal matrix itself, it stays the principal minors' gcd
+    # absolute values, and the fold stops once every entry is exactly 1.
+    # Each order opens with a principal minor, an array of the member axis.
+    # The first entry is read before the whole array: in a box that holds
+    # the diagonal matrix itself, it stays the principal minors' gcd
     for plan in plans:
-        value = _eval_plan(plan, values)
-        both = isinstance(running, int) and isinstance(value, int)
-        running = gcd(running, value) if both else np.gcd(running, value)
-        if (running == 1) if both else (running.flat[0] == 1 and (running == 1).all()):
+        running = np.gcd(running, _eval_plan(plan, values))
+        if running.flat[0] == 1 and (running == 1).all():
             return 1
     return running
 
@@ -222,80 +219,71 @@ def _boxes(sizes, chunk):
             yield fixed, start, (min(step, sizes[t] - start), *sizes[t + 1 :])
 
 
-def _box_values(diag, box):
-    """The variables of one box: the diagonal diag, then each slot of _slots(len(diag)).
+def _member_box(members, cut):
+    """(picked, box, columns, slots): one box of a block, along a leading member axis.
 
-    A fixed slot is an int; a ranged or trailing slot is a range of step 1
-    laid along its own axis of the box, an arange of the box's rank, so it
-    broadcasts against every other slot, and an expression broadcasts over
-    only the slots it reads.
+    cut is one (fixed, start, size) of _boxes over (members, *slots).  picked
+    are the rows it covers, the one member it fixes or a run of them, and box
+    is its (fixed, start, shape) over their slots.  columns holds each field
+    of the rows as a (B, 1, ...) int64 column, B = len(picked), 1 included.
+    slots holds each slot of _slots(e): an int where fixed, else a range of
+    step 1 along its own axis behind the member axis.
     """
-    fixed, start, shape = box
-    values = [*diag, *fixed]
-    for axis, size in enumerate(shape):
-        first = start if axis == 0 else 0
-        axes = (1,) * axis + (-1,) + (1,) * (len(shape) - 1 - axis)
-        values.append(np.arange(first, first + size, dtype=np.int64).reshape(axes))
-    return values
-
-
-def _member_box(picked, box):
-    """The variables of one box of a block, with the dropped counts and moduli of its members.
-
-    picked are the rows (*diag, dropped, modulus) the box covers and box is
-    its (fixed, start, shape) over their slots.  One
-    member takes _box_values, with its dropped count and modulus as ints.
-    Several members range every slot in full behind a leading member axis:
-    one array of their rows gives their diagonal entries, dropped counts and
-    moduli as (B, 1, ...) columns, and _box_values, with no diagonal and no
-    fixed slot, gives the slot arrays.
-    """
-    if len(picked) == 1:
-        *diag, dropped, modulus = picked[0]
-        return _box_values(diag, box), dropped, modulus
-    lead = (len(picked),) + (1,) * len(box[2])
-    *values, dropped, modulus = np.array(picked, dtype=np.int64).T.reshape((-1, *lead))
-    values += [x[np.newaxis] for x in _box_values((), box)]
-    return values, dropped, modulus
+    fixed, start, shape = cut
+    if fixed:
+        picked, fixed = members[fixed[0] : fixed[0] + 1], fixed[1:]
+    else:
+        picked, start, shape = members[start : start + shape[0]], 0, shape[1:]
+    columns = np.array(picked, dtype=np.int64).T.reshape((-1, len(picked)) + (1,) * len(shape))
+    slots = [*fixed]
+    for axis, length in enumerate(shape, 1):
+        first = start if axis == 1 else 0
+        axes = (1,) * axis + (-1,) + (1,) * (len(shape) - axis)
+        slots.append(np.arange(first, first + length, dtype=np.int64).reshape(axes))
+    return picked, (fixed, start, shape), list(columns), slots
 
 
 def _box_weights(values, dropped, modulus, box, cols, cut, shapes):
     """(count, weights): the forms of one box, and those each entry of its gcd arrays stands for.
 
-    values, dropped and modulus are _member_box's; a multi-member box has a
-    leading member axis, and its dropped array is the first factor.  shapes
-    are those of the gcd arrays, which read the axes where their broadcast
-    is longer than 1.  A residue r of a slot over d entries stands for
-    ceil((d - r) / modulus) of them, -((r - d) // modulus); only the slots
-    that cut flags, those some member's modulus shrinks, stand for more than
-    one.  A cut slot multiplies in that count: as an int where fixed, as an
-    int64 factor along its axis where read, its sign kept as an int, and
-    summed where unread; an unread uncut slot, its length.  No array is
-    broadcast to the box.  Only a single-member box of a block past _CHUNK
-    leaves a cut slot unread: a box of several members holds residue 0 of
-    every slot, where the top gcd is the modulus, so its top fold runs every
-    plan, which read every slot, and the modulus reads the member axis.
-    weights is None where every entry of the gcd arrays stands for as many
-    forms, else an int64 array that broadcasts to their shape.
+    values are the diagonal columns and slots of _member_box, and dropped and
+    modulus its member columns.  shapes are those of the gcd arrays, which
+    read the axes where their broadcast is longer than 1.  A residue r of a
+    slot over d entries stands for ceil((d - r) / modulus) of them, -((r -
+    d) // modulus); only the slots that cut flags, those some member's
+    modulus shrinks, stand for more than one.  A cut slot multiplies in that
+    count: where read, as an int64 factor along its axis, its sign kept as
+    an int; where fixed or unread, into the member-shaped product that
+    dropped opens, summed along its axis if unread.  An unread uncut slot
+    multiplies in its length.  The member product is a factor where the
+    member axis is read, else an int.  No array is broadcast to the box.  A
+    box of several members holds residue 0 of every slot, where the top gcd
+    is the modulus, so its top fold runs every plan, which read every slot,
+    and the modulus reads the member axis: only a one-member box leaves an
+    axis unread.  weights is None where every entry of the gcd arrays stands
+    for as many forms, else an int64 array that broadcasts to their shape.
     """
     fixed, _, shape = box
-    lead = isinstance(dropped, np.ndarray)
-    reads = [max(k) for k in zip(*shapes)] if shapes else [1] * (lead + len(shape))
+    reads = [max(k) for k in zip(*shapes)] if shapes else [1] * (1 + len(shape))
     e = len(values) - len(cols)
-    factors, spread = ([dropped], 1) if lead else ([], dropped)
+    member, factors, spread = dropped, [], 1
     for s, (j, shrunk) in enumerate(zip(cols, cut)):
         r, d = values[e + s], values[j]
-        a = lead + s - len(fixed)
+        a = 1 + s - len(fixed)
         if s < len(fixed):
-            spread *= -((r - d) // modulus)
+            member = member * -((r - d) // modulus)
         elif reads[a] > 1:
             if shrunk:
                 factors.append((r - d) // modulus)
                 spread = -spread
         elif not shrunk:
-            spread *= shape[a - lead]
+            spread *= shape[a - 1]
         else:
-            spread *= -int(((r - d) // modulus).sum())
+            member = member * -((r - d) // modulus).sum(axis=a, keepdims=True)
+    if reads[0] > 1:
+        factors.insert(0, member)
+    else:
+        spread *= int(member.sum())
     if not factors:
         return spread * prod(reads), None
     weights = reduce(mul, factors[1:], factors[0] * spread if spread != 1 else factors[0])
@@ -309,12 +297,11 @@ def _block_gcds(members, shape, ones, lower, top, cols):
     members are the rows (*diag, dropped, modulus) of the block's essential
     diagonals, of one length: each slot over d entries ranges min(d,
     modulus) residues, and shape, those ranges, is the same for every
-    member.  The boxes cut (members, *shape).  gvals open with ones orders
-    whose gcd is 1, then hold the minors' gcd per order of lower, then at
-    the top order (top is None without one): an int or an int64 array of the
-    box's rank, with length 1 on every axis that none of its minors reads.
-    A lower order folds its principal minors first, as ints for one member,
-    so an order where one of them is 1 builds no array.  The top order's
+    member.  The boxes cut (members, *shape), and _member_box gives each
+    its member columns and slots.  gvals open with ones orders whose gcd is
+    1, then hold the minors' gcd per order of lower, then at the top order
+    (top is None without one): 1, or an int64 array of the box's rank, with
+    length 1 on every axis that none of its minors reads.  The top order's
     principal minors have gcd g, so its other plans, top, fold from the
     modulus.  cols holds the column of each slot.  count and weights are
     _box_weights'.  A block of modulus 1 has gcd 1 at every order: one part,
@@ -325,12 +312,9 @@ def _block_gcds(members, shape, ones, lower, top, cols):
         yield count, None, [1] * (ones + len(lower) + (top is not None))
         return
     cut = [any(row[j] > row[-1] for row in members) for j in cols]
-    for fixed, start, size in _boxes([len(members), *shape], _CHUNK):
-        if fixed:
-            picked, box = members[fixed[0] : fixed[0] + 1], (fixed[1:], start, size)
-        else:
-            picked, box = members[start : start + size[0]], ((), 0, size[1:])
-        values, dropped, modulus = _member_box(picked, box)
+    for where in _boxes([len(members), *shape], _CHUNK):
+        _, box, (*diag, dropped, modulus), slots = _member_box(members, where)
+        values = diag + slots
         gvals = [1] * ones + [_fold(plans, values) for plans in lower]
         gvals.append(_fold(top, values, modulus))
         shapes = [g.shape for g in gvals if isinstance(g, np.ndarray)]
@@ -475,11 +459,13 @@ def _refuse(n, m, scope, jobs, budget, orders):
     lengths that occur are 1 to min(n, Omega(m)), with Omega(m) the number
     of prime factors of m counted with multiplicity, or 0 alone at m = 1, so
     no essential diagonal is enumerated.  n and m come back as the plain ints
-    of _check_nm, and fac is factorize(m).
+    of _check_nm, and fac is factorize(m); jobs and budget go through
+    operator.index.
     """
     n, m = _check_nm(n, m)
-    if not isinstance(jobs, int) or jobs < 1:
+    if not hasattr(jobs, "__index__") or index(jobs) < 1:
         raise ValueError(f"need an integer jobs >= 1, got {jobs!r}")
+    budget = index(budget)
     where = f"{scope} n={n} m={m}"
     predicted = sublattice_count(n, m)
     if predicted > budget:
@@ -618,51 +604,63 @@ def _least(*values):
 def _shortcut_disagreement(n: int, m: int, fac) -> str:
     """The first index-m form whose Smith shortcut disagrees with its minor gcds, or ''.
 
-    n is 2 or 3 and fac factors m.  Per diagonal diag, in hnf_stream order,
-    the boxes range each slot over its residues modulo g = m / lcm(diag),
-    the gcd of the principal minors of order n - 1, as in the census.  Per
-    prime p of m, _smith_closed_form takes valuations capped at a = v_p(g)
-    from _valuation_table, and D1 (and D2 at n = 3) must be the product of
-    the p**t (the p**s and p**t) over the primes.  The reference D_k, the
-    gcd of the k x k minors, comes from the full plans of _pattern_plans,
-    and neither route reads the other.  Residues suffice, at each prime: D_k
-    is fixed by the entries modulo g, s and t are at most a, and min(v_p(x),
-    a) stays put when x, or h12*h23 - d2*h13, moves by a multiple of g.  So
-    the first disagreeing form, reduced modulo g, gives a residue tuple that
-    disagrees too and comes no later.  Entries and h12*h23 - d2*h13 stay
-    below m in absolute value, so int64 is exact wherever the census ran.
+    n is 2 or 3 and fac factors m.  Each diagonal diag ranges its slots over
+    their residues modulo g = m / lcm(diag), the gcd of the principal minors
+    of order n - 1, as in the census; diagonals whose slot ranges agree
+    share a block, in hnf_stream order, as member rows: diag, its stream
+    position, then a = v_p(g) and the exponents of diag per prime p of m.
+    Per prime and box, _smith_closed_form takes valuations from
+    _valuation_table, capped at the box's largest a and then at each
+    member's, and D1 (and D2 at n = 3) must be the product of the p**t (the
+    p**s and p**t).  The reference D_k, the gcd of the k x k minors, comes
+    from the full plans of _pattern_plans; neither route reads the other.
+    Residues suffice, at each prime: D_k is fixed by the entries modulo g, s
+    and t are at most a, and min(v_p(x), a) stays put when x, or h12*h23 -
+    d2*h13, moves by a multiple of g.  So the first disagreeing form,
+    reduced modulo g, gives a residue tuple that disagrees too and comes no
+    later: the least (stream position, form) over the blocks.  Entries and
+    h12*h23 - d2*h13 stay below m in absolute value, so int64 is exact
+    wherever the census ran.
     """
     slots = _slots(n)
     per_order = _pattern_plans(n, tuple(range(1, n)))[0]
-    for diag in divisor_compositions(m, n):
+    blocks: dict[tuple, list] = {}
+    for position, diag in enumerate(divisor_compositions(m, n)):
         g = m // lcm(*diag)
-        primes = [(p, tuple(_valuation(p, d) for d in diag), _valuation(p, g)) for p, _ in fac]
-        for box in _boxes([min(diag[j], g) for _, j in slots], _CHUNK):
-            values = _box_values(diag, box)
-            entries = values[n:]
+        row = [*diag, position, *[_valuation(p, x) for p, _ in fac for x in (g, *diag)]]
+        blocks.setdefault(tuple([min(diag[j], g) for _, j in slots]), []).append(row)
+    first = None
+    for shape, members in blocks.items():
+        if first and members[0][n] > first[0]:
+            break  # blocks come in the order of their first members
+        for where in _boxes([len(members), *shape], _CHUNK):
+            picked, box, columns, entries = _member_box(members, where)
+            values = columns[:n] + entries
             if n == 3:
                 h12, h13, h23 = entries
-                entries.append(h12 * h23 - diag[1] * h13)
+                entries.append(h12 * h23 - columns[1] * h13)
             shortcut = [1] * (n - 1)
-            for p, exps, a in primes:
-                table = _valuation_table(p, a)
-                got = _smith_closed_form(_least, exps, [table[x % table.size] for x in entries])
-                for k, e in enumerate(got if n == 3 else (got,)):
-                    shortcut[k] = shortcut[k] * np.power(p, e, dtype=np.int64)
-            fixed, start, shape = box
-            bad = np.zeros(shape, dtype=bool)
+            for (p, _), k in zip(fac, range(n + 1, len(members[0]), n + 1)):
+                table = _valuation_table(p, max(row[k] for row in picked))
+                a, *exps = columns[k : k + n + 1]
+                o = [np.minimum(table[x % table.size], a) for x in entries]
+                got = _smith_closed_form(_least, exps, o)
+                for i, e in enumerate(got if n == 3 else (got,)):
+                    shortcut[i] = shortcut[i] * np.power(p, e, dtype=np.int64)
+            bad = np.zeros((len(picked), *box[2]), dtype=bool)
             for want, plans in zip(shortcut, per_order):
                 bad |= want != _fold(plans, values)
             if bad.any():
-                # the first hit in box order is the first in hnf_stream order
-                pos = np.unravel_index(int(np.argmax(bad)), bad.shape)
-                at = dict(zip(slots, (*fixed, start + int(pos[0]), *map(int, pos[1:]))))
-                rows = tuple(
-                    tuple(diag[i] if i == j else at.get((i, j), 0) for j in range(n))
-                    for i in range(n)
-                )
-                return f"disagreement at {rows}"
-    return ""
+                # the first hit in box order is the block's first in hnf_stream order
+                fixed, start, size = where
+                pos = np.unravel_index(int(np.argmax(bad)), size)
+                b, *residues = (*fixed, start + int(pos[0]), *map(int, pos[1:]))
+                row = members[b]
+                at = {**{(i, i): row[i] for i in range(n)}, **dict(zip(slots, residues))}
+                form = tuple(tuple(at.get((i, j), 0) for j in range(n)) for i in range(n))
+                first = min(first, (row[n], form)) if first else (row[n], form)
+                break
+    return f"disagreement at {first[1]}" if first else ""
 
 
 def verify_index(n: int, m: int, *, jobs: int = 1, budget: int = DEFAULT_BUDGET) -> SectionReport:

@@ -128,21 +128,22 @@ def test_box_weight_rule_premise(monkeypatch):
     # box: a multi-member box ranges every slot from residue 0, so its top
     # gcd is the modulus at the all-zero tuple, its top fold runs every plan,
     # and its gcd arrays read the member axis and every cut slot.  A
-    # single-member box cut from a block past _CHUNK can leave a cut slot
-    # unread, and those boxes must still occur for the rule to be exercised
+    # single-member box, with a member axis of length 1, cut from a block
+    # past _CHUNK can leave a cut slot unread, and those boxes must still
+    # occur for the rule to be exercised
     real = oracle._box_weights
     multi = []
     unread = []
 
     def box_weights(values, dropped, modulus, box, cols, cut, shapes):
         fixed, _, shape = box
-        if isinstance(dropped, np.ndarray):
+        if len(dropped) > 1:
             reads = [max(k) for k in zip(*shapes)]
             multi.append(reads[0] > 1 and all(reads[1 + s] > 1 for s, c in enumerate(cut) if c))
         else:
-            reads = [max(k) for k in zip(*shapes)] if shapes else [1] * len(shape)
+            reads = [max(k) for k in zip(*shapes)] if shapes else [1] * (1 + len(shape))
             skipped = range(len(fixed), len(cut))
-            unread.append(any(cut[s] and reads[s - len(fixed)] == 1 for s in skipped))
+            unread.append(any(cut[s] and reads[1 + s - len(fixed)] == 1 for s in skipped))
         return real(values, dropped, modulus, box, cols, cut, shapes)
 
     monkeypatch.setattr(oracle, "_box_weights", box_weights)
@@ -546,13 +547,14 @@ def test_shortcut_check_names_the_first_disagreement_of_the_per_form_loop(monkey
     # by the entries modulo g like the true shortcut, per prime: t one too
     # high where t == 0 < min(r) at n = 2, and where t == s + 1 at n = 3; the
     # residue check must name the form the per-form loop names, at a prime
-    # power and at a composite index
+    # power and at a composite index.  The exponents r are member columns of
+    # a box, so their least is taken elementwise
     real = forms._smith_closed_form
 
     def mutant(least, r, o):
         got = real(least, r, o)
         if len(r) == 2:
-            return got + (got == 0) * (min(r) > 0)
+            return got + (got == 0) * (least(*r) > 0)
         s, t = got
         return s, t + (t == s + 1)
 
@@ -567,6 +569,31 @@ def test_shortcut_check_names_the_first_disagreement_of_the_per_form_loop(monkey
         check = _shortcut_check(n, m)
         assert not check.ok
         assert check.detail == _per_form_shortcut_detail(n, m) == first, (n, m)
+
+
+def test_shortcut_check_names_the_least_disagreement_over_all_blocks(monkeypatch):
+    # t one too high where s == 1 and r3 > 0: at (3, 16) and (3, 24) the
+    # first block with a hit holds a later form than another block's first
+    # hit, so the check must take the least (stream position, residues) over
+    # every block, not the first hit of the first block that has one
+    real = forms._smith_closed_form
+
+    def mutant(least, r, o):
+        got = real(least, r, o)
+        if len(r) == 2:
+            return got
+        s, t = got
+        return s, t + (s == 1) * (r[2] > 0)
+
+    monkeypatch.setattr(forms, "_smith_closed_form", mutant)
+    monkeypatch.setattr(oracle, "_smith_closed_form", mutant)
+    for m, first in (
+        (16, "disagreement at ((2, 0, 0), (0, 2, 0), (0, 0, 4))"),
+        (24, "disagreement at ((2, 0, 0), (0, 2, 0), (0, 0, 6))"),
+    ):
+        check = _shortcut_check(3, m)
+        assert not check.ok
+        assert check.detail == _per_form_shortcut_detail(3, m) == first, m
 
 
 def test_valuation_table_caps_each_valuation():
@@ -596,6 +623,24 @@ def test_shortcut_check_ranges_residues(monkeypatch):
         assert oracle._shortcut_disagreement(n, m, arith.factorize(m)) == ""
         assert sum(positions) == want, (n, m)
         assert sublattice_count(n, m) == forms_at, (n, m)
+
+
+def test_shortcut_check_batches_diagonals_into_blocks(monkeypatch):
+    # diagonals whose slot ranges agree share a block along a member axis, so
+    # at (3, 120) the closed form runs once per prime per box: 7 boxes and 3
+    # primes, not once per prime per diagonal (90 diagonals), over the same
+    # residue positions
+    real = oracle._smith_closed_form
+    positions = []
+
+    def spy(least, r, o):
+        positions.append(np.broadcast(*[np.asarray(x) for x in o]).size)
+        return real(least, r, o)
+
+    monkeypatch.setattr(oracle, "_smith_closed_form", spy)
+    assert oracle._shortcut_disagreement(3, 120, arith.factorize(120)) == ""
+    assert len(positions) == 21
+    assert sum(positions) == 1_977
 
 
 def test_verify_index_runs_no_per_form_reduction(monkeypatch):

@@ -84,7 +84,8 @@ def test_public_names_resolve_lazily_from_their_submodules():
     assert dir(sublattices) == sorted(sublattices.__all__)
 
 
-# a public function and arguments with one number that is not an integer
+# a public function and arguments with one number that is not an integer; a
+# dict closing the arguments passes its entries by keyword
 NON_INTEGRAL = [
     ("is_prime", (7.5,)),
     ("factorize", (12.5,)),
@@ -106,6 +107,11 @@ NON_INTEGRAL = [
     ("cocyclic_count_upto", (3.0, 10)),
     ("class_size_2x2", (0.5, 3, 2)),
     ("sublattice_count_prime_power", (2, 2.5, 2)),
+    ("census_bruteforce", (3, 12, {"budget": 1e7})),
+    ("cocyclic_bruteforce", (3, 12, {"budget": 1e7})),
+    ("verify_index", (2, 4, {"budget": 1e7})),
+    ("verify_prime_powers", (2, 3, 2, {"budget": 1e7})),
+    ("verify_suite", ({"budget": 1e7},)),
 ]
 
 
@@ -122,9 +128,10 @@ def _case_ids(cases):
 @pytest.mark.parametrize("name, args", NON_INTEGRAL, ids=_case_ids(NON_INTEGRAL))
 def test_non_integral_numbers_are_refused(name, args):
     call = getattr(sublattices, name)
+    *args, kwargs = args if isinstance(args[-1], dict) else (*args, {})
     with pytest.raises(TypeError):
         # partitions is a generator: its checks run at the first step
-        list(call(*args)) if name == "partitions" else call(*args)
+        list(call(*args)) if name == "partitions" else call(*args, **kwargs)
 
 
 def test_numpy_integer_scalars_stay_exact():
@@ -142,3 +149,8 @@ def test_numpy_integer_scalars_stay_exact():
     table = sublattices.census_bruteforce(np.int64(3), np.int64(12))
     assert type(table.n) is int and type(table.m) is int
     assert table == sublattices.census_bruteforce(3, 12)
+    # jobs and budget are integers too: a NumPy scalar is taken as one
+    exact = {"jobs": np.int64(2), "budget": np.int64(10**6)}
+    assert sublattices.census_bruteforce(3, 12, **exact) == table
+    assert sublattices.cocyclic_bruteforce(3, 12, **exact) == sublattices.cocyclic_bruteforce(3, 12)
+    assert sublattices.verify_index(3, 12, **exact) == sublattices.verify_index(3, 12)
