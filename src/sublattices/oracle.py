@@ -24,16 +24,18 @@ length e is asked up to order e - 1, and g = m / lcm(ess): at a prime p, the
 gcd of the products of e - 1 entries has valuation min_i (v_p(m) - v_p(d_i))
 = v_p(m) - max_i v_p(d_i).  The co-cyclic count asks only whether a gcd is
 1, so it runs modulo gcd(g, rad m), the product of the primes dividing g.
-The top order's principal minors have gcd g, so its other minors fold from
-the modulus.  Essential diagonals of one length whose reduced slot ranges
-agree share a block; one of modulus 1 answers with ints.  Any other block
-is cut into boxes of at most _CHUNK residue tuples over (members, *slots): a
-box fixes the leading axes, ranges one axis and runs the trailing axes in
-full.  Every box, one of a single member too, has a leading member axis that
-holds its diagonal entries, moduli and counts as (B, 1, ...) arrays, and
-each slot that varies is an arange along its own axis, so every minor
-broadcasts over only what it reads.  At (4, 104) the 20 essential diagonals
-of the 80 run in 8 boxes for the census and 3 for the co-cyclic count.
+One fold rule follows: D_k divides g, so D_k = gcd(g, k x k minors), and
+every order folds from the modulus; the top order's plans leave out its
+principal minors, whose gcd is g.  Essential diagonals of one length whose
+reduced slot ranges agree share a block; one of modulus 1 answers with ints.
+Any other block is cut into boxes of at most _CHUNK residue tuples over
+(members, *slots): a box fixes the leading axes, ranges one axis and runs
+the trailing axes in full.  Every box, one of a single member too, has a
+leading member axis that holds its diagonal entries, moduli and counts as
+(B, 1, ...) arrays, and each slot that varies is an arange along its own
+axis, so every minor broadcasts over only what it reads.  At (4, 104) the 20
+essential diagonals of the 80 run in 8 boxes for the census and 3 for the
+co-cyclic count.
 Census chains are tallied by the index of each gcd among the divisors of m,
 on the un-broadcast gcd arrays: with np.bincount where every residue tuple
 of a box stands for as many forms, else with np.add.at and exact int64
@@ -52,7 +54,8 @@ g = m / lcm(diag), the census's modulus for the same orders, and diagonals
 whose slot ranges agree share a block.  Per prime p of m, valuations of the
 box's arrays, from an int8 table and capped at each member's v_p(g), go
 through forms._smith_closed_form once per box, and the products of the
-p-parts must match the minor gcds of the full n x n plans.
+p-parts must match the minor gcds of the n x n plans, folded from g by the
+same rule.
 No per-form loop and no reduction (forms.invariant_factors) runs in verify.
 A verify run returns plain records (VerifyReport, SectionReport, ClassRow,
 Check); the CLI renders them as JSON, plain lines or csv.
@@ -62,7 +65,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import accumulate, product as iter_product
 from math import comb, gcd, lcm, prod
 from operator import index, mul
@@ -108,52 +111,60 @@ def _slots(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-# a scope asks for at most two keys per e, and e <= log2(m)
+# per (n, e) the census and the co-cyclic count ask one key each, and verify's
+# Smith check one per n; e <= log2(m)
 @lru_cache(maxsize=64)
-def _pattern_plans(e, orders):
-    """Symbolic minors of the generic e x e upper-triangular matrix, per order in orders.
+def _pattern_plans(e, u, orders):
+    """What the kernel runs at essential length e with u unit entries, for the minor orders orders.
 
-    Variable v < e stands for the diagonal entry d_v and variable e + s for the
-    entry of slot s of _slots(e).  Returns (per_order, weight, degree):
-    per_order[i] is a tuple of the nonzero orders[i] x orders[i] minors, each
-    a plan of (variables, coeff) monomials, sorted by the number of slot
-    entries they read, so the principal minors, which read none, come first.
-    Every plan has at most weight in absolute coefficients and degree
-    variables per monomial, so entries bounded by m bound every minor by
-    weight * m**degree.
+    Returns (ones, per_order, cols, weight, degree).  The ones orders up to u
+    have gcd 1.  per_order holds, per essential order k - u of an order k
+    above u, the nonzero minors of that order of the generic e x e
+    upper-triangular matrix, in which variable v < e stands for the diagonal
+    entry d_v and variable e + s for the entry of slot s of _slots(e), whose
+    column is cols[s].  Each minor is a plan of (variables, coeff) monomials;
+    an order's plans are sorted by the number of slot entries they read, so
+    its principal minors, which read none, come first.  The top order leaves
+    out its comb(e, k) principal minors: their gcd is the modulus every fold
+    starts at.  Every minor, the principal ones included, has at most weight
+    in absolute coefficients and degree variables per monomial, so entries
+    bounded by m bound every minor by weight * m**degree.
     """
-    if not orders:
-        return (), 1, 0
+    ones = sum(k <= u for k in orders)
+    essential = tuple(k - u for k in orders if k > u)
+    cols = tuple(j for _, j in _slots(e))
+    if not essential:
+        return ones, (), cols, 1, 0
     slot_var = {pos: e + s for s, pos in enumerate(_slots(e))}
-    low, high = min(orders), max(orders)
+    low, high = min(essential), max(essential)
     minors: dict[tuple, dict] = {}
 
-    def walk(i, rows, cols, used, odd):
+    def walk(i, rows, taken, used, odd):
         # one nonzero term of one minor per leaf: rows join in increasing
         # order, and a column placed left of columns already taken flips the
         # sign once per such column
         if len(rows) + e - i < low:
             return
         if i == e:
-            if len(rows) in orders:
-                monos = minors.setdefault((rows, tuple(sorted(cols))), {})
+            if len(rows) in essential:
+                monos = minors.setdefault((rows, tuple(sorted(taken))), {})
                 key = tuple(sorted(used))
                 monos[key] = monos.get(key, 0) + (-1 if odd else 1)
             return
-        walk(i + 1, rows, cols, used, odd)
+        walk(i + 1, rows, taken, used, odd)
         if len(rows) == high:
             return
         for c in range(i, e):
-            if c in cols:
+            if c in taken:
                 continue
             var = slot_var[(i, c)] if c > i else i
-            flips = sum(1 for x in cols if x > c)
-            walk(i + 1, rows + (i,), cols + (c,), used + (var,), odd ^ (flips & 1))
+            flips = sum(1 for x in taken if x > c)
+            walk(i + 1, rows + (i,), taken + (c,), used + (var,), odd ^ (flips & 1))
 
     walk(0, (), (), (), False)
     weight = degree = 0
     per_order = []
-    for k in orders:
+    for k in essential:
         # a minor and its negative give the same gcd, so each plan is kept
         # once, with a positive leading coefficient, in (rows, cols) order
         plans: dict[tuple, None] = {}
@@ -169,7 +180,8 @@ def _pattern_plans(e, orders):
         per_order.append(
             tuple(sorted(plans, key=lambda plan: len({v for s, _ in plan for v in s if v >= e})))
         )
-    return tuple(per_order), weight, degree
+    per_order[-1] = per_order[-1][comb(e, high) :]
+    return ones, tuple(per_order), cols, weight, degree
 
 
 def _eval_plan(plan, values):
@@ -189,12 +201,14 @@ def _eval_plan(plan, values):
     return total
 
 
-def _fold(plans, values, running=0):
-    # determinants can be negative or zero; np.gcd folds them through their
-    # absolute values, and the fold stops once every entry is exactly 1.
-    # Each order opens with a principal minor, an array of the member axis.
-    # The first entry is read before the whole array: in a box that holds
-    # the diagonal matrix itself, it stays the principal minors' gcd
+def _fold(plans, values, running):
+    # gcd(running, every minor of plans), running being the modulus column:
+    # every gcd asked divides it, and the top order's plans leave out the
+    # principal minors whose gcd it is.  np.gcd folds determinants, negative
+    # or zero too, through their absolute values, and the fold stops once
+    # every entry is exactly 1.  The first entry is read before the whole
+    # array: in a box that holds the diagonal matrix itself, it stays the
+    # modulus at the top order
     for plan in plans:
         running = np.gcd(running, _eval_plan(plan, values))
         if running.flat[0] == 1 and (running == 1).all():
@@ -291,7 +305,7 @@ def _box_weights(values, dropped, modulus, box, cols, cut, shapes):
     return count, weights if shapes else None
 
 
-def _block_gcds(members, shape, ones, lower, top, cols):
+def _block_gcds(members, shape, ones, per_order, cols):
     """(count, weights, gvals) per box of one block, boxes of at most _CHUNK residue tuples.
 
     members are the rows (*diag, dropped, modulus) of the block's essential
@@ -299,24 +313,21 @@ def _block_gcds(members, shape, ones, lower, top, cols):
     modulus) residues, and shape, those ranges, is the same for every
     member.  The boxes cut (members, *shape), and _member_box gives each
     its member columns and slots.  gvals open with ones orders whose gcd is
-    1, then hold the minors' gcd per order of lower, then at the top order
-    (top is None without one): 1, or an int64 array of the box's rank, with
-    length 1 on every axis that none of its minors reads.  The top order's
-    principal minors have gcd g, so its other plans, top, fold from the
-    modulus.  cols holds the column of each slot.  count and weights are
-    _box_weights'.  A block of modulus 1 has gcd 1 at every order: one part,
-    of ints.
+    1, then hold the minors' gcd per plan list of per_order, each folded
+    from the modulus: 1, or an int64 array of the box's rank, with length 1
+    on every axis that none of its minors reads.  cols holds the column of
+    each slot.  count and weights are _box_weights'.  A block of modulus 1
+    has gcd 1 at every order: one part, of ints.
     """
     if prod(shape) == 1:
         count = sum(row[-2] * prod([row[j] for j in cols]) for row in members)
-        yield count, None, [1] * (ones + len(lower) + (top is not None))
+        yield count, None, [1] * (ones + len(per_order))
         return
     cut = [any(row[j] > row[-1] for row in members) for j in cols]
     for where in _boxes([len(members), *shape], _CHUNK):
         _, box, (*diag, dropped, modulus), slots = _member_box(members, where)
         values = diag + slots
-        gvals = [1] * ones + [_fold(plans, values) for plans in lower]
-        gvals.append(_fold(top, values, modulus))
+        gvals = [1] * ones + [_fold(plans, values, modulus) for plans in per_order]
         shapes = [g.shape for g in gvals if isinstance(g, np.ndarray)]
         yield *_box_weights(values, dropped, modulus, box, cols, cut, shapes), gvals
 
@@ -374,25 +385,6 @@ def _tally_cocyclic(parts):
         else:
             hits += int((weights * (g == 1)).sum())
     return hits
-
-
-# per (n, e) the census and the co-cyclic count ask one key each, and e <= log2(m)
-@lru_cache(maxsize=64)
-def _essential_plans(e, u, orders):
-    """What the kernel runs at essential length e with u unit entries, for the minor orders orders.
-
-    Returns (ones, lower, top, cols, weight, degree): the ones orders up to
-    u have gcd 1; lower holds the plans of each essential order below the
-    top one; top, those of the top order without its comb(e, k) principal
-    minors, which open it, k being that order, or None without an essential
-    order; cols, the column of each slot; weight and degree bound the
-    minors as in _pattern_plans.
-    """
-    essential = tuple(k - u for k in orders if k > u)
-    per_order, weight, degree = _pattern_plans(e, essential)
-    top = per_order[-1][comb(e, max(essential)) :] if per_order else None
-    cols = tuple(j for _, j in _slots(e))
-    return sum(k <= u for k in orders), per_order[:-1], top, cols, weight, degree
 
 
 def _unit_forms(ess, u):
@@ -454,13 +446,14 @@ def _refuse(n, m, scope, jobs, budget, orders):
     """Validate a brute-force call and refuse it before any work: (n, m, fac, plans per length e).
 
     Raises BudgetExceededError over budget matrices, at 2**63 forms or more,
-    which the int64 tally cannot hold, or where the minor bound weight *
-    m**degree of an essential plan reaches _INT64_SAFE.  The essential
-    lengths that occur are 1 to min(n, Omega(m)), with Omega(m) the number
-    of prime factors of m counted with multiplicity, or 0 alone at m = 1, so
-    no essential diagonal is enumerated.  n and m come back as the plain ints
-    of _check_nm, and fac is factorize(m); jobs and budget go through
-    operator.index.
+    which the int64 tally cannot hold, or where the bound weight * m**degree
+    on the minors of an essential length e, principal ones included, reaches
+    _INT64_SAFE; the plans come cached per key (e, n - e, orders).  The
+    essential lengths that occur are 1 to min(n, Omega(m)), with Omega(m)
+    the number of prime factors of m counted with multiplicity, or 0 alone
+    at m = 1, so no essential diagonal is enumerated.  n and m come back as
+    the plain ints of _check_nm, and fac is factorize(m); jobs and budget go
+    through operator.index.
     """
     n, m = _check_nm(n, m)
     if not hasattr(jobs, "__index__") or index(jobs) < 1:
@@ -478,7 +471,7 @@ def _refuse(n, m, scope, jobs, budget, orders):
     omega = sum(r for _, r in fac)
     resolved = {}
     for e in range(1, min(n, omega) + 1) if omega else (0,):
-        resolved[e] = _essential_plans(e, n - e, orders)
+        resolved[e] = _pattern_plans(e, n - e, orders)
         weight, degree = resolved[e][-2:]
         bound = weight * m**degree
         if bound >= _INT64_SAFE:
@@ -514,9 +507,9 @@ def _bruteforce(n, m, scope, jobs, budget, orders, radical=False):
 
     def parts():
         for reduced, members in blocks.items():
-            ones, lower, top, cols = resolved[len(members[0]) - 2][:4]
+            ones, per_order, cols = resolved[len(members[0]) - 2][:3]
             shape = tuple([reduced[j - 1] for j in cols])
-            yield from _block_gcds(members, shape, ones, lower, top, cols)
+            yield from _block_gcds(members, shape, ones, per_order, cols)
 
     return n, m, parts()
 
@@ -608,12 +601,13 @@ def _shortcut_disagreement(n: int, m: int, fac) -> str:
     their residues modulo g = m / lcm(diag), the gcd of the principal minors
     of order n - 1, as in the census; diagonals whose slot ranges agree
     share a block, in hnf_stream order, as member rows: diag, its stream
-    position, then a = v_p(g) and the exponents of diag per prime p of m.
+    position, g, then a = v_p(g) and the exponents of diag per prime p of m.
     Per prime and box, _smith_closed_form takes valuations from
     _valuation_table, capped at the box's largest a and then at each
     member's, and D1 (and D2 at n = 3) must be the product of the p**t (the
     p**s and p**t).  The reference D_k, the gcd of the k x k minors, comes
-    from the full plans of _pattern_plans; neither route reads the other.
+    from the n x n plans of _pattern_plans, folded from the column g as in
+    the census; neither route reads the other.
     Residues suffice, at each prime: D_k is fixed by the entries modulo g, s
     and t are at most a, and min(v_p(x), a) stays put when x, or h12*h23 -
     d2*h13, moves by a multiple of g.  So the first disagreeing form,
@@ -623,11 +617,11 @@ def _shortcut_disagreement(n: int, m: int, fac) -> str:
     wherever the census ran.
     """
     slots = _slots(n)
-    per_order = _pattern_plans(n, tuple(range(1, n)))[0]
+    per_order = _pattern_plans(n, 0, tuple(range(1, n)))[1]
     blocks: dict[tuple, list] = {}
     for position, diag in enumerate(divisor_compositions(m, n)):
         g = m // lcm(*diag)
-        row = [*diag, position, *[_valuation(p, x) for p, _ in fac for x in (g, *diag)]]
+        row = [*diag, position, g, *[_valuation(p, x) for p, _ in fac for x in (g, *diag)]]
         blocks.setdefault(tuple([min(diag[j], g) for _, j in slots]), []).append(row)
     first = None
     for shape, members in blocks.items():
@@ -640,7 +634,7 @@ def _shortcut_disagreement(n: int, m: int, fac) -> str:
                 h12, h13, h23 = entries
                 entries.append(h12 * h23 - columns[1] * h13)
             shortcut = [1] * (n - 1)
-            for (p, _), k in zip(fac, range(n + 1, len(members[0]), n + 1)):
+            for (p, _), k in zip(fac, range(n + 2, len(members[0]), n + 1)):
                 table = _valuation_table(p, max(row[k] for row in picked))
                 a, *exps = columns[k : k + n + 1]
                 o = [np.minimum(table[x % table.size], a) for x in entries]
@@ -649,7 +643,7 @@ def _shortcut_disagreement(n: int, m: int, fac) -> str:
                     shortcut[i] = shortcut[i] * np.power(p, e, dtype=np.int64)
             bad = np.zeros((len(picked), *box[2]), dtype=bool)
             for want, plans in zip(shortcut, per_order):
-                bad |= want != _fold(plans, values)
+                bad |= want != _fold(plans, values, columns[n + 1])
             if bad.any():
                 # the first hit in box order is the block's first in hnf_stream order
                 fixed, start, size = where
@@ -699,7 +693,7 @@ def verify_index(n: int, m: int, *, jobs: int = 1, budget: int = DEFAULT_BUDGET)
     fac = factorize(m)
     if len(fac) >= 2:
         # at a composite index, every answer must split over the prime powers
-        detail = _split_failure(n, [p**r for p, r in fac])
+        detail = _split_failure([class_census(n, p**r) for p, r in fac])
         checks.append(
             Check("multiplicative_split", not detail, detail or f"{len(fac)} prime power factors")
         )
@@ -747,20 +741,23 @@ def _leading_terms_section(max_n: int = 4, max_r: int = 5) -> SectionReport:
     return SectionReport("polynomial leading terms", checks=checks)
 
 
-def _split_failure(n: int, factors) -> str:
+def _split_failure(tables: Sequence[CensusTable]) -> str:
     """Where the answers at the product of pairwise coprime factors fail to split over them, or ''.
 
-    The count and the class count must be the products of the factors' own,
-    and each class, a chain merged from one class per factor entrywise, must
-    have class_size the product of theirs.
+    tables are the class_census of each factor, at one n.  The count and the
+    class count must be the products of the factors' own, and each class, a
+    chain merged from one class per factor entrywise, must have class_size
+    the product of theirs.
     """
+    n = tables[0].n
+    factors = [table.m for table in tables]
     m = prod(factors)
     at = " * ".join(map(str, factors))
     if sublattice_count(n, m) != prod(sublattice_count(n, f) for f in factors):
         return f"count split fails at {at}"
     if class_count(n, m) != prod(class_count(n, f) for f in factors):
         return f"class count split fails at {at}"
-    for combo in iter_product(*(class_census(n, f).counts.items() for f in factors)):
+    for combo in iter_product(*(table.counts.items() for table in tables)):
         merged = tuple(map(prod, zip(*(key for key, _ in combo))))
         if class_size(merged) != prod(size for _, size in combo):
             return f"class size split fails at {merged}"
@@ -771,13 +768,14 @@ def _multiplicativity_section(limit: int = 120, max_n: int = 3) -> SectionReport
     """Per n, the first coprime m1 * m2 <= limit whose answers fail to split."""
     checks = []
     for n in range(1, max_n + 1):
+        census = lru_cache(maxsize=None)(partial(class_census, n))  # once per factor
         pairs = (
             (m1, m2)
             for m1 in range(2, limit + 1)
             for m2 in range(2, limit // m1 + 1)
             if gcd(m1, m2) == 1
         )
-        detail = next(filter(None, (_split_failure(n, pair) for pair in pairs)), "")
+        detail = next(filter(None, (_split_failure([*map(census, pair)]) for pair in pairs)), "")
         checks.append(Check(f"multiplicative up to {limit}, n={n}", not detail, detail))
     return SectionReport("multiplicativity across coprime factors", checks=checks)
 

@@ -206,10 +206,10 @@ def test_bruteforce_resolves_plans_per_essential_length(monkeypatch):
 
     lookups = []
     boxes = []
-    real_plans = oracle._essential_plans
+    real_plans = oracle._pattern_plans
     real_boxes = oracle._boxes
 
-    def essential_plans(e, u, orders):
+    def pattern_plans(e, u, orders):
         lookups.append(e)
         return real_plans(e, u, orders)
 
@@ -218,7 +218,7 @@ def test_bruteforce_resolves_plans_per_essential_length(monkeypatch):
             boxes.append((tuple(sizes[1:]), box))
             yield box
 
-    monkeypatch.setattr(oracle, "_essential_plans", essential_plans)
+    monkeypatch.setattr(oracle, "_pattern_plans", pattern_plans)
     monkeypatch.setattr(oracle, "_boxes", cut)
     for brute, want, radical, expect_boxes in (
         (census_bruteforce, class_census(n, m).counts, False, 8),
@@ -239,7 +239,9 @@ def test_essential_diagonals_and_their_moduli_in_closed_form():
     # once with the forms it stands for, recounted over every diagonal; its
     # modulus m // lcm(ess) is the gcd of the products of e - 1 of its
     # entries (1 at m = 1), and the co-cyclic one, gcd(g, rad m), the product
-    # of the primes dividing g
+    # of the primes dividing g.  At every lower order k the gcd of the
+    # products of k entries, which every k x k minor gcd divides, divides
+    # that modulus too, so every order may fold from it
     for m in range(1, 257):
         fac = arith.factorize(m)
         rad = prod(p for p, _ in fac)
@@ -259,6 +261,8 @@ def test_essential_diagonals_and_their_moduli_in_closed_form():
             for ess, _ in walked:
                 g = m // math.lcm(*ess)
                 assert g == math.gcd(*map(prod, combinations(ess, max(len(ess) - 1, 0)))), ess
+                for k in range(1, len(ess)):
+                    assert g % math.gcd(*map(prod, combinations(ess, k))) == 0, (ess, k)
                 assert math.gcd(g, rad) == prod(p for p, _ in fac if g % p == 0), ess
 
 
@@ -302,7 +306,7 @@ def test_int64_gate_never_refuses_within_default_budget():
     # its n - e unit entries
     for n in range(3, 7):
         bounds = [
-            oracle._pattern_plans(e, tuple(k - n + e for k in orders if k > n - e))[1:]
+            oracle._pattern_plans(e, n - e, orders)[-2:]
             for e in range(n + 1)
             for orders in (tuple(range(1, n)), (n - 1,))
         ]
@@ -360,7 +364,7 @@ def test_bruteforce_refuses_tallies_past_int64(monkeypatch):
     n, m = 3, 1275595776
     assert sublattice_count(n, m) >= 2**63
     for orders in ((1, 2), (2,)):
-        weight, degree = oracle._pattern_plans(n, orders)[1:]
+        weight, degree = oracle._pattern_plans(n, 0, orders)[-2:]
         assert weight * m**degree < oracle._INT64_SAFE
     boxes = []
     monkeypatch.setattr(oracle, "_boxes", lambda *args: boxes.append(args) or iter(()))
@@ -402,12 +406,22 @@ def test_bruteforce_starts_no_process(monkeypatch, capsys):
 def test_pattern_plans_are_the_minors_of_any_such_matrix():
     # a plan holds for every upper-triangular matrix, not only for Hermite
     # forms, so random entries of both signs check every monomial and sign
-    # against direct determinants
+    # against direct determinants.  Each order up to e is checked as the top
+    # one, whose list leaves out exactly its comb(e, k) principal minors, the
+    # products of k diagonal entries, and as a lower one, which keeps them
+    # first
     rng = random.Random(7)
-    for e in range(1, 6):
-        orders = tuple(range(1, e + 1))
-        per_order = oracle._pattern_plans(e, orders)[0]
+    for e, top in ((e, top) for e in range(1, 6) for top in range(1, e + 1)):
+        orders = tuple(range(1, top + 1))
+        ones, per_order, slot_cols, *_ = oracle._pattern_plans(e, 0, orders)
+        assert ones == 0 and slot_cols == tuple(j for _, j in oracle._slots(e))
         assert len(per_order) == len(orders)
+        principal = tuple(((picked, 1),) for picked in combinations(range(e), top))
+        if top < e:
+            full = oracle._pattern_plans(e, 0, orders + (top + 1,))[1][top - 1]
+            assert full == principal + per_order[-1], (e, top)
+        else:
+            assert per_order[-1] == (), e
         for _ in range(2**e):
             diag = [rng.choice((-7, -3, 1, 2, 5, 9)) for _ in range(e)]
             entries = [rng.randint(-9, 9) for _ in oracle._slots(e)]
@@ -428,6 +442,7 @@ def test_pattern_plans_are_the_minors_of_any_such_matrix():
                     abs(integer_det([[rows[i][j] for j in cols] for i in picked]))
                     for picked in combinations(range(e), k)
                     for cols in combinations(range(e), k)
+                    if k < top or cols != picked
                 }
                 assert got - {0} == want - {0}, (e, k)
 
@@ -454,9 +469,9 @@ def test_bruteforce_high_dimension_at_index_two(monkeypatch):
     built = []
     real = oracle._pattern_plans
 
-    def pattern_plans(e, orders):
+    def pattern_plans(e, u, orders):
         built.append(e)
-        return real(e, orders)
+        return real(e, u, orders)
 
     monkeypatch.setattr(oracle, "_pattern_plans", pattern_plans)
     for n in (16, 20):
@@ -700,7 +715,7 @@ def test_aggregate_sections(monkeypatch):
 def test_one_split_check_serves_index_and_suite(monkeypatch):
     # a class size off by one at index 6 fails the split of verify_index at a
     # composite index and the suite's multiplicativity section alike
-    assert _split_failure(2, (4, 9, 5)) == ""
+    assert _split_failure([class_census(2, f) for f in (4, 9, 5)]) == ""
     real = oracle.class_size
     monkeypatch.setattr(oracle, "class_size", lambda chain: real(chain) + (prod(chain) == 6))
     split = [c for c in verify_index(2, 6).checks if c.name == "multiplicative_split"]
@@ -710,6 +725,22 @@ def test_one_split_check_serves_index_and_suite(monkeypatch):
         "class size split fails at (6,)",
         "class size split fails at (1, 6)",
     ]
+
+
+def test_multiplicativity_section_builds_each_factor_census_once(monkeypatch):
+    # a factor's census serves every coprime pair it is in: the section's
+    # pairs m1 * m2 <= 120 over n = 1, 2, 3 hold 141 distinct (n, f), and
+    # none is built twice
+    built = []
+    real = oracle.class_census
+
+    def spy(n, m):
+        built.append((n, m))
+        return real(n, m)
+
+    monkeypatch.setattr(oracle, "class_census", spy)
+    assert _multiplicativity_section().ok
+    assert len(built) == len(set(built)) == 141
 
 
 def test_suite_and_ladder_refuse_before_any_scope_runs(monkeypatch, capsys):
