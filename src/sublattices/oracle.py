@@ -5,13 +5,14 @@ invariant factor chain; the co-cyclic count tallies them by whether the minors
 of order n-1 have gcd 1.  Both run on one batched int64 kernel.  A diagonal
 entry of 1 has column e_j, so column operations clear its row: a form's chain
 is (1, ..., 1) followed by the chain of its essential submatrix, the e x e
-matrix on the diagonal entries above 1.  One symbolic plan of the minors of
-the generic e x e upper-triangular matrix serves every diagonal with e such
-entries, from a bounded cache; a call resolves the plans and their int64
-bound once per essential length e.  The slots of unit rows are read by no
-plan, so they are counted, not ranged: the kernel walks the essential
-diagonals, each with its forms per essential matrix summed over the
-diagonals that hold it.
+matrix on the diagonal entries above 1.  Laplace plans of the minors of the
+generic e x e upper-triangular matrix, each along its last row from minors
+of the order below, serve every diagonal with e such entries, from a bounded
+cache; a call resolves the plans and their int64 bound once per essential
+length e, and a box computes each minor once, in one memo shared by every
+order it folds.  The slots of unit rows are read by no plan, so they are
+counted, not ranged: the kernel walks the essential diagonals, each with its
+forms per essential matrix summed over the diagonals that hold it.
 
 The kernel ranges residues, not entries.  The gcd D_k of the k x k minors
 divides g_k, the gcd of the principal k x k minors, which are products of
@@ -40,9 +41,9 @@ Census chains are tallied by the index of each gcd among the divisors of m,
 on the un-broadcast gcd arrays: with np.bincount where every residue tuple
 of a box stands for as many forms, else with np.add.at and exact int64
 weights, the product of one count per axis that a gcd reads, with the axes
-none reads summed in as ints.  A
-bound on every minor, with entries bounded by m, says whether int64 is
-exact; a scope where any essential plan's bound reaches _INT64_SAFE, or with
+none reads summed in as ints.  A bound on every minor and every partial sum
+of its evaluation, with entries bounded by m, says whether int64 is exact;
+a scope where any essential plan's bound reaches _INT64_SAFE, or with
 2**63 forms or more, which the int64 tally cannot hold, is refused up front,
 like one over the matrix budget, so no answer leaves the kernel.  Everything
 runs in one process: inside the default budget a worker pool gained at most
@@ -55,7 +56,7 @@ whose slot ranges agree share a block.  Per prime p of m, valuations of the
 box's arrays, from an int8 table and capped at each member's v_p(g), go
 through forms._smith_closed_form once per box, and the products of the
 p-parts must match the minor gcds of the n x n plans, folded from g by the
-same rule.
+same rule, through one memo per box.
 No per-form loop and no reduction (forms.invariant_factors) runs in verify.
 A verify run returns plain records (VerifyReport, SectionReport, ClassRow,
 Check); the CLI renders them as JSON, plain lines or csv.
@@ -66,10 +67,10 @@ from __future__ import annotations
 import time
 from bisect import bisect
 from functools import lru_cache, partial, reduce
-from itertools import accumulate, product as iter_product
+from itertools import accumulate, combinations, product as iter_product
 from math import comb, gcd, lcm, prod
 from operator import index, mul
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -120,15 +121,19 @@ def _pattern_plans(e, u, orders):
     Returns (ones, per_order, cols, weight, degree).  The ones orders up to u
     have gcd 1.  per_order holds, per essential order k - u of an order k
     above u, the nonzero minors of that order of the generic e x e
-    upper-triangular matrix, in which variable v < e stands for the diagonal
-    entry d_v and variable e + s for the entry of slot s of _slots(e), whose
-    column is cols[s].  Each minor is a plan of (variables, coeff) monomials;
-    an order's plans are sorted by the number of slot entries they read, so
-    its principal minors, which read none, come first.  The top order leaves
-    out its comb(e, k) principal minors: their gcd is the modulus every fold
+    upper-triangular matrix, in which variable v < e stands for d_v and
+    variable e + s for the entry of slot s of _slots(e), whose column is
+    cols[s].  A minor is a Laplace plan (key, terms) along its last row: key
+    is its (rows, cols), and a term (variable, negate, below) multiplies one
+    entry of that row by the plan of the minor below, None at order 1.  A
+    plan stands for its minor or the negative, and its first term adds.  An
+    order's plans are sorted by the number of slot entries they read, so its
+    principal minors, which read none, come first.  The top order leaves out
+    its comb(e, k) principal minors: their gcd is the modulus every fold
     starts at.  Every minor, the principal ones included, has at most weight
-    in absolute coefficients and degree variables per monomial, so entries
-    bounded by m bound every minor by weight * m**degree.
+    terms, summed up the plans below, and order at most degree, so entries
+    bounded by m bound it, and every partial sum of its evaluation, by
+    weight * m**degree.
     """
     ones = sum(k <= u for k in orders)
     essential = tuple(k - u for k in orders if k > u)
@@ -136,81 +141,65 @@ def _pattern_plans(e, u, orders):
     if not essential:
         return ones, (), cols, 1, 0
     slot_var = {pos: e + s for s, pos in enumerate(_slots(e))}
-    low, high = min(essential), max(essential)
-    minors: dict[tuple, dict] = {}
+    built: dict[tuple, tuple | None] = {((), ()): (None, 1, set())}  # the empty minor is 1
 
-    def walk(i, rows, taken, used, odd):
-        # one nonzero term of one minor per leaf: rows join in increasing
-        # order, and a column placed left of columns already taken flips the
-        # sign once per such column
-        if len(rows) + e - i < low:
-            return
-        if i == e:
-            if len(rows) in essential:
-                monos = minors.setdefault((rows, tuple(sorted(taken))), {})
-                key = tuple(sorted(used))
-                monos[key] = monos.get(key, 0) + (-1 if odd else 1)
-            return
-        walk(i + 1, rows, taken, used, odd)
-        if len(rows) == high:
-            return
-        for c in range(i, e):
-            if c in taken:
-                continue
-            var = slot_var[(i, c)] if c > i else i
-            flips = sum(1 for x in taken if x > c)
-            walk(i + 1, rows + (i,), taken + (c,), used + (var,), odd ^ (flips & 1))
+    def build(key):
+        # (plan, terms counted down the plans below, slot variables read), or
+        # None where the minor is zero on every such matrix.  Row r meets the
+        # columns from the first at or past r on, and those exceed every row
+        # above, so the minors below differ only in which of them they leave
+        # out and stand for their minors with one sign: the terms alternate
+        if key not in built:
+            (*above, r), picked = key
+            terms, count, reads = [], 0, set()
+            for j, c in enumerate(picked):
+                below = build((tuple(above), picked[:j] + picked[j + 1 :])) if c >= r else None
+                if below:
+                    plan, terms_below, read = below
+                    var = slot_var[(r, c)] if c > r else r
+                    terms.append((var, len(terms) % 2 == 1, plan))
+                    count += terms_below
+                    reads |= read if c == r else read | {var}
+            built[key] = ((key, tuple(terms)), count, reads) if terms else None
+        return built[key]
 
-    walk(0, (), (), (), False)
-    weight = degree = 0
-    per_order = []
+    weight, per_order = 0, []
     for k in essential:
-        # a minor and its negative give the same gcd, so each plan is kept
-        # once, with a positive leading coefficient, in (rows, cols) order
-        plans: dict[tuple, None] = {}
-        for key in sorted(key for key in minors if len(key[0]) == k):
-            plan = tuple(sorted((s, c) for s, c in minors[key].items() if c))
-            if plan:
-                sign = 1 if plan[0][1] > 0 else -1
-                plans[tuple((s, sign * c) for s, c in plan)] = None
-        for plan in plans:
-            weight = max(weight, sum(abs(c) for _, c in plan))
-            degree = max(degree, max(len(s) for s, _ in plan))
+        listed = list(filter(None, map(build, iter_product(combinations(range(e), k), repeat=2))))
+        weight = max(weight, *(count for _, count, _ in listed))
         # minors that read fewer slots broadcast over smaller arrays: fold them first
-        per_order.append(
-            tuple(sorted(plans, key=lambda plan: len({v for s, _ in plan for v in s if v >= e})))
-        )
-    per_order[-1] = per_order[-1][comb(e, high) :]
-    return ones, tuple(per_order), cols, weight, degree
+        listed.sort(key=lambda minor: len(minor[2]))
+        per_order.append(tuple(plan for plan, _, _ in listed))
+    per_order[-1] = per_order[-1][comb(e, max(essential)) :]
+    return ones, tuple(per_order), cols, weight, max(essential)
 
 
-def _eval_plan(plan, values):
-    """One minor from its monomials; values[v] is an int64 array, or an int for a fixed slot.
+def _minor(key, terms, values, memo):
+    """One minor from its Laplace plan; values[v] is an int64 array, or an int for a fixed slot.
 
-    A monomial's variables are sorted, so its diagonal entries, the member
-    columns, come first.  A monomial names each matrix entry it reads, so no
-    two terms of a minor share one: every coefficient is 1 or -1, and the
-    first is 1.  So a term is added or subtracted, and an array costs no
-    multiplication by its sign.
+    memo holds the box's minors by key, so each is computed once, whichever
+    order asks it.  The first term adds and every later one is added or
+    subtracted, so an array costs no multiplication by its sign.
     """
-    (first, _), *rest = plan
-    total = reduce(mul, [values[v] for v in first])
-    for s, c in rest:
-        term = reduce(mul, [values[v] for v in s])
-        total = total + term if c > 0 else total - term
+    total = memo.get(key)
+    if total is None:
+        for var, negate, below in terms:
+            term = values[var] if below is None else values[var] * _minor(*below, values, memo)
+            total = term if total is None else total - term if negate else total + term
+        memo[key] = total
     return total
 
 
-def _fold(plans, values, running):
+def _fold(plans, values, running, memo):
     # gcd(running, every minor of plans), running being the modulus column:
     # every gcd asked divides it, and the top order's plans leave out the
     # principal minors whose gcd it is.  np.gcd folds determinants, negative
     # or zero too, through their absolute values, and the fold stops once
-    # every entry is exactly 1.  The first entry is read before the whole
-    # array: in a box that holds the diagonal matrix itself, it stays the
-    # modulus at the top order
+    # every entry is exactly 1, so a minor no fold reaches is not computed.
+    # The first entry is read before the whole array: in a box that holds
+    # the diagonal matrix itself, it stays the modulus at the top order
     for plan in plans:
-        running = np.gcd(running, _eval_plan(plan, values))
+        running = np.gcd(running, _minor(*plan, values, memo))
         if running.flat[0] == 1 and (running == 1).all():
             return 1
     return running
@@ -326,8 +315,8 @@ def _block_gcds(members, shape, ones, per_order, cols):
     cut = [any(row[j] > row[-1] for row in members) for j in cols]
     for where in _boxes([len(members), *shape], _CHUNK):
         _, box, (*diag, dropped, modulus), slots = _member_box(members, where)
-        values = diag + slots
-        gvals = [1] * ones + [_fold(plans, values, modulus) for plans in per_order]
+        values, memo = diag + slots, {}
+        gvals = [1] * ones + [_fold(plans, values, modulus, memo) for plans in per_order]
         shapes = [g.shape for g in gvals if isinstance(g, np.ndarray)]
         yield *_box_weights(values, dropped, modulus, box, cols, cut, shapes), gvals
 
@@ -447,13 +436,13 @@ def _refuse(n, m, scope, jobs, budget, orders):
 
     Raises BudgetExceededError over budget matrices, at 2**63 forms or more,
     which the int64 tally cannot hold, or where the bound weight * m**degree
-    on the minors of an essential length e, principal ones included, reaches
-    _INT64_SAFE; the plans come cached per key (e, n - e, orders).  The
-    essential lengths that occur are 1 to min(n, Omega(m)), with Omega(m)
-    the number of prime factors of m counted with multiplicity, or 0 alone
-    at m = 1, so no essential diagonal is enumerated.  n and m come back as
-    the plain ints of _check_nm, and fac is factorize(m); jobs and budget go
-    through operator.index.
+    on every minor of an essential length e and every partial sum of its
+    Laplace evaluation reaches _INT64_SAFE; the plans come cached per key
+    (e, n - e, orders).  The essential lengths that occur are 1 to min(n,
+    Omega(m)), with Omega(m) the number of prime factors of m counted with
+    multiplicity, or 0 alone at m = 1, so no essential diagonal is
+    enumerated.  n and m come back as the plain ints of _check_nm, and fac
+    is factorize(m); jobs and budget go through operator.index.
     """
     n, m = _check_nm(n, m)
     if not hasattr(jobs, "__index__") or index(jobs) < 1:
@@ -641,9 +630,9 @@ def _shortcut_disagreement(n: int, m: int, fac) -> str:
                 got = _smith_closed_form(_least, exps, o)
                 for i, e in enumerate(got if n == 3 else (got,)):
                     shortcut[i] = shortcut[i] * np.power(p, e, dtype=np.int64)
-            bad = np.zeros((len(picked), *box[2]), dtype=bool)
+            bad, memo = np.zeros((len(picked), *box[2]), dtype=bool), {}
             for want, plans in zip(shortcut, per_order):
-                bad |= want != _fold(plans, values, columns[n + 1])
+                bad |= want != _fold(plans, values, columns[n + 1], memo)
             if bad.any():
                 # the first hit in box order is the block's first in hnf_stream order
                 fixed, start, size = where
@@ -693,7 +682,8 @@ def verify_index(n: int, m: int, *, jobs: int = 1, budget: int = DEFAULT_BUDGET)
     fac = factorize(m)
     if len(fac) >= 2:
         # at a composite index, every answer must split over the prime powers
-        detail = _split_failure([class_census(n, p**r) for p, r in fac])
+        tables = [class_census(n, p**r) for p, r in fac]
+        detail = _split_failure(tables, partial(sublattice_count, n), partial(class_count, n))
         checks.append(
             Check("multiplicative_split", not detail, detail or f"{len(fac)} prime power factors")
         )
@@ -741,21 +731,23 @@ def _leading_terms_section(max_n: int = 4, max_r: int = 5) -> SectionReport:
     return SectionReport("polynomial leading terms", checks=checks)
 
 
-def _split_failure(tables: Sequence[CensusTable]) -> str:
+def _split_failure(
+    tables: Sequence[CensusTable], count: Callable[[int], int], classes: Callable[[int], int]
+) -> str:
     """Where the answers at the product of pairwise coprime factors fail to split over them, or ''.
 
-    tables are the class_census of each factor, at one n.  The count and the
-    class count must be the products of the factors' own, and each class, a
-    chain merged from one class per factor entrywise, must have class_size
-    the product of theirs.
+    tables are the class_census of each factor, at one n, and count and
+    classes take m to sublattice_count and class_count at that n.  The count
+    and the class count must be the products of the factors' own, and each
+    class, a chain merged from one class per factor entrywise, must have
+    class_size the product of theirs.
     """
-    n = tables[0].n
     factors = [table.m for table in tables]
     m = prod(factors)
     at = " * ".join(map(str, factors))
-    if sublattice_count(n, m) != prod(sublattice_count(n, f) for f in factors):
+    if count(m) != prod(map(count, factors)):
         return f"count split fails at {at}"
-    if class_count(n, m) != prod(class_count(n, f) for f in factors):
+    if classes(m) != prod(map(classes, factors)):
         return f"class count split fails at {at}"
     for combo in iter_product(*(table.counts.items() for table in tables)):
         merged = tuple(map(prod, zip(*(key for key, _ in combo))))
@@ -768,14 +760,19 @@ def _multiplicativity_section(limit: int = 120, max_n: int = 3) -> SectionReport
     """Per n, the first coprime m1 * m2 <= limit whose answers fail to split."""
     checks = []
     for n in range(1, max_n + 1):
-        census = lru_cache(maxsize=None)(partial(class_census, n))  # once per factor
+        # each census and closed form once per (n, m) of the section
+        census, count, classes = [
+            lru_cache(maxsize=None)(partial(f, n))
+            for f in (class_census, sublattice_count, class_count)
+        ]
         pairs = (
             (m1, m2)
             for m1 in range(2, limit + 1)
             for m2 in range(2, limit // m1 + 1)
             if gcd(m1, m2) == 1
         )
-        detail = next(filter(None, (_split_failure([*map(census, pair)]) for pair in pairs)), "")
+        splits = (_split_failure([*map(census, pair)], count, classes) for pair in pairs)
+        detail = next(filter(None, splits), "")
         checks.append(Check(f"multiplicative up to {limit}, n={n}", not detail, detail))
     return SectionReport("multiplicativity across coprime factors", checks=checks)
 

@@ -2,7 +2,8 @@ import concurrent.futures
 import json
 import random
 from collections import Counter
-from itertools import combinations, product as iter_product
+from functools import partial
+from itertools import combinations, permutations, product as iter_product
 import math
 from math import gcd, prod
 
@@ -166,14 +167,14 @@ def test_prime_index_builds_no_minor_array(monkeypatch):
     # at a prime index every block has one entry above 1, so its essential
     # submatrix is 1 x 1 and every order below n has gcd 1: no minor is evaluated
     values = []
-    real = oracle._eval_plan
+    real = oracle._minor
 
-    def eval_plan(*args):
+    def minor(*args):
         value = real(*args)
         values.append(value)
         return value
 
-    monkeypatch.setattr(oracle, "_eval_plan", eval_plan)
+    monkeypatch.setattr(oracle, "_minor", minor)
     assert census_bruteforce(3, 101).counts == class_census(3, 101).counts
     assert cocyclic_bruteforce(3, 101) == cocyclic_count(3, 101)
     assert values == []
@@ -403,23 +404,54 @@ def test_bruteforce_starts_no_process(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["payload"]["all_match"] is True
 
 
+def _laplace_minors(per_order):
+    """The (rows, cols) of every minor that the plans of per_order reach, those below included."""
+    found, stack = set(), [plan for plans in per_order for plan in plans]
+    while stack:
+        key, terms = stack.pop()
+        if key not in found:
+            found.add(key)
+            stack += [below for _, _, below in terms if below is not None]
+    return found
+
+
+def _slots_read(terms, e):
+    return {var for var, _, below in terms if var >= e}.union(
+        *(_slots_read(below[1], e) for _, _, below in terms if below is not None)
+    )
+
+
 def test_pattern_plans_are_the_minors_of_any_such_matrix():
     # a plan holds for every upper-triangular matrix, not only for Hermite
-    # forms, so random entries of both signs check every monomial and sign
-    # against direct determinants.  Each order up to e is checked as the top
-    # one, whose list leaves out exactly its comb(e, k) principal minors, the
-    # products of k diagonal entries, and as a lower one, which keeps them
-    # first
+    # forms, so random entries of both signs check every term and sign
+    # against direct determinants: each listed minor, and each minor below
+    # it that the box's memo holds, evaluated on Python ints.  Each order up
+    # to e is checked as the top one, whose list leaves out exactly its
+    # comb(e, k) principal minors, the products of k diagonal entries, and as
+    # a lower one, which lists every minor that is nonzero on some such
+    # matrix, principal ones first
     rng = random.Random(7)
     for e, top in ((e, top) for e in range(1, 6) for top in range(1, e + 1)):
         orders = tuple(range(1, top + 1))
         ones, per_order, slot_cols, *_ = oracle._pattern_plans(e, 0, orders)
         assert ones == 0 and slot_cols == tuple(j for _, j in oracle._slots(e))
         assert len(per_order) == len(orders)
-        principal = tuple(((picked, 1),) for picked in combinations(range(e), top))
+        for k, plans in zip(orders, per_order):
+            nonzero = {
+                (rows, cols)
+                for rows in combinations(range(e), k)
+                for cols in combinations(range(e), k)
+                if all(r <= c for r, c in zip(rows, cols)) and (k < top or rows != cols)
+            }
+            assert sorted(key for key, _ in plans) == sorted(nonzero), (e, k)
+            # each order's plans fold fewest slot entries first
+            reads = [len(_slots_read(terms, e)) for _, terms in plans]
+            assert reads == sorted(reads), (e, k)
+        principal = [(picked, picked) for picked in combinations(range(e), top)]
         if top < e:
             full = oracle._pattern_plans(e, 0, orders + (top + 1,))[1][top - 1]
-            assert full == principal + per_order[-1], (e, top)
+            assert [key for key, _ in full] == principal + [key for key, _ in per_order[-1]]
+            assert full[len(principal) :] == per_order[-1], (e, top)
         else:
             assert per_order[-1] == (), e
         for _ in range(2**e):
@@ -430,21 +462,41 @@ def test_pattern_plans_are_the_minors_of_any_such_matrix():
                 rows[i][i] = diag[i]
             for (i, j), v in zip(oracle._slots(e), entries):
                 rows[i][j] = v
-            values = diag + entries
-            for k, plans in zip(orders, per_order):
-                # each order's plans are flat and fold fewest slot entries first
-                assert isinstance(plans, tuple)
-                assert all(isinstance(c, int) for plan in plans for _, c in plan)
-                reads = [len({v for s, _ in plan for v in s if v >= e}) for plan in plans]
-                assert reads == sorted(reads), (e, k)
-                got = {abs(oracle._eval_plan(plan, values)) for plan in plans}
-                want = {
-                    abs(integer_det([[rows[i][j] for j in cols] for i in picked]))
-                    for picked in combinations(range(e), k)
-                    for cols in combinations(range(e), k)
-                    if k < top or cols != picked
-                }
-                assert got - {0} == want - {0}, (e, k)
+            values, memo = diag + entries, {}
+            for plans in per_order:
+                for key, terms in plans:
+                    assert isinstance(oracle._minor(key, terms, values, memo), int)
+            assert memo.keys() >= {key for plans in per_order for key, _ in plans}
+            for (picked, cols), got in memo.items():
+                want = integer_det([[rows[i][j] for j in cols] for i in picked])
+                assert abs(got) == abs(want), (e, top, picked, cols)
+
+
+def test_laplace_term_counts_bound_every_minor():
+    # the int64 gate prices every minor at weight * m**degree, and a Laplace
+    # evaluation's partial sums are bounded by its minor's term count times
+    # m**order.  So every minor the plans reach, lower orders and the minors
+    # below included, must have at most weight nonzero terms, recounted here
+    # over permutations, and order at most degree; the listed minors reach
+    # weight
+    for e in range(1, 7):
+        for u in (0, 1, 2):
+            n = e + u
+            for orders in (tuple(range(1, n)), (n - 1,)):
+                _, per_order, _, weight, degree = oracle._pattern_plans(e, u, orders)
+                if not per_order:
+                    assert (weight, degree) == (1, 0), (e, u, orders)
+                    continue
+                counts = {}
+                for picked, cols in _laplace_minors(per_order):
+                    counts[picked, cols] = sum(
+                        all(cols[c] >= r for r, c in zip(picked, perm))
+                        for perm in permutations(range(len(picked)))
+                    )
+                    assert 1 <= counts[picked, cols] <= weight, (e, u, orders, picked, cols)
+                    assert len(picked) <= degree, (e, u, orders, picked, cols)
+                listed = [counts[key] for plans in per_order for key, _ in plans]
+                assert max(listed) == weight, (e, u, orders)
 
 
 def test_unit_rows_split_off_the_invariant_factors():
@@ -715,7 +767,8 @@ def test_aggregate_sections(monkeypatch):
 def test_one_split_check_serves_index_and_suite(monkeypatch):
     # a class size off by one at index 6 fails the split of verify_index at a
     # composite index and the suite's multiplicativity section alike
-    assert _split_failure([class_census(2, f) for f in (4, 9, 5)]) == ""
+    count, classes = partial(sublattice_count, 2), partial(oracle.class_count, 2)
+    assert _split_failure([class_census(2, f) for f in (4, 9, 5)], count, classes) == ""
     real = oracle.class_size
     monkeypatch.setattr(oracle, "class_size", lambda chain: real(chain) + (prod(chain) == 6))
     split = [c for c in verify_index(2, 6).checks if c.name == "multiplicative_split"]
@@ -741,6 +794,33 @@ def test_multiplicativity_section_builds_each_factor_census_once(monkeypatch):
     monkeypatch.setattr(oracle, "class_census", spy)
     assert _multiplicativity_section().ok
     assert len(built) == len(set(built)) == 141
+
+
+def test_multiplicativity_section_prices_each_closed_form_once(monkeypatch):
+    # the count and the class count of a factor serve every coprime pair it
+    # is in, and those of a product every pair with that product: each
+    # (n, m) the section reads is priced once
+    calls = Counter()
+    for name in ("sublattice_count", "class_count"):
+        real = getattr(oracle, name)
+
+        def spy(n, m, real=real, name=name):
+            calls[name, n, m] += 1
+            return real(n, m)
+
+        monkeypatch.setattr(oracle, name, spy)
+    assert _multiplicativity_section().ok
+    read = {
+        (n, x)
+        for n in range(1, 4)
+        for m1 in range(2, 121)
+        for m2 in range(2, 120 // m1 + 1)
+        if gcd(m1, m2) == 1
+        for x in (m1, m2, m1 * m2)
+    }
+    for name in ("sublattice_count", "class_count"):
+        assert {(n, m) for got, n, m in calls if got == name} == read, name
+    assert set(calls.values()) == {1}
 
 
 def test_suite_and_ladder_refuse_before_any_scope_runs(monkeypatch, capsys):
