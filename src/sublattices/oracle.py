@@ -12,7 +12,10 @@ cache; a call resolves the plans and their int64 bound once per essential
 length e, and a box computes each minor once, in one memo shared by every
 order it folds.  The slots of unit rows are read by no plan, so they are
 counted, not ranged: the kernel walks the essential diagonals, each with its
-forms per essential matrix summed over the diagonals that hold it.
+forms per essential matrix summed over the diagonals that hold it.  An
+essential diagonal of modulus 1 (below) has gcd 1 at every order asked, so
+the walk counts its forms as ones of the chain (1, ..., 1, m) and builds no
+box for it: every diagonal with e <= 1, and every one at a squarefree index.
 
 The kernel ranges residues, not entries.  The gcd D_k of the k x k minors
 divides g_k, the gcd of the principal k x k minors, which are products of
@@ -27,25 +30,27 @@ gcd of the products of e - 1 entries has valuation min_i (v_p(m) - v_p(d_i))
 1, so it runs modulo gcd(g, rad m), the product of the primes dividing g.
 One fold rule follows: D_k divides g, so D_k = gcd(g, k x k minors), and
 every order folds from the modulus; the top order's plans leave out its
-principal minors, whose gcd is g.  Essential diagonals of one length whose
-reduced slot ranges agree share a block; one of modulus 1 answers with ints.
-Any other block is cut into boxes of at most _CHUNK residue tuples over
-(members, *slots): a box fixes the leading axes, ranges one axis and runs
-the trailing axes in full.  Every box, one of a single member too, has a
-leading member axis that holds its diagonal entries, moduli and counts as
-(B, 1, ...) arrays, and each slot that varies is an arange along its own
-axis, so every minor broadcasts over only what it reads.  At (4, 104) the 20
-essential diagonals of the 80 run in 8 boxes for the census and 3 for the
-co-cyclic count.
-Census chains are tallied by the index of each gcd among the divisors of m,
-on the un-broadcast gcd arrays: with np.bincount where every residue tuple
-of a box stands for as many forms, else with np.add.at and exact int64
-weights, the product of one count per axis that a gcd reads, with the axes
-none reads summed in as ints.  A bound on every minor and every partial sum
-of its evaluation, with entries bounded by m, says whether int64 is exact;
-a scope where any essential plan's bound reaches _INT64_SAFE, or with
-2**63 forms or more, which the int64 tally cannot hold, is refused up front,
-like one over the matrix budget, so no answer leaves the kernel.  Everything
+principal minors, whose gcd is g.  Essential diagonals of one length and a
+modulus above 1 whose reduced slot ranges agree share a block, cut into
+boxes of at most _CHUNK residue tuples over (members, *slots): a box fixes
+the leading axes, ranges one axis and runs the trailing axes in full.
+Every box, one of a single member too, has a leading member axis that holds
+its diagonal entries, moduli and counts as (B, 1, ...) arrays, and each slot
+that varies is an arange along its own axis, so every minor broadcasts over
+only what it reads.  At (4, 104) the 20 essential diagonals of the 80 run in
+8 boxes for the census and 3 for the co-cyclic count.
+A form of essential length e has gcd 1 at every order up to n - e, and
+e <= min(n, Omega(m)), so census chains are keyed by the index of each
+essential gcd among the divisors of m, in d(m)**(min(n, Omega(m)) - 1)
+entries, not d(m)**(n - 1).  The tally runs on the un-broadcast gcd arrays:
+with np.bincount where every residue tuple of a box stands for as many
+forms, else with np.add.at and exact int64 weights, the product of one
+count per axis that a gcd reads, with the axes none reads summed in as ints.
+A bound on every minor and every partial sum of its evaluation, with
+entries bounded by m, says whether int64 is exact; a scope where any
+essential plan's bound reaches _INT64_SAFE, or with 2**63 forms or more,
+which the int64 tally cannot hold, is refused up front, like one over the
+matrix budget, so no answer leaves the kernel.  Everything
 runs in one process: inside the default budget a worker pool gained at most
 1.2x and nearly doubled peak memory, so jobs is checked and selects nothing.
 
@@ -118,9 +123,9 @@ def _slots(n: int) -> list[tuple[int, int]]:
 def _pattern_plans(e, u, orders):
     """What the kernel runs at essential length e with u unit entries, for the minor orders orders.
 
-    Returns (ones, per_order, cols, weight, degree).  The ones orders up to u
-    have gcd 1.  per_order holds, per essential order k - u of an order k
-    above u, the nonzero minors of that order of the generic e x e
+    Returns (per_order, cols, weight, degree).  The orders up to u have gcd
+    1 and are left out: per_order holds, per essential order k - u of an
+    order k above u, the nonzero minors of that order of the generic e x e
     upper-triangular matrix, in which variable v < e stands for d_v and
     variable e + s for the entry of slot s of _slots(e), whose column is
     cols[s].  A minor is a Laplace plan (key, terms) along its last row: key
@@ -135,11 +140,10 @@ def _pattern_plans(e, u, orders):
     bounded by m bound it, and every partial sum of its evaluation, by
     weight * m**degree.
     """
-    ones = sum(k <= u for k in orders)
     essential = tuple(k - u for k in orders if k > u)
     cols = tuple(j for _, j in _slots(e))
     if not essential:
-        return ones, (), cols, 1, 0
+        return (), cols, 1, 0
     slot_var = {pos: e + s for s, pos in enumerate(_slots(e))}
     built: dict[tuple, tuple | None] = {((), ()): (None, 1, set())}  # the empty minor is 1
 
@@ -171,7 +175,7 @@ def _pattern_plans(e, u, orders):
         listed.sort(key=lambda minor: len(minor[2]))
         per_order.append(tuple(plan for plan, _, _ in listed))
     per_order[-1] = per_order[-1][comb(e, max(essential)) :]
-    return ones, tuple(per_order), cols, weight, max(essential)
+    return tuple(per_order), cols, weight, max(essential)
 
 
 def _minor(key, terms, values, memo):
@@ -247,7 +251,7 @@ def _member_box(members, cut):
 
 
 def _box_weights(values, dropped, modulus, box, cols, cut, shapes):
-    """(count, weights): the forms of one box, and those each entry of its gcd arrays stands for.
+    """weights: the forms that each entry of one box's gcd arrays stands for.
 
     values are the diagonal columns and slots of _member_box, and dropped and
     modulus its member columns.  shapes are those of the gcd arrays, which
@@ -263,8 +267,10 @@ def _box_weights(values, dropped, modulus, box, cols, cut, shapes):
     box of several members holds residue 0 of every slot, where the top gcd
     is the modulus, so its top fold runs every plan, which read every slot,
     and the modulus reads the member axis: only a one-member box leaves an
-    axis unread.  weights is None where every entry of the gcd arrays stands
-    for as many forms, else an int64 array that broadcasts to their shape.
+    axis unread.  weights is an int where every entry of the gcd arrays
+    stands for as many forms, which is the whole box where every fold ended
+    at 1 and no gcd is an array, else an int64 array that broadcasts to
+    their shape.
     """
     fixed, _, shape = box
     reads = [max(k) for k in zip(*shapes)] if shapes else [1] * (1 + len(shape))
@@ -288,63 +294,57 @@ def _box_weights(values, dropped, modulus, box, cols, cut, shapes):
     else:
         spread *= int(member.sum())
     if not factors:
-        return spread * prod(reads), None
-    weights = reduce(mul, factors[1:], factors[0] * spread if spread != 1 else factors[0])
-    count = int(weights.sum()) * prod(k for k, w in zip(reads, weights.shape) if w == 1)
-    return count, weights if shapes else None
+        return spread
+    return reduce(mul, factors[1:], factors[0] * spread if spread != 1 else factors[0])
 
 
-def _block_gcds(members, shape, ones, per_order, cols):
-    """(count, weights, gvals) per box of one block, boxes of at most _CHUNK residue tuples.
+def _block_gcds(members, shape, per_order, cols):
+    """(weights, gvals) per box of one block, boxes of at most _CHUNK residue tuples.
 
     members are the rows (*diag, dropped, modulus) of the block's essential
-    diagonals, of one length: each slot over d entries ranges min(d,
-    modulus) residues, and shape, those ranges, is the same for every
-    member.  The boxes cut (members, *shape), and _member_box gives each
-    its member columns and slots.  gvals open with ones orders whose gcd is
-    1, then hold the minors' gcd per plan list of per_order, each folded
-    from the modulus: 1, or an int64 array of the box's rank, with length 1
-    on every axis that none of its minors reads.  cols holds the column of
-    each slot.  count and weights are _box_weights'.  A block of modulus 1
-    has gcd 1 at every order: one part, of ints.
+    diagonals, of one length and a modulus above 1: each slot over d entries
+    ranges min(d, modulus) residues, and shape, those ranges, is the same
+    for every member.  The boxes cut (members, *shape), and _member_box
+    gives each its member columns and slots.  gvals hold the minors' gcd per
+    plan list of per_order, the essential orders, each folded from the
+    modulus: 1, or an int64 array of the box's rank, with length 1 on every
+    axis that none of its minors reads.  cols holds the column of each slot.
+    weights are _box_weights'.
     """
-    if prod(shape) == 1:
-        count = sum(row[-2] * prod([row[j] for j in cols]) for row in members)
-        yield count, None, [1] * (ones + len(per_order))
-        return
     cut = [any(row[j] > row[-1] for row in members) for j in cols]
     for where in _boxes([len(members), *shape], _CHUNK):
         _, box, (*diag, dropped, modulus), slots = _member_box(members, where)
         values, memo = diag + slots, {}
-        gvals = [1] * ones + [_fold(plans, values, modulus, memo) for plans in per_order]
+        gvals = [_fold(plans, values, modulus, memo) for plans in per_order]
         shapes = [g.shape for g in gvals if isinstance(g, np.ndarray)]
-        yield *_box_weights(values, dropped, modulus, box, cols, cut, shapes), gvals
+        yield _box_weights(values, dropped, modulus, box, cols, cut, shapes), gvals
 
 
-def _tally_chains(n, m, parts):
-    """Tally invariant factor chains from the minor gcds of orders 1..n-1.
+def _tally_chains(n, m, units, parts):
+    """Tally invariant factor chains: units forms of (1, ..., 1, m), then the boxes of parts.
 
-    Every gcd g_k divides m, so a chain is keyed by the indices of g_1..g_{n-1}
-    among the divisors of m.  A box without weights is counted with
-    np.bincount: its key array stands for count forms, each entry for as
-    many.  A weighted box adds its int64 weights, broadcast to the key's
-    shape where they are shorter, with np.add.at, exactly: a float-weighted
-    bincount rounds past 2**53.
+    A form of essential length e has g_k = 1 for k <= n - e, and e <= E =
+    min(n, Omega(m)), so only g_{n-E+1}..g_{n-1} can differ from 1.  Each
+    divides m, so a chain is keyed by their indices among the divisors of m,
+    the last order the lowest digit: a box's essential gcds, of orders 1 to
+    e - 1, are its key's digits, and the digits above them are 0, gcd 1.  A
+    box with int weights is counted with np.bincount, each entry of its key
+    array standing for weights forms.  A weighted box adds its int64
+    weights, broadcast to the key's shape where they are shorter, with
+    np.add.at, exactly: a float-weighted bincount rounds past 2**53.
     """
     divs = divisors(m)
-    where = {d: i for i, d in enumerate(divs)}
     sorted_divs = np.array(divs, dtype=np.int64)
     base = len(divs)
-    hist = np.zeros(base ** (n - 1), dtype=np.int64)
-    for count, weights, gvals in parts:
+    digits = max(min(n, sum(r for _, r in factorize(m))) - 1, 0)
+    hist = np.zeros(base**digits, dtype=np.int64)
+    hist[0] = units
+    for weights, gvals in parts:
         key = 0
         for g in gvals:
-            pos = np.searchsorted(sorted_divs, g) if isinstance(g, np.ndarray) else where[g]
-            key = key * base + pos
-        if not isinstance(key, np.ndarray):
-            hist[key] += count
-        elif weights is None:
-            got = np.bincount(key.ravel()) * (count // key.size)
+            key = key * base + np.searchsorted(sorted_divs, g)
+        if not isinstance(weights, np.ndarray):
+            got = np.bincount(np.ravel(key)) * weights
             hist[: len(got)] += got
         else:
             if weights.shape != key.shape:
@@ -352,9 +352,9 @@ def _tally_chains(n, m, parts):
             np.add.at(hist, key.ravel(), weights.ravel())
     counts: dict[tuple[int, ...], int] = {}
     for key in np.flatnonzero(hist).tolist():
-        factors = []
+        factors = [1] * (n - 1 - digits)
         prev = 1
-        for k in range(n - 2, -1, -1):
+        for k in range(digits - 1, -1, -1):
             g = divs[key // base**k % base]
             factors.append(g // prev)
             prev = g
@@ -363,16 +363,14 @@ def _tally_chains(n, m, parts):
     return counts
 
 
-def _tally_cocyclic(parts):
-    """Count the forms whose minors of order n-1 have gcd 1."""
-    hits = 0
-    for count, weights, (g,) in parts:
-        if not isinstance(g, np.ndarray):
-            hits += count if g == 1 else 0
-        elif weights is None:
-            hits += int(np.count_nonzero(g == 1)) * (count // g.size)
-        else:
+def _tally_cocyclic(units, parts):
+    """Count the forms whose minors of order n-1 have gcd 1: units, then those of parts."""
+    hits = units
+    for weights, (g,) in parts:
+        if isinstance(weights, np.ndarray):
             hits += int((weights * (g == 1)).sum())
+        else:
+            hits += int(np.count_nonzero(g == 1)) * weights
     return hits
 
 
@@ -438,10 +436,11 @@ def _refuse(n, m, scope, jobs, budget, orders):
     which the int64 tally cannot hold, or where the bound weight * m**degree
     on every minor of an essential length e and every partial sum of its
     Laplace evaluation reaches _INT64_SAFE; the plans come cached per key
-    (e, n - e, orders).  The essential lengths that occur are 1 to min(n,
-    Omega(m)), with Omega(m) the number of prime factors of m counted with
-    multiplicity, or 0 alone at m = 1, so no essential diagonal is
-    enumerated.  n and m come back as the plain ints of _check_nm, and fac
+    (e, n - e, orders).  The essential lengths that reach a box are 2 to
+    min(n, Omega(m)), with Omega(m) the number of prime factors of m counted
+    with multiplicity: a diagonal with e <= 1 has modulus 1 and is counted
+    by the walk.  So no essential diagonal is enumerated, and no plan is
+    resolved at m = 1 or a prime m.  n and m come back as the plain ints of _check_nm, and fac
     is factorize(m); jobs and budget go through operator.index.
     """
     n, m = _check_nm(n, m)
@@ -459,7 +458,7 @@ def _refuse(n, m, scope, jobs, budget, orders):
     fac = factorize(m)
     omega = sum(r for _, r in fac)
     resolved = {}
-    for e in range(1, min(n, omega) + 1) if omega else (0,):
+    for e in range(2, min(n, omega) + 1):
         resolved[e] = _pattern_plans(e, n - e, orders)
         weight, degree = resolved[e][-2:]
         bound = weight * m**degree
@@ -469,7 +468,7 @@ def _refuse(n, m, scope, jobs, budget, orders):
 
 
 def _bruteforce(n, m, scope, jobs, budget, orders, radical=False):
-    """Refuse up front (_refuse), then return (n, m, parts): (count, weights, gvals) per box.
+    """Refuse up front (_refuse), then return (n, m, units, parts): (weights, gvals) per box.
 
     With u unit diagonal entries, the order-k gcd is 1 for k <= u and the
     essential order-(k - u) gcd above that.  orders run up to n - 1, so the
@@ -478,29 +477,36 @@ def _bruteforce(n, m, scope, jobs, budget, orders, radical=False):
     products of e - 1 of its entries: at each prime p of m, that gcd has
     valuation min over i of v_p(m) - v_p(d_i), which is v_p(m) - max over i
     of v_p(d_i).  Where radical (only gcd 1 is asked) they run modulo
-    gcd(g, rad m), the product of the primes dividing g.  The refusals come
-    at the call and the boxes only as the result is consumed, so
-    BudgetExceededError comes before any box runs.  Essential diagonals whose
-    slots reduce to the same ranges share a block, in the order of their
-    first member: the ranges of ess[1:] fix those of every slot, and their
-    number, e - 1, fixes e, since e = 0 only at m = 1.  jobs must be an
-    integer of at least 1 and selects nothing.
+    gcd(g, rad m), the product of the primes dividing g.  An essential
+    diagonal of modulus 1 has gcd 1 at every order asked, and the walk adds
+    its forms, dropped * prod_j d_j**j, to units: that is every diagonal
+    with e <= 1 and every one at a squarefree index, and for the co-cyclic
+    count they are all co-cyclic.  The refusals and the walk come at the
+    call and the boxes only as the result is consumed, so
+    BudgetExceededError comes before any box runs.  The other essential
+    diagonals whose slots reduce to the same ranges share a block, in the
+    order of their first member: the ranges of ess[1:] fix those of every
+    slot, and their number, e - 1, fixes e.  jobs must be an integer of at
+    least 1 and selects nothing.
     """
     n, m, fac, resolved = _refuse(n, m, scope, jobs, budget, orders)
     rad = prod(p for p, _ in fac) if radical else 0  # gcd(g, 0) is g
-    blocks: dict[tuple, list] = {}
+    units, blocks = 0, {}
     for ess, dropped in _essential_diagonals(m, n, fac):
         modulus = gcd(m // lcm(*ess), rad)
+        if modulus == 1:
+            units += dropped * prod([d**j for j, d in enumerate(ess)])
+            continue
         reduced = tuple([d if d < modulus else modulus for d in ess[1:]])
         blocks.setdefault(reduced, []).append((*ess, dropped, modulus))
 
     def parts():
         for reduced, members in blocks.items():
-            ones, per_order, cols = resolved[len(members[0]) - 2][:3]
+            per_order, cols = resolved[len(members[0]) - 2][:2]
             shape = tuple([reduced[j - 1] for j in cols])
-            yield from _block_gcds(members, shape, ones, per_order, cols)
+            yield from _block_gcds(members, shape, per_order, cols)
 
-    return n, m, parts()
+    return n, m, units, parts()
 
 
 def census_bruteforce(
@@ -513,8 +519,8 @@ def census_bruteforce(
     BudgetExceededError, before any work, over budget matrices, at 2**63
     forms or more, or where a minor could leave int64.
     """
-    n, m, parts = _bruteforce(n, m, "census", jobs, budget, tuple(range(1, n)))
-    return CensusTable(n, m, _tally_chains(n, m, parts))
+    n, m, units, parts = _bruteforce(n, m, "census", jobs, budget, tuple(range(1, n)))
+    return CensusTable(n, m, _tally_chains(n, m, units, parts))
 
 
 def cocyclic_bruteforce(n: int, m: int, *, jobs: int = 1, budget: int = DEFAULT_BUDGET) -> int:
@@ -524,8 +530,8 @@ def cocyclic_bruteforce(n: int, m: int, *, jobs: int = 1, budget: int = DEFAULT_
     factor chain is (1, ..., 1, m), so the slots run modulo a radical.
     Refused like census_bruteforce.
     """
-    _, _, parts = _bruteforce(n, m, "cocyclic", jobs, budget, (n - 1,), radical=True)
-    return _tally_cocyclic(parts)
+    *_, units, parts = _bruteforce(n, m, "cocyclic", jobs, budget, (n - 1,), radical=True)
+    return _tally_cocyclic(units, parts)
 
 
 class Check(NamedTuple):
@@ -606,7 +612,7 @@ def _shortcut_disagreement(n: int, m: int, fac) -> str:
     wherever the census ran.
     """
     slots = _slots(n)
-    per_order = _pattern_plans(n, 0, tuple(range(1, n)))[1]
+    per_order = _pattern_plans(n, 0, tuple(range(1, n)))[0]
     blocks: dict[tuple, list] = {}
     for position, diag in enumerate(divisor_compositions(m, n)):
         g = m // lcm(*diag)

@@ -470,6 +470,14 @@ def test_poly_cache_env_var(tmp_path, capsys, monkeypatch):
     assert all(isinstance(v, list) for v in stored.values())
 
 
+def test_verify_high_dimension_beyond_the_divisor_orders(capsys):
+    # at (30, 4) only the top two minor orders can differ from 1: the
+    # oracle answers without a table over all 29 orders
+    code, out, err = run_cli(capsys, "verify", "--n", "30", "--m", "4", "--budget", str(10**18))
+    assert code == 0 and err.startswith("elapsed")
+    assert json.loads(out)["payload"]["all_match"] is True
+
+
 def test_verify_refuses_before_the_formula_census(capsys):
     # 2**64 in dimension 8: the oracle's matrix count refuses it before the
     # formula census of its 116 263 classes is built

@@ -69,8 +69,10 @@ def test_bruteforce_methods_agree(monkeypatch):
             assert kernel == minors, (n, m)
     # every chunk covers each form exactly once, the slots that the
     # essential submatrix drops and the entries a residue stands for
-    # included: the counts sum to the number of forms, and a weighted box's
-    # weights sum to its count.  Small chunks cut a block in the middle of an
+    # included: the walk counts the forms of every diagonal whose modulus is
+    # 1, no block holds such a diagonal, and the boxes' weights, an int per
+    # entry of the gcd arrays or an int64 array that broadcasts to them, sum
+    # to the other forms.  Small chunks cut a block in the middle of an
     # axis: a box fixes a member, and for the census a slot too, then ranges
     # one slot before the trailing ones.  At (4, 104) and (3, 52) a modulus
     # divides no slot range it shrinks: the block (2, 2, 26) runs modulo 4,
@@ -85,13 +87,15 @@ def test_bruteforce_methods_agree(monkeypatch):
             boxes.append(box)
             yield box
 
-    def block_gcds(*block):
-        for count, weights, gvals in real_block(*block):
-            counts.append(count)
-            if weights is not None:
-                reads = np.broadcast_shapes(*(np.shape(g) for g in gvals))
-                assert int(np.broadcast_to(weights, reads).sum()) == count
-            yield count, weights, gvals
+    def block_gcds(members, *block):
+        assert all(row[-1] > 1 for row in members)
+        for weights, gvals in real_block(members, *block):
+            reads = np.broadcast_shapes(*(np.shape(g) for g in gvals))
+            if isinstance(weights, np.ndarray):
+                counts.append(int(np.broadcast_to(weights, reads).sum()))
+            else:
+                counts.append(weights * prod(reads))
+            yield weights, gvals
 
     monkeypatch.setattr(oracle, "_boxes", cut)
     monkeypatch.setattr(oracle, "_block_gcds", block_gcds)
@@ -99,6 +103,12 @@ def test_bruteforce_methods_agree(monkeypatch):
     for n, m in CHUNK_SCOPES:
         want = class_census(n, m).counts
         want_cocyclic = cocyclic_count(n, m)
+        # a diagonal's modulus is m / lcm(diagonal), 1 exactly where the lcm is m
+        units = sum(
+            prod(d**j for j, d in enumerate(diag))
+            for diag in arith.divisor_compositions(m, n)
+            if math.lcm(*diag) == m
+        )
         # with no pattern inside the int64 bound both brute forces refuse the
         # scope before any box runs, at any jobs
         boxes.clear()
@@ -115,7 +125,7 @@ def test_bruteforce_methods_agree(monkeypatch):
                 counts.clear()
                 got = brute(n, m)
                 assert getattr(got, "counts", got) == expect, (n, m, chunk)
-                assert sum(counts) == sublattice_count(n, m), (n, m, chunk)
+                assert units + sum(counts) == sublattice_count(n, m), (n, m, chunk)
                 assert max(prod(shape) for *_, shape in boxes) <= chunk
                 # at (3, 49) and (5, 9) no block has two essential slots
                 if chunk == 7 and m in (120, 32):
@@ -164,20 +174,24 @@ def test_boxes_do_not_list_the_leading_ranges():
 
 
 def test_prime_index_builds_no_minor_array(monkeypatch):
-    # at a prime index every block has one entry above 1, so its essential
-    # submatrix is 1 x 1 and every order below n has gcd 1: no minor is evaluated
-    values = []
-    real = oracle._minor
+    # at a prime index every diagonal has one entry above 1, so its essential
+    # submatrix is 1 x 1 and every order below n has gcd 1.  At a squarefree
+    # index the entries above 1 are pairwise coprime, so the lcm of a
+    # diagonal is m and its modulus m / lcm is 1 as well.  The walk counts
+    # all those forms: no box is built and no minor is evaluated
+    calls = []
 
-    def minor(*args):
-        value = real(*args)
-        values.append(value)
-        return value
+    def spy(real):
+        return lambda *args: calls.append(real.__name__) or real(*args)
 
-    monkeypatch.setattr(oracle, "_minor", minor)
-    assert census_bruteforce(3, 101).counts == class_census(3, 101).counts
-    assert cocyclic_bruteforce(3, 101) == cocyclic_count(3, 101)
-    assert values == []
+    monkeypatch.setattr(oracle, "_minor", spy(oracle._minor))
+    monkeypatch.setattr(oracle, "_member_box", spy(oracle._member_box))
+    for n, m in ((3, 101), (3, 30), (4, 30), (5, 30), (6, 6)):
+        assert list(census_bruteforce(n, m).counts.items()) == list(
+            class_census(n, m).counts.items()
+        ), (n, m)
+        assert cocyclic_bruteforce(n, m) == cocyclic_count(n, m), (n, m)
+    assert calls == []
 
 
 def test_bruteforce_resolves_plans_per_essential_length(monkeypatch):
@@ -185,8 +199,9 @@ def test_bruteforce_resolves_plans_per_essential_length(monkeypatch):
     # essential length, not one per diagonal (80 at (4, 104)).  Each essential
     # diagonal runs its slots modulo g, the gcd of its principal minors of
     # order e - 1, or modulo the product of the primes dividing g for the
-    # co-cyclic count.  Diagonals whose reduced slot ranges agree share one
-    # block, a block of modulus 1 runs no box, and every other block fits in
+    # co-cyclic count.  A diagonal of modulus 1 is counted by the walk and
+    # joins no block, so lengths 0 and 1 resolve no plans.  Diagonals whose
+    # reduced slot ranges agree share one block, and every block fits in
     # one box: 8 boxes for the census (20 essential diagonals), 3 for the
     # co-cyclic count
     n, m = 4, 104
@@ -229,7 +244,7 @@ def test_bruteforce_resolves_plans_per_essential_length(monkeypatch):
         boxes.clear()
         got = brute(n, m)
         assert getattr(got, "counts", got) == want
-        assert sorted(lookups) == sorted({len(ess) for ess in essentials})
+        assert sorted(lookups) == [2, 3, 4] == sorted({len(ess) for ess in essentials} - {1})
         assert len(boxes) == len(blocks(radical)) == expect_boxes
         assert sorted(shape for shape, _ in boxes) == sorted(shape for _, shape in blocks(radical))
         assert all(fixed == () and start == 0 for _, (fixed, start, _) in boxes)
@@ -268,9 +283,10 @@ def test_essential_diagonals_and_their_moduli_in_closed_form():
 
 
 def test_refusal_checks_walk_no_essential_diagonal(monkeypatch):
-    # the refusals resolve plans per essential length, 1 to min(n, Omega(m))
-    # or 0 alone at m = 1, exactly the lengths that occur, without walking a
-    # diagonal; verify's check-only call on its largest scope walks none
+    # the refusals resolve plans per essential length 2 to min(n, Omega(m)),
+    # exactly the lengths of 2 or more that occur, and none at m = 1 or a
+    # prime m, without walking a diagonal; verify's check-only call on its
+    # largest scope walks none
     walked = []
     real = oracle._essential_diagonals
 
@@ -280,10 +296,11 @@ def test_refusal_checks_walk_no_essential_diagonal(monkeypatch):
             yield item
 
     monkeypatch.setattr(oracle, "_essential_diagonals", walk)
-    for n, m in ((1, 1), (3, 1), (1, 12), (3, 768), (4, 104), (6, 64), (5, 30)):
+    for n, m in ((1, 1), (3, 1), (1, 12), (3, 7), (3, 768), (4, 104), (6, 64), (5, 30)):
         *nm, fac, resolved = oracle._refuse(n, m, "census", 1, 10**18, tuple(range(1, n)))
         assert nm == [n, m] and fac == arith.factorize(m) and walked == []
-        assert sorted(resolved) == sorted({len(ess) for ess, _ in real(m, n, fac)}), (n, m)
+        lengths = {len(ess) for ess, _ in real(m, n, fac)} - {0, 1}
+        assert sorted(resolved) == sorted(lengths), (n, m)
     with monkeypatch.context() as mp:
         mp.setattr(oracle, "_INT64_SAFE", 0)
         with pytest.raises(BudgetExceededError, match="minor bound"):
@@ -433,8 +450,8 @@ def test_pattern_plans_are_the_minors_of_any_such_matrix():
     rng = random.Random(7)
     for e, top in ((e, top) for e in range(1, 6) for top in range(1, e + 1)):
         orders = tuple(range(1, top + 1))
-        ones, per_order, slot_cols, *_ = oracle._pattern_plans(e, 0, orders)
-        assert ones == 0 and slot_cols == tuple(j for _, j in oracle._slots(e))
+        per_order, slot_cols, *_ = oracle._pattern_plans(e, 0, orders)
+        assert slot_cols == tuple(j for _, j in oracle._slots(e))
         assert len(per_order) == len(orders)
         for k, plans in zip(orders, per_order):
             nonzero = {
@@ -449,7 +466,7 @@ def test_pattern_plans_are_the_minors_of_any_such_matrix():
             assert reads == sorted(reads), (e, k)
         principal = [(picked, picked) for picked in combinations(range(e), top)]
         if top < e:
-            full = oracle._pattern_plans(e, 0, orders + (top + 1,))[1][top - 1]
+            full = oracle._pattern_plans(e, 0, orders + (top + 1,))[0][top - 1]
             assert [key for key, _ in full] == principal + [key for key, _ in per_order[-1]]
             assert full[len(principal) :] == per_order[-1], (e, top)
         else:
@@ -483,7 +500,7 @@ def test_laplace_term_counts_bound_every_minor():
         for u in (0, 1, 2):
             n = e + u
             for orders in (tuple(range(1, n)), (n - 1,)):
-                _, per_order, _, weight, degree = oracle._pattern_plans(e, u, orders)
+                per_order, _, weight, degree = oracle._pattern_plans(e, u, orders)
                 if not per_order:
                     assert (weight, degree) == (1, 0), (e, u, orders)
                     continue
@@ -517,7 +534,8 @@ def test_unit_rows_split_off_the_invariant_factors():
 
 
 def test_bruteforce_high_dimension_at_index_two(monkeypatch):
-    # at m = 2 every block has one entry above 1, so no plan reads a slot
+    # at m = 2 every diagonal has one entry above 1, so its modulus is 1: the
+    # walk counts every form and no plan is built
     built = []
     real = oracle._pattern_plans
 
@@ -529,7 +547,18 @@ def test_bruteforce_high_dimension_at_index_two(monkeypatch):
     for n in (16, 20):
         assert census_bruteforce(n, 2).counts == class_census(n, 2).counts, n
         assert cocyclic_bruteforce(n, 2) == cocyclic_count(n, 2), n
-    assert built and set(built) <= {0, 1}
+    assert built == []
+
+
+def test_bruteforce_high_dimension_keys_only_the_orders_that_vary():
+    # a form of essential length e has gcd 1 at every order up to n - e, and
+    # e <= min(n, Omega(m)), so the census histogram is keyed by at most
+    # Omega(m) - 1 orders, not n - 1: a table keyed by every order would hold
+    # 3**29 entries at (30, 4) and 4**15 at (16, 6)
+    for n, m, budget in ((30, 4, 10**18), (16, 6, 10**15), (20, 4, 10**15)):
+        got = census_bruteforce(n, m, budget=budget)
+        assert list(got.counts.items()) == list(class_census(n, m).counts.items()), (n, m)
+        assert cocyclic_bruteforce(n, m, budget=budget) == cocyclic_count(n, m), (n, m)
 
 
 def test_verify_high_dimension_at_index_two(capsys):
