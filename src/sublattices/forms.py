@@ -5,8 +5,11 @@ Three routes to the invariant factors; at n = 2, 3 none calls another:
 - invariant_factors: extended-gcd elimination to a diagonal, then a pairwise
   gcd/lcm pass over it (Kannan & Bachem 1979; Cohen, *A Course in
   Computational Algebraic Number Theory*, 2.4.4).  Reads neither minors nor
-  valuations.  It steps in place on one copy of the rows, as plain ints:
-  each step rewrites only the entries it changes and sets an entry it
+  valuations.  Every order ends in one straight-line kernel, _eliminate3,
+  on the nine entries of the trailing 3 x 3 held in locals: a 3 x 3 matrix
+  is unpacked straight into it, orders 1 and 2 sit under a unit diagonal,
+  and order 4 and above first runs a list loop over pivots 0 ... n - 4.
+  Each step rewrites only the entries it changes and sets an entry it
   clears to 0, and a row (column) whose entry in the pivot's column (row)
   is already 0 is skipped, so a triangular form costs few multiplications.
   xgcd is math.gcd plus a modular inverse by pow, with no Python loop.
@@ -16,10 +19,13 @@ Three routes to the invariant factors; at n = 2, 3 none calls another:
   entries, once per prime p of the determinant p**r * ...  The primes,
   exponents and powers of each diagonal come from a memo of at most
   _DIAG_MEMO diagonals, so a stream is factored once per diagonal, and a
-  valuation at p capped at r is one gcd with p**r.  enumerate --with-snf
+  valuation at p capped at r is one gcd with p**r.  The same memo holds the
+  closed form's terms in the diagonal exponents alone (_diag_terms), so a
+  form pays only for the terms that read its entries.  enumerate --with-snf
   takes every chain from it; hnf2_smith_exponent / hnf3_smith_exponents
   are its prime-power views.  The closed form, _smith_closed_form, takes
-  ints or arrays: verify evaluates it on whole boxes of forms, per prime.
+  ints or arrays: verify evaluates it on whole boxes of forms, per prime,
+  with the diagonal terms built from member columns by _diag_terms.
 
 Matrix entries go through operator.index: a NumPy integer scalar is exact and
 a float raises TypeError.  The module imports neither NumPy nor dataclasses:
@@ -158,6 +164,112 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, (g - x * a) // b
 
 
+def _eliminate3(a00, a01, a02, a10, a11, a12, a20, a21, a22):
+    """The three pivots, as absolute values, that invariant_factors' steps leave on a 3 x 3 matrix.
+
+    Pivot (0, 0): row steps clear a10 and a20, then column steps clear a01
+    and a02, repeated while a column xgcd step refills column 0; then pivot
+    (1, 1) the same way on the trailing 2 x 2, and a22 is the last pivot.
+    A zero pivot swaps in the first nonzero column of its row; a row that
+    is zero from the pivot on makes the matrix singular.
+    """
+    if not a00:
+        if a01:
+            a00, a01, a10, a11, a20, a21 = a01, a00, a11, a10, a21, a20
+        elif a02:
+            a00, a02, a10, a12, a20, a22 = a02, a00, a12, a10, a22, a20
+        else:
+            raise ValueError("matrix is singular")
+    while True:
+        if a10:
+            if a10 % a00:
+                g, x, y = _xgcd(a00, a10)
+                u, v = a00 // g, a10 // g
+                a01, a11 = x * a01 + y * a11, u * a11 - v * a01
+                a02, a12 = x * a02 + y * a12, u * a12 - v * a02
+                a00 = g
+            else:
+                q = a10 // a00
+                a11 -= q * a01
+                a12 -= q * a02
+            a10 = 0
+        if a20:
+            if a20 % a00:
+                g, x, y = _xgcd(a00, a20)
+                u, v = a00 // g, a20 // g
+                a01, a21 = x * a01 + y * a21, u * a21 - v * a01
+                a02, a22 = x * a02 + y * a22, u * a22 - v * a02
+                a00 = g
+            else:
+                q = a20 // a00
+                a21 -= q * a01
+                a22 -= q * a02
+            a20 = 0
+        # column 0 is zero below the pivot here, so a column step that the
+        # pivot divides changes nothing below it until an xgcd step refills it
+        filled = False
+        if a01:
+            if a01 % a00:
+                g, x, y = _xgcd(a00, a01)
+                u = a00 // g
+                a10, a11 = y * a11, u * a11
+                a20, a21 = y * a21, u * a21
+                a00 = g
+                filled = True
+            a01 = 0
+        if a02:
+            if a02 % a00:
+                g, x, y = _xgcd(a00, a02)
+                u, v = a00 // g, a02 // g
+                a10, a12 = x * a10 + y * a12, u * a12 - v * a10
+                a20, a22 = x * a20 + y * a22, u * a22 - v * a20
+                a00 = g
+                filled = True
+            elif filled:
+                q = a02 // a00
+                a12 -= q * a10
+                a22 -= q * a20
+            a02 = 0
+        if not filled:
+            break
+    if not a11:
+        if not a12:
+            raise ValueError("matrix is singular")
+        a11, a12, a21, a22 = a12, a11, a22, a21
+    while True:
+        if a21:
+            if a21 % a11:
+                g, x, y = _xgcd(a11, a21)
+                u, v = a11 // g, a21 // g
+                a12, a22 = x * a12 + y * a22, u * a22 - v * a12
+                a11 = g
+            else:
+                a22 -= a21 // a11 * a12
+            a21 = 0
+        if not a12 % a11:
+            break
+        g, x, y = _xgcd(a11, a12)
+        u = a11 // g
+        a21, a22 = y * a22, u * a22
+        a11 = g
+        a12 = 0
+    if not a22:
+        raise ValueError("matrix is singular")
+    return abs(a00), abs(a11), abs(a22)
+
+
+def _divisor_chain(d: Sequence[int]) -> tuple[int, ...]:
+    """Nonzero pivots put in divisor order pairwise: diag(a, b) ~ diag(gcd(a, b), lcm(a, b))."""
+    if not any(map(mod, d[1:], d)):
+        return tuple(d)  # already a divisor chain
+    d = list(d)
+    for i, j in combinations(range(len(d)), 2):
+        if d[j] % d[i]:
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return tuple(d)
+
+
 def invariant_factors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Invariant factor chain d1 | d2 | ... | dn of a nonsingular square integer matrix.
 
@@ -167,13 +279,50 @@ def invariant_factors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     pivot divides the entry and otherwise the 2x2 unimodular step built from
     xgcd(pivot, entry), which makes the pivot the gcd.  Row steps run first;
     only a column step of that second kind refills column t, and then both
-    sweeps repeat; the pivot shrinks each time.  The pivots are then put in
-    divisor order pairwise, diag(a, b) ~ diag(gcd, lcm).  Reads no minors and
-    no valuations.  Entries that are not plain ints (NumPy scalars, say) go
-    through operator.index first, so the answer is exact whatever their width.
+    sweeps repeat; the pivot shrinks each time.  A zero pivot swaps in the
+    first nonzero column of its row; if there is none, the trailing block
+    has a zero row and the matrix is singular.  Every order ends in one
+    straight-line kernel on the trailing 3 x 3, _eliminate3: a 3 x 3 matrix
+    goes to it directly, orders 1 and 2 under a unit diagonal, and order 4 and
+    above after a list loop over pivots 0 ... n - 4.  The pivots are then put
+    in divisor order pairwise, diag(a, b) ~ diag(gcd, lcm).  Reads no minors
+    and no valuations.  Entries that are not plain ints (NumPy scalars, say)
+    go through operator.index first, so the answer is exact whatever their
+    width.
     """
+    n = len(rows)
+    if 1 <= n <= 3:
+        # orders 1 and 2 sit under a unit diagonal: it takes no step and adds only leading ones
+        try:
+            if n == 3:
+                (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
+            elif n == 2:
+                a00, a01, a02, a10, a20 = 1, 0, 0, 0, 0
+                (a11, a12), (a21, a22) = rows
+            else:
+                a00, a01, a02, a10, a11, a12, a20, a21 = 1, 0, 0, 0, 1, 0, 0, 0
+                ((a22,),) = rows
+        except ValueError:
+            raise ValueError("need a nonempty square matrix") from None
+        if not (
+            type(a00) is int
+            and type(a01) is int
+            and type(a02) is int
+            and type(a10) is int
+            and type(a11) is int
+            and type(a12) is int
+            and type(a20) is int
+            and type(a21) is int
+            and type(a22) is int
+        ):
+            a00, a01, a02, a10, a11, a12, a20, a21, a22 = map(
+                index, (a00, a01, a02, a10, a11, a12, a20, a21, a22)
+            )
+        d = _eliminate3(a00, a01, a02, a10, a11, a12, a20, a21, a22)
+        if d[1] % d[0] or d[2] % d[1]:
+            d = _divisor_chain(d)
+        return d if n == 3 else d[3 - n :]
     a = list(map(list, rows))
-    n = len(a)
     if n == 0:
         raise ValueError("need a nonempty square matrix")
     # one pass per row: its length, then, from its first entry that is not a
@@ -186,16 +335,14 @@ def invariant_factors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
                 r[:] = map(index, r)
                 break
     d = []
-    for t in range(n - 1):
-        if not a[t][t]:
-            nonzero = next(((i, j) for i in range(t, n) for j in range(t, n) if a[i][j]), None)
-            if nonzero is None:
+    for t in range(n - 3):
+        rt = a[t]
+        if not rt[t]:
+            j = next((j for j in range(t + 1, n) if rt[j]), None)
+            if j is None:
                 raise ValueError("matrix is singular")
-            i, j = nonzero
-            a[t], a[i] = a[i], a[t]
             for r in a:
                 r[t], r[j] = r[j], r[t]
-        rt = a[t]
         p = rt[t]
         below = a[t + 1 :]
         cols = range(t + 1, n)
@@ -237,17 +384,8 @@ def invariant_factors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
             if not filled:
                 break
         d.append(abs(p))
-    p = a[n - 1][n - 1]
-    if not p:
-        raise ValueError("matrix is singular")
-    d.append(abs(p))
-    if not any(map(mod, d[1:], d)):
-        return tuple(d)  # already a divisor chain
-    for i, j in combinations(range(n), 2):
-        if d[j] % d[i]:
-            g = gcd(d[i], d[j])
-            d[i], d[j] = g, d[i] // g * d[j]
-    return tuple(d)
+    d += _eliminate3(*a[-3][-3:], *a[-2][-3:], *a[-1][-3:])
+    return _divisor_chain(d)
 
 
 def invariant_factors_via_minors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -268,52 +406,57 @@ def invariant_factors_via_minors(rows: Sequence[Sequence[int]]) -> tuple[int, ..
     return tuple(out)
 
 
-_DIAG_MEMO = 4096  # most diagonals whose primes, exponents and powers the shortcuts keep
+# most diagonals whose primes, exponents, powers and diagonal terms the shortcuts keep
+_DIAG_MEMO = 4096
 
 
 @lru_cache(maxsize=_DIAG_MEMO)
-def _diag_primes(diag: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...], int, dict], ...]:
-    """(p, exponents, p**r, logs) per prime p of the diagonal, increasing; none for ones.
+def _diag_primes(diag: tuple[int, ...]) -> tuple[tuple[int, tuple, int, dict, tuple], ...]:
+    """(p, exponents, p**r, logs, terms) per prime p of the diagonal, increasing; none for ones.
 
     logs maps p**k to k up to r, so an entry's valuation at p, capped at r,
-    is logs[gcd(x, p**r)].
+    is logs[gcd(x, p**r)]; terms are the closed form's diagonal-only terms,
+    _diag_terms(min, exponents), for a diagonal of length 2 or 3.
     """
     out = []
     for p in sorted({p for d in diag for p, _ in factorize(d)}):
         exps = tuple(_valuation(p, d) for d in diag)
-        out.append((p, exps, p ** sum(exps), {p**k: k for k in range(sum(exps) + 1)}))
+        r = sum(exps)
+        out.append((p, exps, p**r, {p**k: k for k in range(r + 1)}, _diag_terms(min, exps)))
     return tuple(out)
 
 
-def _smith_closed_form(least, r, o):
-    """Smith exponents of a prime-power Hermite form from its diagonal exponents and valuations.
+def _diag_terms(least, r):
+    """The closed form's terms in the diagonal exponents alone, for _smith_closed_form.
 
-    n = 2: r = (r1, r2) and o = (o12,); the result t gives the invariant
-    factors (p**t, p**(r1+r2-t)).  n = 3: r = (r1, r2, r3) and o = (o12, o13,
-    o23, u), with u the valuation of h12*h23 - d2*h13, which carries the one
-    interaction the pairwise valuations miss; the result (s, t) gives
-    (p**s, p**(t-s), p**(r1+r2+r3-t)).  least is min for ints, or an
-    elementwise minimum of its arguments for arrays.  Both minima stay at or
-    below r1+r2+r3 less its largest term, so valuations capped there give the
-    same result.  At any index they give the p-parts of the factors: scaling
-    a row or column by a p-adic unit moves no valuation at p.
+    (min(r1, r2),) at n = 2; (min(r1, r2, r3), min(r1+r2, r2+r3, r1+r3)) at
+    n = 3, with least as in _smith_closed_form.
     """
     if len(r) == 2:
-        return least(r[0], r[1], o[0])
+        return (least(r[0], r[1]),)
     r1, r2, r3 = r
+    return least(r1, r2, r3), least(r1 + r2, r2 + r3, r1 + r3)
+
+
+def _smith_closed_form(least, r, terms, o):
+    """Smith exponents of a prime-power Hermite form from its diagonal exponents and valuations.
+
+    n = 2: r = (r1, r2), terms = _diag_terms(least, r) and o = (o12,); the
+    result t gives the invariant factors (p**t, p**(r1+r2-t)).  n = 3: r =
+    (r1, r2, r3), terms = _diag_terms(least, r) and o = (o12, o13, o23, u),
+    with u the valuation of h12*h23 - d2*h13, which carries the one
+    interaction the pairwise valuations miss; the result (s, t) gives (p**s,
+    p**(t-s), p**(r1+r2+r3-t)), where s = min(r1, r2, r3, o12, o13, o23) and
+    t = min(r1+r2, r2+r3, r1+r3, r1+o23, r3+o12, u).  least is min for ints,
+    or an elementwise minimum of its arguments for arrays.  Both minima stay
+    at or below r1+r2+r3 less its largest term, so valuations capped there
+    give the same result.  At any index they give the p-parts of the
+    factors: scaling a row or column by a p-adic unit moves no valuation at p.
+    """
+    if len(r) == 2:
+        return least(terms[0], o[0])
     o12, o13, o23, u = o
-    s = least(r1, r2, r3, o12, o13, o23)
-    t = least(r1 + r2, r2 + r3, r1 + r3, r1 + o23, r3 + o12, u)
-    return s, t
-
-
-def _valuation_args(rows):
-    """(diagonal, entries whose valuations the closed form reads) of a 2 x 2 or 3 x 3 Hermite form."""
-    if len(rows) == 2:
-        (d1, h12), (_, d2) = rows
-        return (d1, d2), (h12,)
-    (d1, h12, h13), (_, d2, h23), (_, _, d3) = rows
-    return (d1, d2, d3), (h12, h13, h23, h12 * h23 - d2 * h13)
+    return least(terms[0], o12, o13, o23), least(terms[1], r[0] + o23, r[2] + o12, u)
 
 
 def _hnf_chain(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -323,39 +466,52 @@ def _hnf_chain(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     the gcd of the k x k minors, give the chain as successive quotients.
     """
     n = len(rows)
-    if n not in (2, 3):
-        return invariant_factors(rows)
-    diag, entries = _valuation_args(rows)
-    d1 = d2 = det = 1
-    for p, exps, q, logs in _diag_primes(diag):
-        got = _smith_closed_form(min, exps, [logs[gcd(x, q)] for x in entries])
-        det *= q
-        if n == 2:
-            d1 *= p**got
-        else:
-            d1 *= p ** got[0]
-            d2 *= p ** got[1]
-    return (d1, det // d1) if n == 2 else (d1, d2 // d1, det // d2)
-
-
-def _single_prime(h: HnfMatrix, n: int):
-    """The closed form of an n x n Hermite form whose diagonal holds one prime at most."""
-    if h.n != n:
-        raise ValueError(f"need a {n} x {n} matrix, got n={h.n}")
-    diag, entries = _valuation_args(h.rows)
-    primes = _diag_primes(diag)
-    if len(primes) > 1:
-        raise ValueError(f"diagonal {diag} is not a power of a single common prime")
-    # a diagonal of ones reads every valuation as 0
-    _, exps, q, logs = primes[0] if primes else (1, (0,) * n, 1, {1: 0})
-    return _smith_closed_form(min, exps, [logs[gcd(x, q)] for x in entries])
+    if n == 3:
+        (d1, h12, h13), (_, d2, h23), (_, _, d3) = rows
+        u = h12 * h23 - d2 * h13
+        g1 = g2 = 1
+        for p, exps, q, logs, terms in _diag_primes((d1, d2, d3)):
+            o = (logs[gcd(h12, q)], logs[gcd(h13, q)], logs[gcd(h23, q)], logs[gcd(u, q)])
+            s, t = _smith_closed_form(min, exps, terms, o)
+            g1 *= p**s
+            g2 *= p**t
+        return g1, g2 // g1, d1 * d2 * d3 // g2
+    if n == 2:
+        (d1, h12), (_, d2) = rows
+        g1 = 1
+        for p, exps, q, logs, terms in _diag_primes((d1, d2)):
+            g1 *= p ** _smith_closed_form(min, exps, terms, (logs[gcd(h12, q)],))
+        return g1, d1 * d2 // g1
+    return invariant_factors(rows)
 
 
 def hnf2_smith_exponent(h: HnfMatrix) -> int:
     """Exponent t with invariant factors (p**t, p**(r-t)) for a 2 x 2 prime-power HNF matrix."""
-    return _single_prime(h, 2)
+    try:
+        (d1, h12), (_, d2) = h.rows
+    except ValueError:
+        raise ValueError(f"need a 2 x 2 matrix, got n={h.n}") from None
+    primes = _diag_primes((d1, d2))
+    if not primes:
+        return 0  # a diagonal of ones
+    if len(primes) > 1:
+        raise ValueError(f"diagonal {(d1, d2)} is not a power of a single common prime")
+    ((_, exps, q, logs, terms),) = primes
+    return _smith_closed_form(min, exps, terms, (logs[gcd(h12, q)],))
 
 
 def hnf3_smith_exponents(h: HnfMatrix) -> tuple[int, int]:
     """Exponents (s, t) with invariant factors (p**s, p**(t-s), p**(r-t)) for n = 3."""
-    return _single_prime(h, 3)
+    try:
+        (d1, h12, h13), (_, d2, h23), (_, _, d3) = h.rows
+    except ValueError:
+        raise ValueError(f"need a 3 x 3 matrix, got n={h.n}") from None
+    primes = _diag_primes((d1, d2, d3))
+    if not primes:
+        return 0, 0  # a diagonal of ones
+    if len(primes) > 1:
+        raise ValueError(f"diagonal {(d1, d2, d3)} is not a power of a single common prime")
+    ((_, exps, q, logs, terms),) = primes
+    u = h12 * h23 - d2 * h13
+    o = (logs[gcd(h12, q)], logs[gcd(h13, q)], logs[gcd(h23, q)], logs[gcd(u, q)])
+    return _smith_closed_form(min, exps, terms, o)

@@ -98,7 +98,7 @@ from .census import (
     sublattice_count_recursion,
 )
 from .enumeration import DEFAULT_BUDGET, BudgetExceededError, _odometer
-from .forms import _smith_closed_form
+from .forms import _diag_terms, _smith_closed_form
 from .polyalg import (
     class_size_poly,
     class_size_poly_glue,
@@ -633,7 +633,7 @@ def _shortcut_disagreement(n: int, m: int, fac) -> str:
                 table = _valuation_table(p, max(row[k] for row in picked))
                 a, *exps = columns[k : k + n + 1]
                 o = [np.minimum(table[x % table.size], a) for x in entries]
-                got = _smith_closed_form(_least, exps, o)
+                got = _smith_closed_form(_least, exps, _diag_terms(_least, exps), o)
                 for i, e in enumerate(got if n == 3 else (got,)):
                     shortcut[i] = shortcut[i] * np.power(p, e, dtype=np.int64)
             bad, memo = np.zeros((len(picked), *box[2]), dtype=bool), {}

@@ -265,6 +265,51 @@ def test_two_invariant_factor_routes_agree_on_signed_permutations():
                 assert invariant_factors(b) == invariant_factors_via_minors(b), b
 
 
+def test_row_and_column_permutations_keep_each_forms_chain():
+    # P * H * Q has H's chain.  A Hermite form's zeros sit below its
+    # diagonal, so permuting them onto it drives the 3 x 3 kernel's zero-pivot
+    # swaps, directly at n = 3, under a unit diagonal at n = 2 and after the
+    # list loop's pivot at n = 4.  Every pair (P, Q) at n = 2, 3; at n = 4,
+    # where the 576 pairs would take seconds, every P alone and every Q alone
+    def permuted(rows, p, q):
+        return [[rows[i][j] for j in q] for i in p]
+
+    for n, top in ((2, 64), (3, 24), (4, 8)):
+        perms = list(permutations(range(n)))
+        same = perms[0]
+        if n == 4:
+            pairs = [(p, same) for p in perms] + [(same, q) for q in perms[1:]]
+        else:
+            pairs = list(product(perms, repeat=2))
+        for m in range(1, top + 1):
+            for h in hnf_stream(n, m):
+                want = invariant_factors_via_minors(h.rows)
+                for p, q in pairs:
+                    assert invariant_factors(permuted(h.rows, p, q)) == want, (h.rows, p, q)
+    # by construction, each swap branch runs on one of these permutation
+    # matrices (m = 1, so inside the sweep above).  A zero pivot takes the
+    # first nonzero column of its row; a pivot whose row and column are
+    # otherwise clear takes no step, so the pivot after it reads the input
+    def clear(a, t):
+        return not any(a[t][t + 1 :]) and not any(r[t] for r in a[t + 1 :])
+
+    def trailing(a):
+        return [r[-3:] for r in a[-3:]]
+
+    kernel_00_from_1 = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    kernel_00_from_2 = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    kernel_11_from_2 = [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
+    loop_00 = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    kernel_after_loop = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+    assert kernel_00_from_1[0][0] == 0 != kernel_00_from_1[0][1]
+    assert kernel_00_from_2[0] == [0, 0, 1]
+    assert clear(kernel_11_from_2, 0) and kernel_11_from_2[1][1] == 0 != kernel_11_from_2[1][2]
+    assert loop_00[0][0] == 0
+    assert clear(kernel_after_loop, 0) and trailing(kernel_after_loop)[0][:2] == [0, 1]
+    for a in (kernel_00_from_1, kernel_00_from_2, kernel_11_from_2, loop_00, kernel_after_loop):
+        assert invariant_factors(a) == (1,) * len(a), a
+
+
 def test_singular_matrices_rejected_by_both_routes():
     cases = [
         [[0]],
@@ -358,10 +403,15 @@ def test_diagonal_memo_is_bounded():
     # an entry still raises once the memo is full
     with pytest.raises(ValueError, match="single common prime"):
         hnf2_smith_exponent(validate_hnf([[6, 0], [0, 6]]))
-    # one entry per prime of the diagonal, none for a diagonal of ones
+    # one entry per prime of the diagonal, none for a diagonal of ones; each
+    # holds the closed form's diagonal-only terms too
     assert _diag_primes((12, 18)) == (
-        (2, (2, 1), 8, {1: 0, 2: 1, 4: 2, 8: 3}),
-        (3, (1, 2), 27, {1: 0, 3: 1, 9: 2, 27: 3}),
+        (2, (2, 1), 8, {1: 0, 2: 1, 4: 2, 8: 3}, (1,)),
+        (3, (1, 2), 27, {1: 0, 3: 1, 9: 2, 27: 3}, (1,)),
+    )
+    assert _diag_primes((12, 18, 8)) == (
+        (2, (2, 1, 3), 64, {2**k: k for k in range(7)}, (1, 3)),
+        (3, (1, 2, 0), 27, {1: 0, 3: 1, 9: 2, 27: 3}, (0, 1)),
     )
     assert _diag_primes((1, 1, 1)) == ()
 

@@ -647,8 +647,8 @@ def test_shortcut_check_names_the_first_disagreement_of_the_per_form_loop(monkey
     # a box, so their least is taken elementwise
     real = forms._smith_closed_form
 
-    def mutant(least, r, o):
-        got = real(least, r, o)
+    def mutant(least, r, terms, o):
+        got = real(least, r, terms, o)
         if len(r) == 2:
             return got + (got == 0) * (least(*r) > 0)
         s, t = got
@@ -665,6 +665,10 @@ def test_shortcut_check_names_the_first_disagreement_of_the_per_form_loop(monkey
         check = _shortcut_check(n, m)
         assert not check.ok
         assert check.detail == _per_form_shortcut_detail(n, m) == first, (n, m)
+    # the prime-power views take the mutant too, at the form both routes name
+    assert forms.hnf2_smith_exponent(forms.validate_hnf([[3, 1], [0, 9]])) == 1
+    h = forms.validate_hnf([[1, 0, 0], [0, 2, 0], [0, 0, 4]])
+    assert forms.hnf3_smith_exponents(h) == (0, 2)
 
 
 def test_shortcut_check_names_the_least_disagreement_over_all_blocks(monkeypatch):
@@ -674,8 +678,8 @@ def test_shortcut_check_names_the_least_disagreement_over_all_blocks(monkeypatch
     # every block, not the first hit of the first block that has one
     real = forms._smith_closed_form
 
-    def mutant(least, r, o):
-        got = real(least, r, o)
+    def mutant(least, r, terms, o):
+        got = real(least, r, terms, o)
         if len(r) == 2:
             return got
         s, t = got
@@ -690,6 +694,9 @@ def test_shortcut_check_names_the_least_disagreement_over_all_blocks(monkeypatch
         check = _shortcut_check(3, m)
         assert not check.ok
         assert check.detail == _per_form_shortcut_detail(3, m) == first, m
+    # the prime-power view takes the mutant too, at the form named at (3, 16)
+    h = forms.validate_hnf([[2, 0, 0], [0, 2, 0], [0, 0, 4]])
+    assert forms.hnf3_smith_exponents(h) == (1, 3)
 
 
 def test_valuation_table_caps_each_valuation():
@@ -709,9 +716,9 @@ def test_shortcut_check_ranges_residues(monkeypatch):
     real = oracle._smith_closed_form
     positions = []
 
-    def spy(least, r, o):
+    def spy(least, r, terms, o):
         positions.append(np.broadcast(*[np.asarray(x) for x in o]).size)
-        return real(least, r, o)
+        return real(least, r, terms, o)
 
     monkeypatch.setattr(oracle, "_smith_closed_form", spy)
     for n, m, want, forms_at in ((3, 2**10, 101_247, 2_794_155), (2, 2**20, 3_070, 2_097_151)):
@@ -729,9 +736,9 @@ def test_shortcut_check_batches_diagonals_into_blocks(monkeypatch):
     real = oracle._smith_closed_form
     positions = []
 
-    def spy(least, r, o):
+    def spy(least, r, terms, o):
         positions.append(np.broadcast(*[np.asarray(x) for x in o]).size)
-        return real(least, r, o)
+        return real(least, r, terms, o)
 
     monkeypatch.setattr(oracle, "_smith_closed_form", spy)
     assert oracle._shortcut_disagreement(3, 120, arith.factorize(120)) == ""

@@ -95,6 +95,8 @@ NON_INTEGRAL = [
     ("class_size_prime", ((0, 1.5), 2)),
     ("class_size_poly", ((0, 1.5),)),
     ("invariant_factors", ([[2.5, 0], [0, 1]],)),
+    ("invariant_factors", ([[1, 0, 0], [0, 1, 0], [0, 0, 2.5]],)),
+    ("invariant_factors", ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2.5]],)),
     ("integer_det", ([[2.5]],)),
     ("minor_gcd", ([[2.5, 1]], 1)),
     ("validate_hnf", ([[2.7, 1], [0, 3]],)),
