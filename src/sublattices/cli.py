@@ -4,10 +4,9 @@ Subcommands: count (closed-form counts), enumerate (stream Hermite forms as
 JSON lines), poly (polynomial-in-the-prime answers), verify (diff formulas
 against the brute-force oracle).  Structured output goes to stdout; timing and
 warnings go to stderr so reports stay byte-stable across runs and --jobs values.
-enumerate --with-snf takes every chain from forms._hnf_chain: the closed form
-per prime of the index at n = 2, 3, elimination at every other n.  Answers
-are printed in full, past Python's default int-to-str digit limit, which
-still applies to parsing argv.
+enumerate --with-snf takes every chain, at every n, from the reduction
+forms.invariant_factors.  Answers are printed in full, past Python's default
+int-to-str digit limit, which still applies to parsing argv.
 
 Exit codes: 0 success, 1 verification mismatch or internal inconsistency,
 2 invalid input, 3 work would exceed the budget (matrices, indices for
@@ -201,11 +200,11 @@ def _cmd_enumerate(args) -> int:
     head = f'{{"kind":"hnf","m":{args.m},"n":{args.n},"rows":'
     tail = f',"schema_version":"{SCHEMA_VERSION}"'
     if args.with_snf:
-        from .forms import _hnf_chain
+        from .forms import invariant_factors
 
         lines = (
             f'{head}{str([*map(list, h.rows)]).replace(" ", "")}{tail},'
-            f'"snf":"{",".join(map(str, _hnf_chain(h.rows)))}"}}\n'
+            f'"snf":"{",".join(map(str, invariant_factors(h.rows)))}"}}\n'
             for h in forms
         )
     else:

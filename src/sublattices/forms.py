@@ -13,19 +13,20 @@ Three routes to the invariant factors; at n = 2, 3 none calls another:
   clears to 0, and a row (column) whose entry in the pivot's column (row)
   is already 0 is skipped, so a triangular form costs few multiplications.
   xgcd is math.gcd plus a modular inverse by pow, with no Python loop.
+  enumerate --with-snf takes every chain from it, at every n.
 - invariant_factors_via_minors: successive quotients of the gcds of k x k
-  minors.
-- _hnf_chain: at n = 2, 3, closed forms in the p-adic valuations of the
-  entries, once per prime p of the determinant p**r * ...  The primes,
-  exponents and powers of each diagonal come from a memo of at most
-  _DIAG_MEMO diagonals, so a stream is factored once per diagonal, and a
-  valuation at p capped at r is one gcd with p**r.  The same memo holds the
-  closed form's terms in the diagonal exponents alone (_diag_terms), so a
-  form pays only for the terms that read its entries.  enumerate --with-snf
-  takes every chain from it; hnf2_smith_exponent / hnf3_smith_exponents
-  are its prime-power views.  The closed form, _smith_closed_form, takes
-  ints or arrays: verify evaluates it on whole boxes of forms, per prime,
-  with the diagonal terms built from member columns by _diag_terms.
+  minors; the tests' check on the other two.
+- hnf2_smith_exponent / hnf3_smith_exponents: at n = 2, 3 and a prime-power
+  determinant p**r, closed forms in the p-adic valuations of the entries,
+  written once in _smith_closed_form.  The exponents, p**r and a table of
+  the powers of p of each diagonal come from a memo of at most _DIAG_MEMO
+  diagonals, so a stream is factored once per diagonal, and a valuation at
+  p capped at r is one gcd with p**r.  The same memo holds the closed form's
+  terms in the diagonal exponents alone (_diag_terms), so a form pays only
+  for the terms that read its entries.  The closed form takes ints or
+  arrays: verify evaluates it on whole boxes of forms, once per prime of
+  any index, with the diagonal terms built from member columns by
+  _diag_terms, and checks it against the minor gcds.
 
 Matrix entries go through operator.index: a NumPy integer scalar is exact and
 a float raises TypeError.  The module imports neither NumPy nor dataclasses:
@@ -406,24 +407,28 @@ def invariant_factors_via_minors(rows: Sequence[Sequence[int]]) -> tuple[int, ..
     return tuple(out)
 
 
-# most diagonals whose primes, exponents, powers and diagonal terms the shortcuts keep
+# most diagonals whose exponents, powers and diagonal terms the prime-power views keep
 _DIAG_MEMO = 4096
 
 
 @lru_cache(maxsize=_DIAG_MEMO)
-def _diag_primes(diag: tuple[int, ...]) -> tuple[tuple[int, tuple, int, dict, tuple], ...]:
-    """(p, exponents, p**r, logs, terms) per prime p of the diagonal, increasing; none for ones.
+def _prime_power_diag(diag: tuple[int, ...]) -> tuple[tuple, int, dict, tuple] | None:
+    """(exponents, p**r, logs, terms) of a diagonal of powers of one prime p; None for ones.
 
     logs maps p**k to k up to r, so an entry's valuation at p, capped at r,
     is logs[gcd(x, p**r)]; terms are the closed form's diagonal-only terms,
-    _diag_terms(min, exponents), for a diagonal of length 2 or 3.
+    _diag_terms(min, exponents), for a diagonal of length 2 or 3.  A diagonal
+    with two primes raises ValueError.
     """
-    out = []
-    for p in sorted({p for d in diag for p, _ in factorize(d)}):
-        exps = tuple(_valuation(p, d) for d in diag)
-        r = sum(exps)
-        out.append((p, exps, p**r, {p**k: k for k in range(r + 1)}, _diag_terms(min, exps)))
-    return tuple(out)
+    primes = {p for d in diag for p, _ in factorize(d)}
+    if len(primes) > 1:
+        raise ValueError(f"diagonal {diag} is not a power of a single common prime")
+    if not primes:
+        return None
+    (p,) = primes
+    exps = tuple(_valuation(p, d) for d in diag)
+    r = sum(exps)
+    return exps, p**r, {p**k: k for k in range(r + 1)}, _diag_terms(min, exps)
 
 
 def _diag_terms(least, r):
@@ -459,44 +464,16 @@ def _smith_closed_form(least, r, terms, o):
     return least(terms[0], o12, o13, o23), least(terms[1], r[0] + o23, r[2] + o12, u)
 
 
-def _hnf_chain(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Invariant factor chain of a Hermite form; at n = 2, 3 from the closed form per prime.
-
-    The p-parts p**t of D1 (n = 2), or p**s of D1 and p**t of D2 (n = 3), D_k
-    the gcd of the k x k minors, give the chain as successive quotients.
-    """
-    n = len(rows)
-    if n == 3:
-        (d1, h12, h13), (_, d2, h23), (_, _, d3) = rows
-        u = h12 * h23 - d2 * h13
-        g1 = g2 = 1
-        for p, exps, q, logs, terms in _diag_primes((d1, d2, d3)):
-            o = (logs[gcd(h12, q)], logs[gcd(h13, q)], logs[gcd(h23, q)], logs[gcd(u, q)])
-            s, t = _smith_closed_form(min, exps, terms, o)
-            g1 *= p**s
-            g2 *= p**t
-        return g1, g2 // g1, d1 * d2 * d3 // g2
-    if n == 2:
-        (d1, h12), (_, d2) = rows
-        g1 = 1
-        for p, exps, q, logs, terms in _diag_primes((d1, d2)):
-            g1 *= p ** _smith_closed_form(min, exps, terms, (logs[gcd(h12, q)],))
-        return g1, d1 * d2 // g1
-    return invariant_factors(rows)
-
-
 def hnf2_smith_exponent(h: HnfMatrix) -> int:
     """Exponent t with invariant factors (p**t, p**(r-t)) for a 2 x 2 prime-power HNF matrix."""
     try:
         (d1, h12), (_, d2) = h.rows
     except ValueError:
         raise ValueError(f"need a 2 x 2 matrix, got n={h.n}") from None
-    primes = _diag_primes((d1, d2))
-    if not primes:
+    diag = _prime_power_diag((d1, d2))
+    if diag is None:
         return 0  # a diagonal of ones
-    if len(primes) > 1:
-        raise ValueError(f"diagonal {(d1, d2)} is not a power of a single common prime")
-    ((_, exps, q, logs, terms),) = primes
+    exps, q, logs, terms = diag
     return _smith_closed_form(min, exps, terms, (logs[gcd(h12, q)],))
 
 
@@ -506,12 +483,10 @@ def hnf3_smith_exponents(h: HnfMatrix) -> tuple[int, int]:
         (d1, h12, h13), (_, d2, h23), (_, _, d3) = h.rows
     except ValueError:
         raise ValueError(f"need a 3 x 3 matrix, got n={h.n}") from None
-    primes = _diag_primes((d1, d2, d3))
-    if not primes:
+    diag = _prime_power_diag((d1, d2, d3))
+    if diag is None:
         return 0, 0  # a diagonal of ones
-    if len(primes) > 1:
-        raise ValueError(f"diagonal {(d1, d2, d3)} is not a power of a single common prime")
-    ((_, exps, q, logs, terms),) = primes
+    exps, q, logs, terms = diag
     u = h12 * h23 - d2 * h13
     o = (logs[gcd(h12, q)], logs[gcd(h13, q)], logs[gcd(h23, q)], logs[gcd(u, q)])
     return _smith_closed_form(min, exps, terms, o)

@@ -8,12 +8,17 @@ from pathlib import Path
 
 import pytest
 
-from sublattices import oracle
+from sublattices import forms, oracle
 from sublattices.arith import partitions
 from sublattices.census import cocyclic_count_prime_power, sublattice_count_prime_power
 from sublattices.cli import main
 from sublattices.enumeration import hnf_stream
-from sublattices.forms import invariant_factors, invariant_factors_via_minors
+from sublattices.forms import (
+    hnf2_smith_exponent,
+    hnf3_smith_exponents,
+    invariant_factors,
+    invariant_factors_via_minors,
+)
 from sublattices.polyalg import class_size_poly, poly_eval
 
 
@@ -236,7 +241,7 @@ def test_enumerate_lines_equal_json_dumps(capsys, n, m):
 @pytest.mark.parametrize("n", [2, 3])
 def test_enumerate_smith_shortcut_matches_elimination(capsys, n):
     # at a prime-power index, enumerate --with-snf takes each chain from the
-    # closed forms in the entries' valuations; elimination is the check.
+    # reduction; the closed form's prime-power views are the independent check.
     # (3, 5**4) has 508 431 forms and takes seconds, so n = 3 stops at 5**3.
     for p in (2, 3, 5):
         for r in range(5 if n == 2 or p < 5 else 4):
@@ -244,14 +249,22 @@ def test_enumerate_smith_shortcut_matches_elimination(capsys, n):
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0
             got = [json.loads(line)["snf"] for line in out.splitlines()]
-            want = [",".join(map(str, invariant_factors(h.rows))) for h in hnf_stream(n, p**r)]
+            want = []
+            for h in hnf_stream(n, p**r):
+                if n == 2:
+                    t = hnf2_smith_exponent(h)
+                    chain = (p**t, p ** (r - t))
+                else:
+                    s, t = hnf3_smith_exponents(h)
+                    chain = (p**s, p ** (t - s), p ** (r - t))
+                want.append(",".join(map(str, chain)))
             assert got == want, (n, p, r)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_enumerate_composite_index_chains_match_minors(capsys, n):
     # at a composite index enumerate --with-snf takes each chain from the
-    # closed form per prime; the minor gcds are the independent check, line by line
+    # reduction; the minor gcds are the independent check, line by line
     for m in (12, 36, 48, 360 if n == 2 else 72):
         argv = ("enumerate", "--n", str(n), "--m", str(m), "--with-snf")
         code, out, _ = run_cli(capsys, *argv)
@@ -260,6 +273,31 @@ def test_enumerate_composite_index_chains_match_minors(capsys, n):
         assert [line["rows"] for line in lines] == [list(map(list, h.rows)) for h in hnf_stream(n, m)]
         for line in lines:
             assert line["snf"] == ",".join(map(str, invariant_factors_via_minors(line["rows"]))), line
+
+
+def test_enumerate_with_snf_runs_the_reduction_alone(capsys, monkeypatch):
+    # one Smith route at every n: one invariant_factors call per printed
+    # line, and neither the closed form nor its diagonal memo
+    calls = []
+    real = forms.invariant_factors
+
+    def spy(rows):
+        calls.append(rows)
+        return real(rows)
+
+    def refuse(*args):
+        raise AssertionError(f"closed-form route called with {args}")
+
+    monkeypatch.setattr(forms, "invariant_factors", spy)
+    monkeypatch.setattr(forms, "_prime_power_diag", refuse)
+    monkeypatch.setattr(forms, "_smith_closed_form", refuse)
+    for n, m in ((2, 360), (3, 72), (4, 8)):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "enumerate", "--n", str(n), "--m", str(m), "--with-snf")
+        assert code == 0
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert len(lines) == len(calls) > 0, (n, m)
+        assert [list(map(list, rows)) for rows in calls] == [line["rows"] for line in lines]
 
 
 def test_poly_class(capsys):

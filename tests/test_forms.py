@@ -14,7 +14,7 @@ from sublattices.forms import (
     integer_det,
     invariant_factors,
     invariant_factors_via_minors,
-    _diag_primes,
+    _prime_power_diag,
     _xgcd,
     minor_gcd,
     validate_hnf,
@@ -392,28 +392,22 @@ def test_mixed_prime_diag_rejected():
 
 
 def test_diagonal_memo_is_bounded():
-    _diag_primes.cache_clear()
+    _prime_power_diag.cache_clear()
     exps = [(a, b) for a in range(75) for b in range(75)]
     for a, b in exps:
         assert hnf2_smith_exponent(validate_hnf([[2**a, 0], [0, 2**b]])) == min(a, b)
-    info = _diag_primes.cache_info()
+    info = _prime_power_diag.cache_info()
     assert info.misses == len(exps) > 5000
     assert info.maxsize == _DIAG_MEMO
     assert info.currsize <= _DIAG_MEMO
     # an entry still raises once the memo is full
     with pytest.raises(ValueError, match="single common prime"):
         hnf2_smith_exponent(validate_hnf([[6, 0], [0, 6]]))
-    # one entry per prime of the diagonal, none for a diagonal of ones; each
-    # holds the closed form's diagonal-only terms too
-    assert _diag_primes((12, 18)) == (
-        (2, (2, 1), 8, {1: 0, 2: 1, 4: 2, 8: 3}, (1,)),
-        (3, (1, 2), 27, {1: 0, 3: 1, 9: 2, 27: 3}, (1,)),
-    )
-    assert _diag_primes((12, 18, 8)) == (
-        (2, (2, 1, 3), 64, {2**k: k for k in range(7)}, (1, 3)),
-        (3, (1, 2, 0), 27, {1: 0, 3: 1, 9: 2, 27: 3}, (0, 1)),
-    )
-    assert _diag_primes((1, 1, 1)) == ()
+    # one entry per diagonal of one prime, with the exponents, p**r, the log
+    # table and the closed form's diagonal-only terms; none for a diagonal of ones
+    assert _prime_power_diag((4, 2)) == ((2, 1), 8, {1: 0, 2: 1, 4: 2, 8: 3}, (1,))
+    assert _prime_power_diag((9, 3, 1)) == ((2, 1, 0), 27, {1: 0, 3: 1, 9: 2, 27: 3}, (0, 1))
+    assert _prime_power_diag((1, 1, 1)) is None
 
 
 def test_minor_gcd_versus_gcd_of_entries():

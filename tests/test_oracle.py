@@ -616,10 +616,39 @@ def test_verify_index_tests_primality_a_bounded_number_of_times(monkeypatch):
 
 def _per_form_shortcut_detail(n, m):
     """The detail of the per-form loop verify_index once ran: each form's chain
-    from the closed form per prime of m, as enumerate --with-snf builds it,
-    against invariant_factors, in hnf_stream order."""
+    from the closed form per prime of m against invariant_factors, in
+    hnf_stream order.  Per diagonal, each prime's exponents and diagonal
+    terms are built once, and p**r and its log table once per prime of m, so
+    a valuation at p capped at r is one gcd.  forms._smith_closed_form is
+    read through the module, so a mutant patched there reaches this loop and
+    verify alike; no residue, box or oracle helper is read."""
+    powers = [(p, p**r, {p**k: k for k in range(r + 1)}) for p, r in arith.factorize(m)]
+    per_diag = {}
     for h in hnf_stream(n, m):
-        if forms._hnf_chain(h.rows) != invariant_factors(h.rows):
+        if n == 2:
+            (d1, h12), (_, d2) = h.rows
+            diag = (d1, d2)
+        else:
+            (d1, h12, h13), (_, d2, h23), (_, _, d3) = h.rows
+            diag = (d1, d2, d3)
+            u = h12 * h23 - d2 * h13
+        primes = per_diag.get(diag)
+        if primes is None:
+            primes = per_diag[diag] = []
+            for p, q, logs in powers:
+                exps = tuple(arith._valuation(p, d) for d in diag)
+                primes.append((p, exps, q, logs, forms._diag_terms(min, exps)))
+        g1 = g2 = 1
+        for p, exps, q, logs, terms in primes:
+            if n == 2:
+                g1 *= p ** forms._smith_closed_form(min, exps, terms, (logs[gcd(h12, q)],))
+            else:
+                o = (logs[gcd(h12, q)], logs[gcd(h13, q)], logs[gcd(h23, q)], logs[gcd(u, q)])
+                s, t = forms._smith_closed_form(min, exps, terms, o)
+                g1 *= p**s
+                g2 *= p**t
+        chain = (g1, m // g1) if n == 2 else (g1, g2 // g1, m // g2)
+        if chain != invariant_factors(h.rows):
             return f"disagreement at {h.rows}"
     return ""
 
