@@ -52,12 +52,12 @@ _SOURCES = {
     "validate_hnf": "forms",
     "DEFAULT_BUDGET": "enumeration",
     "BudgetExceededError": "enumeration",
-    "VerifyReport": "oracle",
     "census_bruteforce": "oracle",
     "cocyclic_bruteforce": "oracle",
-    "verify_index": "oracle",
-    "verify_prime_powers": "oracle",
-    "verify_suite": "oracle",
+    "VerifyReport": "verify",
+    "verify_index": "verify",
+    "verify_prime_powers": "verify",
+    "verify_suite": "verify",
     "class_size_poly": "polyalg",
     "cocyclic_count_poly": "polyalg",
     "leading_terms_check": "polyalg",

@@ -287,8 +287,8 @@ def _cmd_poly_leading(args) -> int:
 # ---------------------------------------------------------------- verify
 
 def _cmd_verify(args) -> int:
-    # the oracle loads NumPy; no other command needs it
-    from .oracle import VerifyReport, verify_index, verify_prime_powers, verify_suite
+    # verify loads the oracle and so NumPy; no other command needs either
+    from .verify import VerifyReport, verify_index, verify_prime_powers, verify_suite
 
     t0 = time.perf_counter()
     if args.mode == "suite":

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sublattices import forms, oracle
+from sublattices import forms, oracle, verify
 from sublattices.arith import partitions
 from sublattices.census import cocyclic_count_prime_power, sublattice_count_prime_power
 from sublattices.cli import main
@@ -624,9 +624,9 @@ def test_verify_argument_validation(capsys):
 def test_mismatch_exits_one_in_every_format(capsys, monkeypatch):
     # a disagreeing oracle row must reach stdout and the exit code alike
     def wrong(n, m, **kwargs):
-        return oracle.SectionReport(f"n={n} m={m}", [oracle.ClassRow((1, m), 3, 2)])
+        return verify.SectionReport(f"n={n} m={m}", [verify.ClassRow((1, m), 3, 2)])
 
-    monkeypatch.setattr(oracle, "verify_index", wrong)
+    monkeypatch.setattr(verify, "verify_index", wrong)
     scope = ("verify", "--n", "2", "--m", "4", "--format")
     code, out, _ = run_cli(capsys, *scope, "plain")
     assert code == 1 and out == "FAIL n=2 m=4\nMISMATCH found\n"
@@ -740,7 +740,7 @@ def test_negative_budget_is_invalid_input(capsys, argv, code_at_zero):
     assert run_cli(capsys, *argv, "--budget", "0")[0] == code_at_zero
 
 
-HEAVY_MODULES = ("numpy", "concurrent.futures", "sublattices.oracle")
+HEAVY_MODULES = ("numpy", "concurrent.futures", "sublattices.oracle", "sublattices.verify")
 IMPORT_GUARD = """\
 import contextlib, io, json, sys
 import sublattices
@@ -760,6 +760,12 @@ report["commands"] = loaded()
 report["names"] = [name for name in sublattices.__all__ if name not in dir(sublattices)]
 report["budget"] = sublattices.BudgetExceededError.__module__
 report["after_budget"] = loaded()
+# the kernel alone loads none of the formulas it is diffed against; poly fn
+# above loaded polyalg, so it is dropped first: an import of it would load it again
+del sys.modules["sublattices.polyalg"]
+sublattices.census_bruteforce(3, 12), sublattices.cocyclic_bruteforce(3, 12)
+report["kernel"] = [name for name in ("sublattices.polyalg", "sublattices.verify")
+                    if name in sys.modules]
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = main(["verify", "--n", "2", "--m", "6"])
@@ -797,10 +803,11 @@ def test_only_the_oracle_loads_numpy():
     assert report["import"] == report["commands"] == report["after_budget"] == []
     assert report["names"] == []
     assert report["budget"] == "sublattices.enumeration"
+    assert report["kernel"] == []
     code, out, loaded = report["verify"]
     assert code == 0 and out == VERIFY_2_6
     # one worker never builds a process pool
-    assert loaded == ["numpy", "sublattices.oracle"]
+    assert loaded == ["numpy", "sublattices.oracle", "sublattices.verify"]
 
 
 LEAN_GUARD = """\

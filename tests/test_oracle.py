@@ -10,7 +10,7 @@ from math import gcd, prod
 import numpy as np
 import pytest
 
-from sublattices import arith, cli, forms, oracle
+from sublattices import arith, cli, forms, oracle, verify
 from sublattices.census import class_census, cocyclic_count, sublattice_count
 from sublattices.enumeration import hnf_stream
 from sublattices.forms import (
@@ -26,6 +26,8 @@ from sublattices.oracle import (
     BudgetExceededError,
     census_bruteforce,
     cocyclic_bruteforce,
+)
+from sublattices.verify import (
     verify_index,
     verify_prime_powers,
     verify_suite,
@@ -309,8 +311,8 @@ def test_refusal_checks_walk_no_essential_diagonal(monkeypatch):
         cocyclic_bruteforce(4, 104, budget=10)
     assert walked == []
     ran = []
-    monkeypatch.setattr(oracle, "verify_index", lambda n, m, **kw: ran.append((n, m)))
-    oracle._verify_scopes([(2, 8), (4, 16), (3, 12)], 1, DEFAULT_BUDGET)
+    monkeypatch.setattr(verify, "verify_index", lambda n, m, **kw: ran.append((n, m)))
+    verify._verify_scopes([(2, 8), (4, 16), (3, 12)], 1, DEFAULT_BUDGET)
     assert ran == [(2, 8), (4, 16), (3, 12)] and walked == []
     assert census_bruteforce(4, 16).counts == class_census(4, 16).counts
     assert walked
@@ -821,7 +823,7 @@ def test_aggregate_sections(monkeypatch):
     assert _leading_terms_section(max_n=3, max_r=3).ok
     assert _multiplicativity_section(limit=40, max_n=2).ok
     # each dimension reports its first failed split and goes on to the next
-    monkeypatch.setattr(oracle, "class_size", lambda chain: 0)
+    monkeypatch.setattr(verify, "class_size", lambda chain: 0)
     section = _multiplicativity_section(limit=40, max_n=2)
     assert [(c.ok, c.detail) for c in section.checks] == [
         (False, "class size split fails at (6,)"),
@@ -832,12 +834,12 @@ def test_aggregate_sections(monkeypatch):
 def test_one_split_check_serves_index_and_suite(monkeypatch):
     # a class size off by one at index 6 fails the split of verify_index at a
     # composite index and the suite's multiplicativity section alike
-    count, classes = partial(sublattice_count, 2), partial(oracle.class_count, 2)
+    count, classes = partial(sublattice_count, 2), partial(verify.class_count, 2)
     assert _split_failure([class_census(2, f) for f in (4, 9, 5)], count, classes) == ""
-    real = oracle.class_size
-    monkeypatch.setattr(oracle, "class_size", lambda chain: real(chain) + (prod(chain) == 6))
+    real = verify.class_size
+    monkeypatch.setattr(verify, "class_size", lambda chain: real(chain) + (prod(chain) == 6))
     split = [c for c in verify_index(2, 6).checks if c.name == "multiplicative_split"]
-    assert split == [oracle.Check("multiplicative_split", False, "class size split fails at (1, 6)")]
+    assert split == [verify.Check("multiplicative_split", False, "class size split fails at (1, 6)")]
     section = _multiplicativity_section(limit=6, max_n=2)
     assert [c.detail for c in section.checks] == [
         "class size split fails at (6,)",
@@ -850,13 +852,13 @@ def test_multiplicativity_section_builds_each_factor_census_once(monkeypatch):
     # pairs m1 * m2 <= 120 over n = 1, 2, 3 hold 141 distinct (n, f), and
     # none is built twice
     built = []
-    real = oracle.class_census
+    real = verify.class_census
 
     def spy(n, m):
         built.append((n, m))
         return real(n, m)
 
-    monkeypatch.setattr(oracle, "class_census", spy)
+    monkeypatch.setattr(verify, "class_census", spy)
     assert _multiplicativity_section().ok
     assert len(built) == len(set(built)) == 141
 
@@ -867,13 +869,13 @@ def test_multiplicativity_section_prices_each_closed_form_once(monkeypatch):
     # (n, m) the section reads is priced once
     calls = Counter()
     for name in ("sublattice_count", "class_count"):
-        real = getattr(oracle, name)
+        real = getattr(verify, name)
 
         def spy(n, m, real=real, name=name):
             calls[name, n, m] += 1
             return real(n, m)
 
-        monkeypatch.setattr(oracle, name, spy)
+        monkeypatch.setattr(verify, name, spy)
     assert _multiplicativity_section().ok
     read = {
         (n, x)
@@ -891,8 +893,8 @@ def test_multiplicativity_section_prices_each_closed_form_once(monkeypatch):
 def test_suite_and_ladder_refuse_before_any_scope_runs(monkeypatch, capsys):
     # the largest planned scope is priced first: no census runs, no stdout
     calls = []
-    real = oracle.census_bruteforce
-    monkeypatch.setattr(oracle, "census_bruteforce", lambda *a, **k: calls.append(a) or real(*a, **k))
+    real = verify.census_bruteforce
+    monkeypatch.setattr(verify, "census_bruteforce", lambda *a, **k: calls.append(a) or real(*a, **k))
     with pytest.raises(BudgetExceededError, match="^census n=4 m=32: predicted 97155 matrices "):
         verify_suite(budget=50)
     with pytest.raises(BudgetExceededError, match=f"^census n=2 m={2**30}: "):
@@ -903,6 +905,19 @@ def test_suite_and_ladder_refuse_before_any_scope_runs(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and "exceeds the budget" in captured.err
     assert calls == []
+    # within the budget, every scope of a ladder is priced on the minor bound
+    # too, the largest first: (5, 2**15) is refused before (5, 2) runs
+    def census(*args, **kwargs):
+        raise AssertionError(f"census_bruteforce{args} ran")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(verify, "census_bruteforce", census)
+        with pytest.raises(BudgetExceededError, match=f"^census n=5 m={2**15} on int64: "):
+            verify_prime_powers(5, 2, 15, budget=10**30)
+        argv = ["verify", "--n", "5", "--prime", "2", "--max-r", "15", "--budget", str(10**30)]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "minor bound" in captured.err
     # invalid input still comes before the budget
     with pytest.raises(ValueError, match="jobs"):
         verify_prime_powers(2, 2, 30, jobs=0, budget=1000)
@@ -919,7 +934,7 @@ def test_verify_suite_payload_deterministic(monkeypatch, capsys):
     assert a.elapsed != b.elapsed or a.elapsed > 0
     payloads = []
     for report in (a, b):
-        monkeypatch.setattr(oracle, "verify_suite", lambda **kwargs: report)
+        monkeypatch.setattr(verify, "verify_suite", lambda **kwargs: report)
         assert cli.main(["verify", "suite"]) == 0
         payloads.append(json.loads(capsys.readouterr().out)["payload"])
     assert json.dumps(payloads[0], sort_keys=True) == json.dumps(payloads[1], sort_keys=True)
@@ -940,16 +955,16 @@ def test_closed_vs_glue_section_names_the_failed_comparison(monkeypatch):
         "1 classes", "1 classes", "1 classes", "1 classes", "1 classes", "2 classes"
     ]
     # a count polynomial off by one at level (2, 2) fails only that level's sum
-    real_count = oracle.sublattice_count_poly
+    real_count = verify.sublattice_count_poly
     monkeypatch.setattr(
-        oracle, "sublattice_count_poly",
+        verify, "sublattice_count_poly",
         lambda n, r: real_count(n, r) + [1] if (n, r) == (2, 2) else real_count(n, r),
     )
     section = _closed_vs_glue_section(max_n=2, max_k=2)
     assert [c.ok for c in section.checks] == [True] * 5 + [False]
     assert section.checks[-1].detail == "class sum T^2 + T + 1, count T^3 + T^2 + T + 1"
     # a wrong closed form fails on the class comparison, before the sum
-    monkeypatch.setattr(oracle, "class_size_poly", lambda exps: [2])
+    monkeypatch.setattr(verify, "class_size_poly", lambda exps: [2])
     section = _closed_vs_glue_section(max_n=1, max_k=1)
     assert [c.detail for c in section.checks] == [
         "(0,): closed 2, glue 1", "(1,): closed 2, glue 1"
